@@ -14,13 +14,15 @@ import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog, minimize_scalar
 
-from .expr import Expr, Point, eval_broadcast, evaluate, parse_expr
-from .polytope import Polytope, PolytopeUnion, convex_hull_of, dedup_pieces
+from .expr import Expr, Point, eval_broadcast, evaluate
+from .polytope import (Polytope, PolytopeUnion, convex_hull_of, dedup_pieces,
+                       dedup_rows)
 from .subdiff import limiting_subdiff
 
 # default per-axis grid resolution for worst-case evaluation
@@ -243,13 +245,9 @@ class ConeSpec:
 
 
 def _dedup_unit(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    out: List[np.ndarray] = []
-    for v in vectors:
-        if not any(np.max(np.abs(v - q)) <= 1e-9 for q in out):
-            out.append(v)
-    if not out:
+    if not vectors:
         raise ProblemFormatError("dual cone has empty interior direction set")
-    return np.array(sorted(out, key=tuple))
+    return np.array(sorted(dedup_rows(vectors, 1e-9), key=tuple))
 
 
 # ---------------------------------------------------------------------------
@@ -499,15 +497,21 @@ def active_uncertainty(e: Expr, z, U: UncertaintySet, tol: float = ACTIVE_TOL,
 
 
 def worst_case_subdiff(e: Expr, z, U: UncertaintySet, tol: float = ACTIVE_TOL,
-                       grid: int = GRID_DEFAULT) -> PolytopeUnion:
+                       grid: int = GRID_DEFAULT,
+                       realizations: Optional[List[AttainingRealization]] = None
+                       ) -> PolytopeUnion:
     """Union of decision-space subdifferentials over attaining realizations.
 
     Isolated maximizers give an exact union; plateau clusters (extent above
     ``EXTENT_TOL``) are hulled from sampled endpoint subdifferentials and
-    flagged as an outer estimate.
+    flagged as an outer estimate.  ``realizations`` are the ones
+    ``active_uncertainty`` returns at (z, tol, grid); they are computed when
+    not given.
     """
     z = np.asarray(z, dtype=float)
-    reps = active_uncertainty(e, z, U, tol=tol, grid=grid)
+    reps = realizations
+    if reps is None:
+        reps = active_uncertainty(e, z, U, tol=tol, grid=grid)
     pieces: List[Polytope] = []
     outer = False
     notes: Tuple[str, ...] = ()
@@ -543,7 +547,7 @@ def _box_corners(lower: np.ndarray, upper: np.ndarray) -> List[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# feasibility and activity
+# feasibility, activity and shared point data
 # ---------------------------------------------------------------------------
 
 
@@ -554,21 +558,75 @@ def constraint_values(P: Problem, z, grid: int = GRID_DEFAULT) -> np.ndarray:
     )
 
 
-def is_robust_feasible(P: Problem, z, tol: float = FEAS_TOL,
-                       grid: int = GRID_DEFAULT) -> bool:
-    return bool(np.all(constraint_values(P, z, grid) <= tol))
+class PointAnalysis:
+    """Worst-case and subdifferential data at one decision point.
+
+    ``psi`` (the worst-case constraint values) is computed on construction;
+    everything else on first use, memoized per constraint index, so every
+    consumer of one analysis shares one computation.  Activity is decided at
+    ``ACTIVE_TOL``:
+
+    * ``binding`` -- constraints whose worst case is within it of zero;
+    * ``active_max`` -- constraints whose worst case is within it of the
+      largest one.
+    """
+
+    def __init__(self, P: Problem, z, grid: int = GRID_DEFAULT):
+        self.problem = P
+        self.z = np.asarray(z, dtype=float)
+        self.grid = grid
+        self.point = Point.of(self.z)
+        self.psi = constraint_values(P, self.z, grid)
+        self._realizations: Dict[int, List[AttainingRealization]] = {}
+        self._subdiffs: Dict[int, PolytopeUnion] = {}
+        self._hulls: Dict[int, Polytope] = {}
+
+    def feasible(self, tol: float = FEAS_TOL) -> bool:
+        return bool(np.all(self.psi <= tol))
+
+    @cached_property
+    def binding(self) -> List[int]:
+        return [i for i, v in enumerate(self.psi) if v >= -ACTIVE_TOL]
+
+    @cached_property
+    def active_max(self) -> List[int]:
+        top = float(np.max(self.psi))
+        return [i for i, v in enumerate(self.psi) if v >= top - ACTIVE_TOL]
+
+    @cached_property
+    def objective_values(self) -> np.ndarray:
+        return self.problem.objective_values(self.z)
+
+    @cached_property
+    def objective_subdiffs(self) -> List[PolytopeUnion]:
+        return [limiting_subdiff(f, self.point, wrt="decision")
+                for f in self.problem.objectives]
+
+    def realizations(self, i: int) -> List[AttainingRealization]:
+        """Uncertainty realizations attaining constraint i's worst case."""
+        if i not in self._realizations:
+            self._realizations[i] = active_uncertainty(
+                self.problem.constraints[i], self.z, self.problem.uncertainty,
+                ACTIVE_TOL, self.grid,
+            )
+        return self._realizations[i]
+
+    def constraint_subdiff(self, i: int) -> PolytopeUnion:
+        """Union of constraint i's subdifferentials at its realizations."""
+        if i not in self._subdiffs:
+            self._subdiffs[i] = worst_case_subdiff(
+                self.problem.constraints[i], self.z, self.problem.uncertainty,
+                ACTIVE_TOL, self.grid, realizations=self.realizations(i),
+            )
+        return self._subdiffs[i]
+
+    def hull(self, i: int) -> Polytope:
+        """Convex hull of ``constraint_subdiff(i)``."""
+        if i not in self._hulls:
+            self._hulls[i] = self.constraint_subdiff(i).hull()
+        return self._hulls[i]
 
 
-def active_index_set(P: Problem, z, tol: float = ACTIVE_TOL,
-                     grid: int = GRID_DEFAULT) -> List[int]:
-    """Constraints whose worst-case value is within tol of the largest one."""
-    vals = constraint_values(P, z, grid)
-    top = float(np.max(vals))
-    return [i for i, v in enumerate(vals) if v >= top - tol]
-
-
-def zero_active_set(P: Problem, z, tol: float = ACTIVE_TOL,
-                    grid: int = GRID_DEFAULT) -> List[int]:
-    """Constraints whose worst-case value is within tol of zero (binding)."""
-    vals = constraint_values(P, z, grid)
-    return [i for i, v in enumerate(vals) if v >= -tol]
+def analyze_point(P: Problem, z, grid: int = GRID_DEFAULT) -> PointAnalysis:
+    """The shared point data of ``P`` at ``z`` (see ``PointAnalysis``)."""
+    return PointAnalysis(P, z, grid)

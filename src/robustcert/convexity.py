@@ -35,17 +35,13 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .constraints import (
-    ACTIVE_TOL,
     GRID_DEFAULT,
+    PointAnalysis,
     Problem,
-    worst_case_subdiff,
-    worst_case_value,
+    analyze_point,
     worst_case_values_batch,
-    zero_active_set,
 )
-from .expr import Point
-from .polytope import PolytopeUnion
-from .subdiff import limiting_subdiff
+from .polytope import dedup_rows
 from .kkt import _simplex_indices
 
 # premise tolerances: strict decrease must clear this, ties may sit within it
@@ -185,46 +181,12 @@ def dual_weight_grid(P: Problem, edge: int = DEFAULT_Y_EDGE) -> np.ndarray:
     """Simplex mixtures of the dual cone's extreme rays, in scan order."""
     rays = P.cone.dual_rays()
     lam = _simplex_indices(len(rays), edge).astype(float) / edge
-    Y = lam @ rays
-    keep: List[np.ndarray] = []
-    for row in Y:
-        if not any(np.max(np.abs(row - q)) <= 1e-12 for q in keep):
-            keep.append(row)
-    return np.array(keep)
+    return dedup_rows(lam @ rays, 1e-12)
 
 
 # ---------------------------------------------------------------------------
 # scan core
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _ScanData:
-    f_ref: np.ndarray
-    obj_vertex_stacks: List[np.ndarray]
-    psi_ref: np.ndarray            # refined worst cases at the point
-    binding: List[int]
-    con_vertex_stacks: Dict[int, np.ndarray]
-
-
-def _collect(P: Problem, z, grid: int) -> _ScanData:
-    z = np.asarray(z, dtype=float)
-    pt = Point.of(z)
-    stacks = []
-    for f in P.objectives:
-        union = limiting_subdiff(f, pt, wrt="decision")
-        stacks.append(np.vstack([p.vertices for p in union.pieces]))
-    psi_ref = np.array(
-        [worst_case_value(g, z, P.uncertainty, grid) for g in P.constraints]
-    )
-    binding = [i for i, v in enumerate(psi_ref) if v >= -ACTIVE_TOL]
-    con_stacks: Dict[int, np.ndarray] = {}
-    for i in binding:
-        hull = worst_case_subdiff(
-            P.constraints[i], z, P.uncertainty, ACTIVE_TOL, grid
-        ).hull()
-        con_stacks[i] = hull.vertices
-    return _ScanData(P.objective_values(z), stacks, psi_ref, binding, con_stacks)
 
 
 def _support_matrix(W: np.ndarray, stacks: Sequence[np.ndarray]
@@ -239,11 +201,17 @@ def _support_matrix(W: np.ndarray, stacks: Sequence[np.ndarray]
     return smax, smin
 
 
+def _objective_stacks(analysis: PointAnalysis) -> List[np.ndarray]:
+    return [u.all_vertices() for u in analysis.objective_subdiffs]
+
+
 def _scan(P: Problem, z, kinds: Sequence[str], samples: int, seed: int,
-          y_edge: int, grid: int, chunk: int = CHUNK
+          y_edge: int, grid: int, analysis: Optional[PointAnalysis] = None,
+          chunk: int = CHUNK
           ) -> Tuple[Dict[str, Optional[ConvexityWitness]], Dict[str, int]]:
     z = np.asarray(z, dtype=float)
-    data = _collect(P, z, grid)
+    a = analysis if analysis is not None else analyze_point(P, z, grid)
+    obj_stacks = _objective_stacks(a)
     Y = dual_weight_grid(P, y_edge)
     Yp = np.maximum(Y, 0.0)
     Ym = np.minimum(Y, 0.0)
@@ -269,8 +237,8 @@ def _scan(P: Problem, z, kinds: Sequence[str], samples: int, seed: int,
         idxf = np.asarray(idx)[feas]
         W = Zf - z[None, :]
         F = P.objective_values_batch(Zf)
-        Delta = (F - data.f_ref[None, :]) @ Y.T          # (c, n_y)
-        smax, smin = _support_matrix(W, data.obj_vertex_stacks)
+        Delta = (F - a.objective_values[None, :]) @ Y.T  # (c, n_y)
+        smax, smin = _support_matrix(W, obj_stacks)
         S = smax @ Yp.T + smin @ Ym.T                    # (c, n_y)
         not_same = np.max(np.abs(W), axis=1) > SAME_POINT_TOL
 
@@ -301,46 +269,46 @@ def _scan(P: Problem, z, kinds: Sequence[str], samples: int, seed: int,
                     float(Delta[r, c]), float(S[r, c]), int(idxf[r]),
                 )
                 used[STRICT] = int(idxf[r]) + 1
-        if QUASI in kinds and found[QUASI] is None and data.binding:
+        if QUASI in kinds and found[QUASI] is None and a.binding:
             psi_mat = np.stack(
                 [
                     worst_case_values_batch(
                         P.constraints[i], Zf, P.uncertainty, grid
                     )
-                    for i in data.binding
+                    for i in a.binding
                 ],
                 axis=1,
             )
             cmax, _ = _support_matrix(
-                W, [data.con_vertex_stacks[i] for i in data.binding]
+                W, [a.hull(i).vertices for i in a.binding]
             )
-            premise = psi_mat <= data.psi_ref[data.binding][None, :] + PREMISE_TOL
+            premise = psi_mat <= a.psi[a.binding][None, :] + PREMISE_TOL
             hit = first_hit(premise & (cmax >= QUASI_SUPPORT_TOL))
             if hit is not None:
                 r, c = hit
-                i = data.binding[c]
+                i = a.binding[c]
                 found[QUASI] = ConvexityWitness(
                     Zf[r], None, f"constraint {i + 1}",
-                    float(psi_mat[r, c] - data.psi_ref[i]),
+                    float(psi_mat[r, c] - a.psi[i]),
                     float(cmax[r, c]), int(idxf[r]),
                 )
                 used[QUASI] = int(idxf[r]) + 1
 
     for kind, wit in found.items():
         if wit is not None:
-            _revalidate(P, z, data, kind, wit, grid)
+            _revalidate(P, z, a, kind, wit, grid)
     return found, used
 
 
-def _revalidate(P: Problem, z, data: _ScanData, kind: str,
+def _revalidate(P: Problem, z, analysis: PointAnalysis, kind: str,
                 wit: ConvexityWitness, grid: int) -> None:
     """Recompute the witness inequalities point by point; raise on mismatch."""
     w = wit.z - z
     if kind in (PSEUDO, STRICT):
         f_val = P.objective_values(wit.z)
-        delta = float((f_val - data.f_ref) @ wit.y)
+        delta = float((f_val - analysis.objective_values) @ wit.y)
         support = 0.0
-        for j, V in enumerate(data.obj_vertex_stacks):
+        for j, V in enumerate(_objective_stacks(analysis)):
             yj = wit.y[j]
             s = float(np.max(V @ w)) if yj >= 0 else float(np.min(V @ w))
             support += yj * s
@@ -356,8 +324,8 @@ def _revalidate(P: Problem, z, data: _ScanData, kind: str,
                 P.constraints[i], wit.z[None, :], P.uncertainty, grid
             )[0]
         )
-        premise = psi_val <= data.psi_ref[i] + PREMISE_TOL
-        support = float(np.max(data.con_vertex_stacks[i] @ w))
+        premise = psi_val <= analysis.psi[i] + PREMISE_TOL
+        support = float(np.max(analysis.hull(i).vertices @ w))
         ok = premise and support >= QUASI_SUPPORT_TOL
     if not ok:
         raise RuntimeError(
@@ -376,7 +344,7 @@ def revalidate_witness(P: Problem, z, witness: ConvexityWitness, kind: str,
     if kind not in (PSEUDO, STRICT, QUASI):
         raise ValueError(f"unknown convexity kind {kind!r}")
     z = np.asarray(z, dtype=float)
-    _revalidate(P, z, _collect(P, z, grid), kind, witness, grid)
+    _revalidate(P, z, analyze_point(P, z, grid), kind, witness, grid)
 
 
 def _verdict(found: Optional[ConvexityWitness], used: int,
@@ -419,16 +387,19 @@ def check_generalized_quasi_convex(P: Problem, z,
 
 def classify_type(P: Problem, z, samples: int = DEFAULT_SAMPLES,
                   seed: int = 0, y_edge: int = DEFAULT_Y_EDGE,
-                  grid: int = GRID_DEFAULT) -> TypeClassification:
+                  grid: int = GRID_DEFAULT,
+                  analysis: Optional[PointAnalysis] = None
+                  ) -> TypeClassification:
     """Joint classification consumed by the sufficiency rules.
 
     The first premise bundle pairs pseudo-convex weighted objectives with
     quasi-convex binding constraints; the second strengthens the objective
     side to the strict variant.  One shared sample stream feeds all three
-    underlying scans.
+    underlying scans.  ``analysis`` is the point data of (P, z, grid); built
+    when not given.
     """
     found, used = _scan(P, z, [PSEUDO, STRICT, QUASI], samples, seed,
-                        y_edge, grid)
+                        y_edge, grid, analysis)
     pseudo = _verdict(found[PSEUDO], used[PSEUDO], y_edge)
     strict = _verdict(found[STRICT], used[STRICT], y_edge)
     quasi = _verdict(found[QUASI], used[QUASI], y_edge)

@@ -23,7 +23,7 @@ feasible triple point is weakly efficient by brute force.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -32,8 +32,7 @@ from .constraints import (
     FEAS_TOL,
     GRID_DEFAULT,
     Problem,
-    active_uncertainty,
-    is_robust_feasible,
+    analyze_point,
     worst_case_subdiff,
     worst_case_value,
 )
@@ -246,9 +245,9 @@ def converse_duality_check(P: Problem, triple: DualTriple,
                            context: Optional[EfficiencyContext] = None
                            ) -> ConverseDualityReport:
     rep = is_dual_feasible(P, triple, mode="default", grid=ugrid)
-    applicable = rep.feasible and is_robust_feasible(
-        P, triple.point, FEAS_TOL, ugrid
-    )
+    applicable = rep.feasible and analyze_point(
+        P, triple.point, ugrid
+    ).feasible(FEAS_TOL)
     weak = certify_weak(P, triple.point, grid, ugrid, context=context)
     weakly_efficient = bool(weak.certified)
     consistent = (not applicable) or weakly_efficient

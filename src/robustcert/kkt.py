@@ -25,9 +25,9 @@ from scipy.optimize import linprog
 from .constraints import (
     ACTIVE_TOL,
     GRID_DEFAULT,
+    PointAnalysis,
     Problem,
-    active_index_set,
-    active_uncertainty,
+    analyze_point,
     constraint_values,
     worst_case_subdiff,
     worst_case_values_batch,
@@ -44,6 +44,8 @@ FILTER_TOL = 1e-9
 MU_ZERO_TOL = 1e-12
 # coarse direction grid used when reporting the best residual on failure
 COARSE_EDGE = 24
+# the search gives up after this many directions that pass the prefilter
+MAX_LP = 50_000
 
 
 @dataclass
@@ -53,9 +55,7 @@ class KktOptions:
     y_grid: int = 721
     tol: float = RESIDUAL_TOL
     mode: str = "outer"  # 'outer' per-objective fold | 'exact' scalarized
-    active_tol: float = ACTIVE_TOL
     grid: int = GRID_DEFAULT
-    max_lp: int = 50_000
 
 
 @dataclass
@@ -135,63 +135,22 @@ class CqReport:
         }
 
 
-def check_cq(P: Problem, z, tol: float = ACTIVE_TOL,
-             grid: int = GRID_DEFAULT) -> CqReport:
-    """Qualification: zero avoids the hull of binding-constraint subdifferentials."""
-    z = np.asarray(z, dtype=float)
-    vals = constraint_values(P, z, grid)
-    binding = [i for i, v in enumerate(vals) if v >= -tol]
-    if not binding:
+def check_cq(P: Problem, z, grid: int = GRID_DEFAULT,
+             analysis: Optional[PointAnalysis] = None) -> CqReport:
+    """Qualification: zero avoids the hull of binding-constraint subdifferentials.
+
+    ``analysis`` is the point data of (P, z, grid); built when not given.
+    """
+    a = analysis if analysis is not None else analyze_point(P, z, grid)
+    if not a.binding:
         return CqReport(True, np.inf, [], True)
-    active = active_index_set(P, z, tol, grid)
     pieces: List[Polytope] = []
-    for i in active:
-        pieces.extend(
-            worst_case_subdiff(P.constraints[i], z, P.uncertainty, tol, grid).pieces
-        )
+    for i in a.active_max:
+        pieces.extend(a.constraint_subdiff(i).pieces)
     hull = convex_hull_of(pieces)
     distance = hull.distance(np.zeros(P.decision_dim))
-    return CqReport(distance > tol, float(distance), active, False)
-
-
-# ---------------------------------------------------------------------------
-# stationarity data shared by search and verification
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _StationarityData:
-    point: Point
-    obj_subdiffs: List[PolytopeUnion]
-    psi_values: np.ndarray
-    binding: List[int]
-    hulls: Dict[int, Polytope]
-    witnesses: Dict[int, List[np.ndarray]]
-
-
-def _prepare(P: Problem, z, active_tol: float, grid: int) -> _StationarityData:
-    z = np.asarray(z, dtype=float)
-    obj_subdiffs = [
-        limiting_subdiff(f, Point.of(z), wrt="decision") for f in P.objectives
-    ]
-    psi_values = constraint_values(P, z, grid)
-    binding = [i for i, v in enumerate(psi_values) if v >= -active_tol]
-    hulls: Dict[int, Polytope] = {}
-    witnesses: Dict[int, List[np.ndarray]] = {}
-    for i in binding:
-        union = worst_case_subdiff(
-            P.constraints[i], z, P.uncertainty, active_tol, grid
-        )
-        hulls[i] = union.hull()
-        witnesses[i] = [
-            rep.point
-            for rep in active_uncertainty(
-                P.constraints[i], z, P.uncertainty, active_tol, grid
-            )
-        ]
-    return _StationarityData(
-        Point.of(z), obj_subdiffs, psi_values, binding, hulls, witnesses
-    )
+    return CqReport(distance > ACTIVE_TOL, float(distance), list(a.active_max),
+                    False)
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +185,14 @@ def _piece_ranges(union: PolytopeUnion) -> Tuple[np.ndarray, np.ndarray]:
     return mins, maxs
 
 
-def _prefilter(Y: np.ndarray, data: _StationarityData, d: int) -> np.ndarray:
+def _prefilter(Y: np.ndarray, analysis: PointAnalysis, d: int) -> np.ndarray:
     """Keep directions where some piece selection can reach zero coordinatewise."""
-    ranges = [_piece_ranges(s) for s in data.obj_subdiffs]
+    ranges = [_piece_ranges(s) for s in analysis.objective_subdiffs]
     cons_lo = np.zeros(d)
     cons_hi = np.zeros(d)
-    for i in data.binding:
-        a = data.hulls[i].vertices.min(axis=0)
-        b = data.hulls[i].vertices.max(axis=0)
+    for i in analysis.binding:
+        a = analysis.hull(i).vertices.min(axis=0)
+        b = analysis.hull(i).vertices.max(axis=0)
         cons_lo += np.where(a < -FILTER_TOL, -np.inf, 0.0)
         cons_hi += np.where(b > FILTER_TOL, np.inf, 0.0)
     counts = [len(mins) for mins, _ in ranges]
@@ -346,10 +305,11 @@ def _extract_mu(x: np.ndarray, piece_sets, hulls, binding: List[int],
     return mu
 
 
-def _direction_piece_sets(y: np.ndarray, data: _StationarityData,
+def _direction_piece_sets(y: np.ndarray, analysis: PointAnalysis,
                           selection: Tuple[int, ...], active_obj: List[int]):
     return [
-        (float(y[j]), data.obj_subdiffs[j].pieces[selection[idx]].vertices)
+        (float(y[j]),
+         analysis.objective_subdiffs[j].pieces[selection[idx]].vertices)
         for idx, j in enumerate(active_obj)
     ]
 
@@ -385,8 +345,14 @@ def _residual(y, obj_subdiffs, mu, hulls, d) -> float:
 # ---------------------------------------------------------------------------
 
 
-def find_kkt_certificate(P: Problem, z, options: Optional[KktOptions] = None
+def find_kkt_certificate(P: Problem, z, options: Optional[KktOptions] = None,
+                         analysis: Optional[PointAnalysis] = None
                          ) -> KktCertificate:
+    """First certificate on the direction grid (see the module docstring).
+
+    ``analysis`` is the point data of (P, z, options.grid); built when not
+    given.
+    """
     opts = options or KktOptions()
     if opts.y_grid < 2:
         raise ValueError("y_grid must be at least 2 points per edge")
@@ -395,55 +361,55 @@ def find_kkt_certificate(P: Problem, z, options: Optional[KktOptions] = None
     z = np.asarray(z, dtype=float)
     d = P.decision_dim
     m = P.n_objectives
-    data = _prepare(P, z, opts.active_tol, opts.grid)
+    a = analysis if analysis is not None else analyze_point(P, z, opts.grid)
 
     edge = opts.y_grid - 1
     indices = _simplex_indices(m, edge)
     Y = indices.astype(float) / edge
-    keep = _prefilter(Y, data, d)
-    hull_list = [data.hulls[i].vertices for i in data.binding]
+    keep = _prefilter(Y, a, d)
+    hull_list = [a.hull(i).vertices for i in a.binding]
 
-    lp_budget = opts.max_lp
+    lp_budget = MAX_LP
     for row in np.flatnonzero(keep):
         y = Y[row]
-        found = _try_direction(P, y, data, hull_list, d, opts)
+        found = _try_direction(P, y, a, hull_list, d, opts)
         if found is not None:
             mu_hat, mode_used = found
-            return _finalize(P, z, y, mu_hat, data, d, mode_used)
+            return _finalize(P, z, y, mu_hat, a, d, mode_used)
         lp_budget -= 1
         if lp_budget <= 0:
             break
 
     # no weighted certificate: try the degenerate (zero-weight) form
-    fj = _fritz_john(data, hull_list, d, P.n_constraints)
+    fj = _fritz_john(a, hull_list, d, P.n_constraints)
     if fj is not None:
-        return _finalize(P, z, np.zeros(m), fj, data, d, opts.mode,
+        return _finalize(P, z, np.zeros(m), fj, a, d, opts.mode,
                          fritz_john=True)
 
-    best_res, best_dir = _coarse_residual_scan(data, d, m)
+    best_res, best_dir = _coarse_residual_scan(a, d, m)
     raise NotFoundAtResolution(
         f"no certificate on the {opts.y_grid}-point direction grid",
         best_res, best_dir,
     )
 
 
-def _try_direction(P, y, data, hull_list, d, opts):
+def _try_direction(P, y, analysis, hull_list, d, opts):
     if opts.mode == "exact":
-        return _try_direction_exact(P, y, data, hull_list, d)
+        return _try_direction_exact(P, y, analysis, hull_list, d)
     active_obj = [j for j in range(len(y)) if y[j] > 0]
-    counts = [len(data.obj_subdiffs[j].pieces) for j in active_obj]
+    counts = [len(analysis.objective_subdiffs[j].pieces) for j in active_obj]
     feasible = []
     for sel in itertools.product(*(range(c) for c in counts)):
-        piece_sets = _direction_piece_sets(y, data, sel, active_obj)
+        piece_sets = _direction_piece_sets(y, analysis, sel, active_obj)
         ok, x, _ = _selection_lp(piece_sets, hull_list, d)
         if ok:
             feasible.append(piece_sets)
     if not feasible:
         return None
-    return _balance(y, feasible, hull_list, data, P.n_constraints), "outer"
+    return _balance(y, feasible, hull_list, analysis, P.n_constraints), "outer"
 
 
-def _balance(y, feasible, hull_list, data, n_constraints):
+def _balance(y, feasible, hull_list, analysis, n_constraints):
     """Canonical multipliers: total closest to |y|_2; ties go to the first."""
     d = len(hull_list[0][0]) if hull_list else len(feasible[0][0][1][0])
     target = float(np.linalg.norm(y))
@@ -453,20 +419,22 @@ def _balance(y, feasible, hull_list, data, n_constraints):
                                  balance_target=target)
         if not ok:
             continue
-        mu = _extract_mu(x, piece_sets, hull_list, data.binding, n_constraints)
+        mu = _extract_mu(x, piece_sets, hull_list, analysis.binding,
+                         n_constraints)
         if best is None or t < best[0] - 1e-12:
             best = (t, mu)
     if best is None:  # fall back to plain feasibility of the first selection
         piece_sets = feasible[0]
         _, x, _ = _selection_lp(piece_sets, hull_list, d)
-        return _extract_mu(x, piece_sets, hull_list, data.binding, n_constraints)
+        return _extract_mu(x, piece_sets, hull_list, analysis.binding,
+                           n_constraints)
     return best[1]
 
 
-def _try_direction_exact(P, y, data, hull_list, d):
+def _try_direction_exact(P, y, analysis, hull_list, d):
     """Exact-scalarization stationarity for one direction (when available)."""
     try:
-        sc = scalarized_subdiff(y, P.objectives, data.point)
+        sc = scalarized_subdiff(y, P.objectives, analysis.point)
     except UnsupportedComposition:
         return None
     union = sc.best
@@ -479,7 +447,7 @@ def _try_direction_exact(P, y, data, hull_list, d):
             feasible.append(piece_sets)
     if not feasible:
         return None
-    mu = _balance(y, feasible, hull_list, data, P.n_constraints)
+    mu = _balance(y, feasible, hull_list, analysis, P.n_constraints)
     return mu, mode_used
 
 
@@ -499,14 +467,14 @@ def _fj_solve(hull_list, d) -> Optional[np.ndarray]:
     return res.x
 
 
-def _fritz_john(data, hull_list, d, n_constraints) -> Optional[np.ndarray]:
+def _fritz_john(analysis, hull_list, d, n_constraints) -> Optional[np.ndarray]:
     x = _fj_solve(hull_list, d)
     if x is None:
         return None
-    return _extract_mu(x, [], hull_list, data.binding, n_constraints)
+    return _extract_mu(x, [], hull_list, analysis.binding, n_constraints)
 
 
-def _finalize(P, z, y_hat, mu_hat, data, d, mode_used,
+def _finalize(P, z, y_hat, mu_hat, analysis, d, mode_used,
               fritz_john: bool = False) -> KktCertificate:
     norm_y = float(np.linalg.norm(y_hat))
     norm_mu = float(np.linalg.norm(mu_hat))
@@ -515,10 +483,12 @@ def _finalize(P, z, y_hat, mu_hat, data, d, mode_used,
     kappa = 1.0 / (norm_y + norm_mu)
     y_star = kappa * y_hat
     mu = kappa * mu_hat
+    hulls = {i: analysis.hull(i) for i in analysis.binding}
     witnesses: List[List[np.ndarray]] = []
     for i in range(P.n_constraints):
-        if i in data.witnesses and mu[i] > MU_ZERO_TOL:
-            witnesses.append([np.asarray(u, dtype=float) for u in data.witnesses[i]])
+        if i in analysis.binding and mu[i] > MU_ZERO_TOL:
+            witnesses.append([np.array(r.point, dtype=float)
+                              for r in analysis.realizations(i)])
         else:
             witnesses.append([])
     if mode_used == "exact":
@@ -526,12 +496,10 @@ def _finalize(P, z, y_hat, mu_hat, data, d, mode_used,
         subdiffs = [sc.best]
         y_res = np.ones(1)
     else:
-        subdiffs = data.obj_subdiffs
+        subdiffs = analysis.objective_subdiffs
         y_res = y_star
-    residual = _residual(y_res, subdiffs, mu, data.hulls, d)
-    fj_also = _fj_solve(
-        [data.hulls[i].vertices for i in data.binding], d
-    ) is not None
+    residual = _residual(y_res, subdiffs, mu, hulls, d)
+    fj_also = _fj_solve([h.vertices for h in hulls.values()], d) is not None
     return KktCertificate(
         y_star=y_star,
         mu=mu,
@@ -543,17 +511,18 @@ def _finalize(P, z, y_hat, mu_hat, data, d, mode_used,
     )
 
 
-def _coarse_residual_scan(data, d, m) -> Tuple[float, Optional[np.ndarray]]:
+def _coarse_residual_scan(analysis, d, m) -> Tuple[float, Optional[np.ndarray]]:
     """Smallest infinity-norm stationarity residual on a coarse direction grid."""
     indices = _simplex_indices(m, COARSE_EDGE)
     Y = indices.astype(float) / COARSE_EDGE
-    hull_list = [data.hulls[i].vertices for i in data.binding]
+    hull_list = [analysis.hull(i).vertices for i in analysis.binding]
     best = (np.inf, None)
     for y in Y:
         active_obj = [j for j in range(m) if y[j] > 0]
-        counts = [len(data.obj_subdiffs[j].pieces) for j in active_obj]
+        counts = [len(analysis.objective_subdiffs[j].pieces)
+                  for j in active_obj]
         for sel in itertools.product(*(range(c) for c in counts)):
-            piece_sets = _direction_piece_sets(y, data, sel, active_obj)
+            piece_sets = _direction_piece_sets(y, analysis, sel, active_obj)
             r = _slack_lp(piece_sets, hull_list, d)
             if r is not None and r < best[0]:
                 best = (r, y.copy())

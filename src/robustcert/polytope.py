@@ -23,12 +23,22 @@ RANK_REL_TOL = 1e-9
 DEDUP_TOL = 1e-12
 
 
-def _dedup_rows(points: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
-    out: List[np.ndarray] = []
-    for row in points:
-        if not any(np.max(np.abs(row - q)) <= tol for q in out):
-            out.append(row)
-    return np.array(out)
+def dedup_rows(rows, tol: float = DEDUP_TOL) -> np.ndarray:
+    """Rows of ``rows`` (n, d) in order, dropping each row within ``tol``
+    (max-norm) of an earlier kept row.
+
+    Each row is compared with all kept rows at once; zero-width rows count
+    as duplicates of the first.
+    """
+    R = np.asarray(rows, dtype=float)
+    kept = np.empty_like(R)
+    n_kept = 0
+    for row in R:
+        gaps = np.max(np.abs(kept[:n_kept] - row), axis=1, initial=0.0)
+        if not np.any(gaps <= tol):
+            kept[n_kept] = row
+            n_kept += 1
+    return kept[:n_kept]
 
 
 def min_norm_point(vertices: np.ndarray, tol: float = 1e-12,
@@ -96,7 +106,7 @@ def extreme_points(points: np.ndarray) -> np.ndarray:
     affine basis and runs qhull.  If qhull fails the deduplicated input is
     returned unchanged, which is a valid (if redundant) vertex list.
     """
-    P = _dedup_rows(np.asarray(points, dtype=float))
+    P = dedup_rows(points)
     if len(P) <= 2:
         return P
     center = P.mean(axis=0)
@@ -133,7 +143,7 @@ class Polytope:
             V = V[None, :]
         if V.size == 0:
             raise ValueError("a polytope needs at least one vertex")
-        self.vertices = _dedup_rows(V)
+        self.vertices = dedup_rows(V)
 
     @property
     def dim(self) -> int:

@@ -12,23 +12,17 @@ import json
 from datetime import datetime, timezone
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
-from .constraints import (ACTIVE_TOL, FEAS_TOL, GRID_DEFAULT, Problem,
-                          active_index_set, active_uncertainty,
-                          constraint_values, is_robust_feasible,
-                          worst_case_subdiff, zero_active_set)
-from .expr import Point
+from .constraints import (ACTIVE_TOL, FEAS_TOL, GRID_DEFAULT, PointAnalysis,
+                          Problem, analyze_point)
 from .convexity import DEFAULT_SAMPLES, DEFAULT_Y_EDGE, classify_type
 from .duality import (DualTriple, converse_duality_check, is_dual_feasible,
                       strong_duality_construct, weak_duality_test)
-from .efficiency import (EFFICIENCY_GRID, certify_efficient, certify_proper,
-                         certify_weak, grid_context)
+from .efficiency import (EFFICIENCY_GRID, EfficiencyContext, certify_efficient,
+                         certify_proper, certify_weak, grid_context)
 from .kkt import (RESIDUAL_TOL, KktCertificate, KktOptions,
                   NotFoundAtResolution, check_cq, find_kkt_certificate,
                   verify_certificate)
-from .subdiff import limiting_subdiff
 
 SCHEMA_VERSION = 1
 PROPER_EPS = 1e-3
@@ -37,66 +31,63 @@ PROPER_EPS = 1e-3
 # ---------------------------------------------------------------------------
 # per-check sections
 # ---------------------------------------------------------------------------
+# Sections that read point data take ``analysis``, the point data of
+# (P, z, ugrid), and build it when not given.
 
 
 def feasibility_section(P: Problem, z, tol: float = FEAS_TOL,
-                        ugrid: int = GRID_DEFAULT) -> dict:
-    z = np.asarray(z, dtype=float)
-    psi = constraint_values(P, z, ugrid)
-    maximizers = []
-    for g in P.constraints:
-        reals = active_uncertainty(g, z, P.uncertainty, ACTIVE_TOL, ugrid)
-        maximizers.append([
+                        ugrid: int = GRID_DEFAULT,
+                        analysis: Optional[PointAnalysis] = None) -> dict:
+    a = analysis if analysis is not None else analyze_point(P, z, ugrid)
+    maximizers = [
+        [
             {
                 "point": [float(v) for v in r.point],
                 "value": float(r.value),
                 "extent": float(r.extent),
             }
-            for r in reals
-        ])
+            for r in a.realizations(i)
+        ]
+        for i in range(P.n_constraints)
+    ]
     return {
-        "feasible": bool(is_robust_feasible(P, z, tol, ugrid)),
+        "feasible": a.feasible(tol),
         "tol": float(tol),
         "ugrid": int(ugrid),
-        "psi": [float(v) for v in psi],
-        "objective_values": [float(v) for v in P.objective_values(z)],
-        "active_max_relative": [int(i) for i in
-                                active_index_set(P, z, ACTIVE_TOL, ugrid)],
-        "active_zero_relative": [int(i) for i in
-                                 zero_active_set(P, z, ACTIVE_TOL, ugrid)],
+        "psi": [float(v) for v in a.psi],
+        "objective_values": [float(v) for v in a.objective_values],
+        "active_max_relative": [int(i) for i in a.active_max],
+        "active_zero_relative": [int(i) for i in a.binding],
         "worst_case_maximizers": maximizers,
     }
 
 
-def subdiff_section(P: Problem, z, ugrid: int = GRID_DEFAULT) -> dict:
-    z = np.asarray(z, dtype=float)
-    pt = Point.of(z)
+def subdiff_section(P: Problem, z, ugrid: int = GRID_DEFAULT,
+                    analysis: Optional[PointAnalysis] = None) -> dict:
+    a = analysis if analysis is not None else analyze_point(P, z, ugrid)
     return {
-        "objectives": [
-            limiting_subdiff(f, pt, wrt="decision").to_jsonable()
-            for f in P.objectives
-        ],
+        "objectives": [s.to_jsonable() for s in a.objective_subdiffs],
         "worst_case_constraints": [
-            worst_case_subdiff(g, z, P.uncertainty, ACTIVE_TOL,
-                               ugrid).to_jsonable()
-            for g in P.constraints
+            a.constraint_subdiff(i).to_jsonable()
+            for i in range(P.n_constraints)
         ],
     }
 
 
-def cq_section(P: Problem, z, tol: float = ACTIVE_TOL,
-               ugrid: int = GRID_DEFAULT) -> dict:
-    out = check_cq(P, z, tol, ugrid).to_jsonable()
-    out["tol"] = float(tol)
+def cq_section(P: Problem, z, ugrid: int = GRID_DEFAULT,
+               analysis: Optional[PointAnalysis] = None) -> dict:
+    out = check_cq(P, z, ugrid, analysis).to_jsonable()
+    out["tol"] = float(ACTIVE_TOL)
     return out
 
 
-def kkt_section(P: Problem, z, options: Optional[KktOptions] = None) -> dict:
+def kkt_section(P: Problem, z, options: Optional[KktOptions] = None,
+                analysis: Optional[PointAnalysis] = None) -> dict:
     opts = options or KktOptions()
     out: dict = {"y_grid": int(opts.y_grid), "tol": float(opts.tol),
                  "mode": opts.mode}
     try:
-        cert = find_kkt_certificate(P, z, opts)
+        cert = find_kkt_certificate(P, z, opts, analysis)
     except NotFoundAtResolution as exc:
         out["found"] = False
         out["message"] = str(exc)
@@ -114,8 +105,9 @@ def kkt_section(P: Problem, z, options: Optional[KktOptions] = None) -> dict:
 
 def convexity_section(P: Problem, z, samples: int = DEFAULT_SAMPLES,
                       seed: int = 0, y_edge: int = DEFAULT_Y_EDGE,
-                      ugrid: int = GRID_DEFAULT) -> dict:
-    cls = classify_type(P, z, samples, seed, y_edge, ugrid)
+                      ugrid: int = GRID_DEFAULT,
+                      analysis: Optional[PointAnalysis] = None) -> dict:
+    cls = classify_type(P, z, samples, seed, y_edge, ugrid, analysis)
     out = cls.to_jsonable()
     out["samples"] = int(samples)
     out["seed"] = int(seed)
@@ -125,8 +117,9 @@ def convexity_section(P: Problem, z, samples: int = DEFAULT_SAMPLES,
 
 def efficiency_section(P: Problem, z, grid: int = EFFICIENCY_GRID,
                        ugrid: int = GRID_DEFAULT,
-                       eps: float = PROPER_EPS) -> dict:
-    ctx = grid_context(P, grid, ugrid)
+                       eps: float = PROPER_EPS,
+                       context: Optional[EfficiencyContext] = None) -> dict:
+    ctx = context if context is not None else grid_context(P, grid, ugrid)
     return {
         "grid": int(grid),
         "box": {
@@ -143,11 +136,14 @@ def duality_section(P: Problem, z=None, triple: Optional[DualTriple] = None,
                     cert: Optional[KktCertificate] = None,
                     strict: bool = False, tol: float = RESIDUAL_TOL,
                     grid: int = EFFICIENCY_GRID,
-                    ugrid: int = GRID_DEFAULT) -> dict:
+                    ugrid: int = GRID_DEFAULT,
+                    context: Optional[EfficiencyContext] = None) -> dict:
     """Dual-side suite at a triple.
 
     The triple may be supplied directly or derived from a certificate at z;
     when neither is available the section reports itself skipped.
+    ``context`` is the feasible grid of (P, grid, ugrid); built when not
+    given.
     """
     if triple is None:
         if cert is None or z is None:
@@ -155,7 +151,7 @@ def duality_section(P: Problem, z=None, triple: Optional[DualTriple] = None,
                                "(no certificate found at this point)"}
         triple = strong_duality_construct(P, z, cert)
     mode = "strict" if strict else "default"
-    ctx = grid_context(P, grid, ugrid)
+    ctx = context if context is not None else grid_context(P, grid, ugrid)
     feas = is_dual_feasible(P, triple, mode, tol, ugrid)
     out = {
         "triple": triple.to_jsonable(),
@@ -184,7 +180,11 @@ def build_report(P: Problem, command: str, z, *, tol: float = RESIDUAL_TOL,
                  triple: Optional[DualTriple] = None, strict_dual: bool = False,
                  exact_scalarization: bool = False, problem_path: str = "",
                  point_text: str = "") -> dict:
-    """Run the checks requested by ``command`` and assemble one report dict."""
+    """Run the checks requested by ``command`` and assemble one report dict.
+
+    ``report`` computes the point data at z and the feasible grid once and
+    shares them between its sections.
+    """
     opts = KktOptions(y_grid=ygrid, tol=tol,
                       mode="exact" if exact_scalarization else "outer",
                       grid=ugrid)
@@ -231,18 +231,22 @@ def build_report(P: Problem, command: str, z, *, tol: float = RESIDUAL_TOL,
         report["duality"] = duality_section(P, z, triple, cert, strict_dual,
                                             tol, grid, ugrid)
     elif command == "report":
-        report["feasibility"] = feasibility_section(P, z, tol, ugrid)
-        report["subdifferentials"] = subdiff_section(P, z, ugrid)
-        report["cq"] = cq_section(P, z, ugrid=ugrid)
-        report["kkt"] = kkt_section(P, z, opts)
+        analysis = analyze_point(P, z, ugrid)
+        ctx = grid_context(P, grid, ugrid)
+        report["feasibility"] = feasibility_section(P, z, tol, ugrid,
+                                                    analysis)
+        report["subdifferentials"] = subdiff_section(P, z, ugrid, analysis)
+        report["cq"] = cq_section(P, z, ugrid, analysis)
+        report["kkt"] = kkt_section(P, z, opts, analysis)
         report["convexity"] = convexity_section(P, z, samples, seed,
-                                                ugrid=ugrid)
-        report["efficiency"] = efficiency_section(P, z, grid, ugrid)
+                                                ugrid=ugrid, analysis=analysis)
+        report["efficiency"] = efficiency_section(P, z, grid, ugrid,
+                                                  context=ctx)
         cert = None
         if report["kkt"]["found"]:
             cert = KktCertificate.from_jsonable(report["kkt"]["certificate"])
         report["duality"] = duality_section(P, z, triple, cert, strict_dual,
-                                            tol, grid, ugrid)
+                                            tol, grid, ugrid, ctx)
     else:
         raise ValueError(f"unknown command {command!r}")
     return report

@@ -28,17 +28,16 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .expr import (
-    Abs,
     ActiveKinkError,
     BinOp,
     DomainError,
     Expr,
     KINK_ACTIVITY_TOL,
-    Lit,
     MaxOp,
-    MinOp,
     Neg,
     Point,
+    _lit,
+    _wrt_info,
     canonical_key,
     collect_terms,
     combine_weighted,
@@ -51,7 +50,7 @@ from .expr import (
     substitute_abs_class,
     to_source,
 )
-from .polytope import Polytope, PolytopeUnion, dedup_pieces, singleton
+from .polytope import Polytope, PolytopeUnion, dedup_pieces, dedup_rows, singleton
 
 # gradient differences below this are treated as identical
 GRAD_EQ_TOL = 1e-12
@@ -67,18 +66,6 @@ class UnsupportedComposition(Exception):
         names = ", ".join(f"'{to_source(p)}'" for p in parts)
         super().__init__(f"unsupported nonsmooth composition: {names}")
         self.parts = tuple(parts)
-
-
-def _wrt_kind(wrt: str) -> str:
-    if wrt == "decision":
-        return "z"
-    if wrt == "uncertainty":
-        return "u"
-    raise ValueError(f"wrt must be 'decision' or 'uncertainty', got {wrt!r}")
-
-
-def _lit(c: float) -> Expr:
-    return Neg(Lit(-c)) if c < 0 else Lit(c)
 
 
 def limiting_subdiff(e: Expr, pt: Point, wrt: str = "decision",
@@ -151,15 +138,15 @@ def _abs_class_case(e, pt, wrt, tol, key, arg) -> Optional[PolytopeUnion]:
 
 
 def _sum_case(e, pt, wrt, tol) -> Optional[PolytopeUnion]:
+    kind, dim = _wrt_info(pt, wrt)
     terms, _const = decompose_sum(e)
     terms = collect_terms(terms)
     if not terms:
-        return singleton(np.zeros(_point_dim(pt, wrt)))
+        return singleton(np.zeros(dim))
     rebuilt = [_rebuild_term(c, t) for c, t in terms]
     if len(terms) == 1 and rebuilt[0] == e:
         return None  # no structural progress; let another case handle it
     parts = [limiting_subdiff(r, pt, wrt, tol) for r in rebuilt]
-    kind = _wrt_kind(wrt)
     nonsmooth = [
         (i, free_var_indices(rebuilt[i], kind))
         for i, part in enumerate(parts)
@@ -194,7 +181,7 @@ def _branch_case(e, pt, wrt, tol, atom) -> Optional[PolytopeUnion]:
         if g is None:
             return None
         branch_grads.append(g)
-    unique = _dedup_grads(branch_grads)
+    unique = dedup_rows(branch_grads, GRAD_EQ_TOL)
     if abs(chain) <= GRAD_EQ_TOL:
         # the atom does not influence the value to first order; nearby
         # gradients all converge to the frame gradient
@@ -255,14 +242,6 @@ def _attain_margin(gj: np.ndarray, others: List[np.ndarray], is_max: bool) -> fl
     return float(-res.fun)
 
 
-def _dedup_grads(grads: List[np.ndarray]) -> List[np.ndarray]:
-    out: List[np.ndarray] = []
-    for g in grads:
-        if not any(np.max(np.abs(g - q), initial=0.0) <= GRAD_EQ_TOL for q in out):
-            out.append(g)
-    return out
-
-
 def _rebuild_term(c: float, t: Expr) -> Expr:
     if c == 1.0:
         return t
@@ -282,12 +261,6 @@ def _pairwise_disjoint(sets) -> bool:
             return False
         seen |= s
     return True
-
-
-def _point_dim(pt: Point, wrt: str) -> int:
-    if wrt == "decision":
-        return len(pt.z)
-    return 0 if pt.u is None else len(pt.u)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +295,9 @@ def scalarized_subdiff(weights, exprs: Sequence[Expr], pt: Point,
 
     # outer route: fold per-term subdifferentials of w_i * f_i
     active = [(w, f) for w, f in zip(weights, exprs) if w != 0.0]
-    kind = "z" if wrt == "decision" else "u"
+    kind, dim = _wrt_info(pt, wrt)
     if not active:
-        outer = singleton(np.zeros(_point_dim(pt, wrt)))
+        outer = singleton(np.zeros(dim))
     else:
         parts = [
             limiting_subdiff(_rebuild_term(w, f), pt, wrt, tol)

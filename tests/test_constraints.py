@@ -14,14 +14,12 @@ from robustcert.constraints import (
     ConeSpec,
     ProblemFormatError,
     UncertaintySet,
-    active_index_set,
     active_uncertainty,
+    analyze_point,
     constraint_values,
-    is_robust_feasible,
     worst_case_subdiff,
     worst_case_value,
     worst_case_values_batch,
-    zero_active_set,
 )
 from robustcert.expr import parse_expr
 from robustcert.problem_io import fixture_path, load_problem, problem_from_dict
@@ -330,18 +328,18 @@ def test_problem_format_errors(mutate, message):
 
 def test_feasibility_examples():
     P = load_problem("ex3_2")
-    assert is_robust_feasible(P, [0.0, 1.0])
-    assert is_robust_feasible(P, [-1.0, 0.0])
-    assert not is_robust_feasible(P, [0.5, 0.0])
+    assert analyze_point(P, [0.0, 1.0]).feasible()
+    assert analyze_point(P, [-1.0, 0.0]).feasible()
+    assert not analyze_point(P, [0.5, 0.0]).feasible()
     vals = constraint_values(P, [-1.0, 0.0])
     assert vals == pytest.approx([-1.0, -5.0], abs=1e-9)
 
 
 def test_activity_sets():
     P = load_problem("ex3_2")
-    assert active_index_set(P, [0.0, 1.0]) == [0]
-    assert zero_active_set(P, [0.0, 1.0]) == [0]
+    assert analyze_point(P, [0.0, 1.0]).active_max == [0]
+    assert analyze_point(P, [0.0, 1.0]).binding == [0]
     P22 = load_problem("ex2_2")
     # both constraints bind at the ex2_2 reference point (0, -2)
-    assert zero_active_set(P22, [0.0, -2.0]) == [0, 1]
-    assert active_index_set(P22, [0.0, -2.0]) == [0, 1]
+    assert analyze_point(P22, [0.0, -2.0]).binding == [0, 1]
+    assert analyze_point(P22, [0.0, -2.0]).active_max == [0, 1]

@@ -6,14 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from robustcert.constraints import ACTIVE_TOL, GRID_DEFAULT
+from robustcert.constraints import analyze_point
 from robustcert.expr import Point
 from robustcert.kkt import (
     KktCertificate,
     KktOptions,
     NotFoundAtResolution,
     _prefilter,
-    _prepare,
     _simplex_indices,
     check_cq,
     check_proper_necessary,
@@ -115,10 +114,10 @@ class TestDirectionGrid:
         # with no weight on the second objective, the second coordinate of the
         # stationarity sum can only vanish when the first weight dominates the
         # third; the interval prefilter must discover this
-        data = _prepare(ex3_2, Z_REF, ACTIVE_TOL, GRID_DEFAULT)
+        analysis = analyze_point(ex3_2, Z_REF)
         indices = _simplex_indices(3, 720)
         Y = indices.astype(float) / 720
-        keep = _prefilter(Y, data, 2)
+        keep = _prefilter(Y, analysis, 2)
         assert not keep[:360].any()
         assert keep[360]
 
@@ -238,7 +237,7 @@ class TestVerifyCertificate:
     def test_distance_matches_independent_oracle(self, ex3_2, ref_cert):
         # same quantity by a completely different route: SLSQP minimization of
         # the norm over explicit Minkowski-sum convex weights
-        data = _prepare(ex3_2, Z_REF, ACTIVE_TOL, GRID_DEFAULT)
+        analysis = analyze_point(ex3_2, Z_REF)
         for mu1 in (0.5, 0.1):
             bad = KktCertificate(
                 ref_cert.y_star, np.array([mu1, 0.0]), ref_cert.witnesses,
@@ -246,14 +245,15 @@ class TestVerifyCertificate:
             )
             rep = verify_certificate(ex3_2, Z_REF, bad)
             best = np.inf
-            piece_counts = [len(s.pieces) for s in data.obj_subdiffs]
+            piece_counts = [len(s.pieces) for s in analysis.objective_subdiffs]
             for sel in itertools.product(*(range(c) for c in piece_counts)):
                 sets = [
-                    ref_cert.y_star[j] * data.obj_subdiffs[j].pieces[sel[j]].vertices
+                    ref_cert.y_star[j]
+                    * analysis.objective_subdiffs[j].pieces[sel[j]].vertices
                     for j in range(3)
                     if ref_cert.y_star[j] > 0
                 ]
-                sets.append(mu1 * data.hulls[0].vertices)
+                sets.append(mu1 * analysis.hull(0).vertices)
                 best = min(best, min_norm_in_sum(sets))
             assert abs(best - rep.stationarity_distance) <= 1e-6
 

@@ -13,6 +13,7 @@ from robustcert.polytope import (
     PolytopeUnion,
     convex_hull_of,
     dedup_pieces,
+    dedup_rows,
     extreme_points,
     min_norm_point,
     singleton,
@@ -184,6 +185,28 @@ def test_dedup_pieces_absorbs_subsets():
     outside = Polytope([[5.0, 5.0]])
     kept = dedup_pieces([small, big, outside])
     assert len(kept) == 2
+
+
+def _dedup_rows_loop(rows, tol):
+    """Reference: greedy first-kept dedup, one kept row at a time."""
+    out = []
+    for row in rows:
+        if not any(np.max(np.abs(row - q), initial=0.0) <= tol for q in out):
+            out.append(row)
+    return np.array(out).reshape(len(out), rows.shape[1])
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-9])
+@pytest.mark.parametrize("d", [0, 1, 3])
+def test_dedup_rows_matches_greedy_loop(tol, d):
+    rng = np.random.default_rng(d)
+    for _ in range(50):
+        n = int(rng.integers(1, 30))
+        base = rng.integers(-2, 3, size=(n, d)).astype(float)
+        jitter = rng.choice([0.0, 1e-13, 5e-13, 1e-10, 2e-9], size=(n, d))
+        rows = base + jitter * rng.choice([-1.0, 1.0], size=(n, d))
+        np.testing.assert_array_equal(dedup_rows(rows, tol),
+                                      _dedup_rows_loop(rows, tol))
 
 
 def test_singleton_helper():
