@@ -242,9 +242,16 @@ class ConverseDualityReport:
 def converse_duality_check(P: Problem, triple: DualTriple,
                            grid: int = EFFICIENCY_GRID,
                            ugrid: int = GRID_DEFAULT,
-                           context: Optional[EfficiencyContext] = None
+                           context: Optional[EfficiencyContext] = None,
+                           feasibility: Optional[DualFeasibilityReport] = None
                            ) -> ConverseDualityReport:
-    rep = is_dual_feasible(P, triple, mode="default", grid=ugrid)
+    """Brute-force weak efficiency at a dual feasible triple's point.
+
+    ``feasibility`` is the triple's default-mode ``is_dual_feasible`` report
+    at ``RESIDUAL_TOL`` and ``ugrid``; computed when not given.
+    """
+    rep = (feasibility if feasibility is not None
+           else is_dual_feasible(P, triple, mode="default", grid=ugrid))
     applicable = rep.feasible and analyze_point(
         P, triple.point, ugrid
     ).feasible(FEAS_TOL)

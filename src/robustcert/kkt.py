@@ -11,6 +11,19 @@ with the Euclidean normalization |y|_2 + |mu|_2 = 1.  ``find_kkt_certificate``
 scans a rational simplex grid of directions (interval prefilter, then small
 feasibility LPs piece by piece); ``verify_certificate`` re-checks a given
 certificate by an independent geometric route (min-norm-point distances).
+
+The search prunes by weak duality and never changes its answer.  Writing
+alpha_jk = y_j * lambda_jk turns every direction of the simplex into a point
+of one lifted LP per piece selection (min |stationarity sum|_inf with the
+alpha summing to one).  When every lifted optimum exceeds ``SKIP_TOL`` no
+lattice direction can pass, and the direction scan is skipped.  The duals w
+of the lifted LP and of every coarse-scan LP bound the residual of all
+coarse directions at once, r(y) >= sum_j y_j min_{v in dF_j} w.v (cutting
+planes after Kelley, J. SIAM 1960), so the coarse scan solves directions
+lowest bound first and stops when no unsolved direction can reach the best
+residual.  Certificates and the ``best_*`` diagnostics stay defined by the
+lattice: the first passing direction in scan order, and the first strictly
+smallest coarse residual in scan order.
 """
 
 from __future__ import annotations
@@ -46,6 +59,19 @@ MU_ZERO_TOL = 1e-12
 COARSE_EDGE = 24
 # the search gives up after this many directions that pass the prefilter
 MAX_LP = 50_000
+# lifted residual above which the direction scan is skipped: a direction that
+# passes its feasibility LP lifts to a residual within HiGHS's primal
+# feasibility tolerance (1e-7), far below this
+SKIP_TOL = 1e-5
+# the coarse scan stops once every unsolved direction's lower bound exceeds
+# the best solved residual by this much, which covers HiGHS's optimality
+# tolerance: a pruned direction can neither beat nor tie the answer
+PRUNE_MARGIN = 1e-6
+# a dual w with w.h below -CUT_TOL on some binding-hull vertex h gives no
+# bound and is dropped; smaller violations stay far inside PRUNE_MARGIN
+CUT_TOL = 1e-9
+# lattice rows per prefilter chunk of the direction scan
+SCAN_CHUNK = 4096
 
 
 @dataclass
@@ -167,15 +193,18 @@ def _simplex_indices(m: int, edge: int) -> np.ndarray:
     N = edge
     if m == 1:
         return np.array([[N]])
-    rows: List[Tuple[int, ...]] = []
-    middles = itertools.product(*(range(N + 1) for _ in range(m - 2)))
-    for mid in middles:
-        s = sum(mid)
-        if s > N:
-            continue
-        for i1 in range(N - s + 1):
-            rows.append((i1, *mid, N - s - i1))
-    return np.array(rows, dtype=np.int64)
+    # append the key indices one at a time: each prefix with total s is
+    # followed by 0..N-s in turn, so the rows stay in key order
+    keys = np.zeros((1, 0), dtype=np.int64)
+    total = np.zeros(1, dtype=np.int64)
+    for _ in range(m - 1):
+        counts = N - total + 1
+        nxt = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
+                                                  counts)
+        keys = np.column_stack([np.repeat(keys, counts, axis=0), nxt])
+        total = np.repeat(total, counts) + nxt
+    # key columns (i_2, ..., i_{m-1}, i_1) back to index order
+    return np.column_stack([keys[:, -1], keys[:, :-1], N - total])
 
 
 def _piece_ranges(union: PolytopeUnion) -> Tuple[np.ndarray, np.ndarray]:
@@ -225,57 +254,50 @@ def _prefilter(Y: np.ndarray, analysis: PointAnalysis, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _selection_lp(piece_sets, hulls: List[np.ndarray], d: int,
+def _lp_blocks(piece_sets, hulls: List[np.ndarray], lifted: bool = False
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """Stationarity matrix and simplex rows shared by the search LPs.
+
+    Columns: the vertices of each selected objective piece scaled by its
+    direction weight (convex weights lambda), then the vertices of each
+    binding constraint hull (products beta = mu * weight).  The simplex rows
+    pin each piece's lambda total to one, or, when ``lifted``, the total of
+    all piece columns (alpha = y * lambda) to one.
+    """
+    blocks = [w * verts.T for w, verts in piece_sets]
+    blocks += [verts.T for verts in hulls]
+    station = np.hstack(blocks)
+    sizes = [len(verts) for _, verts in piece_sets]
+    simplex = np.zeros((1 if lifted else len(sizes), station.shape[1]))
+    col = 0
+    for row, n in enumerate(sizes):
+        simplex[0 if lifted else row, col:col + n] = 1.0
+        col += n
+    return station, simplex
+
+
+def _selection_lp(piece_sets, hulls: List[np.ndarray],
                   balance_target: Optional[float] = None):
     """Feasibility (or balance) LP for one direction and piece selection.
 
-    Variables: convex weights on each selected objective piece's vertices
-    (scaled by the direction weight), products beta = mu * weight for each
-    binding constraint hull vertex, and optionally a balance slack t.
+    Variables as in ``_lp_blocks``, and optionally a balance slack t.
 
-    Returns (feasible, mu_totals, t_value).
+    Returns (feasible, x, t_value).
     """
-    blocks: List[np.ndarray] = []
-    col_meta: List[Tuple[str, int]] = []
-    for w, verts in piece_sets:
-        blocks.append(w * verts.T)  # (d, n_vertices)
-        col_meta.append(("lam", len(verts)))
-    for verts in hulls:
-        blocks.append(verts.T)
-        col_meta.append(("beta", len(verts)))
-    n_cols = sum(n for _, n in col_meta)
-    station = np.hstack(blocks) if blocks else np.zeros((d, 0))
-
-    eq_rows = [station]
-    eq_rhs = [np.zeros(d)]
-    col = 0
-    for kind, n in col_meta:
-        if kind == "lam":
-            row = np.zeros(n_cols)
-            row[col:col + n] = 1.0
-            eq_rows.append(row[None, :])
-            eq_rhs.append(np.ones(1))
-        col += n
-    A_eq = np.vstack(eq_rows)
-    b_eq = np.concatenate(eq_rhs)
-
-    beta_mask = np.zeros(n_cols)
-    col = 0
-    for kind, n in col_meta:
-        if kind == "beta":
-            beta_mask[col:col + n] = 1.0
-        col += n
+    station, simplex = _lp_blocks(piece_sets, hulls)
+    d, n_cols = station.shape
+    A_eq = np.vstack([station, simplex])
+    b_eq = np.concatenate([np.zeros(d), np.ones(len(simplex))])
 
     if balance_target is None:
-        res = linprog(
-            np.zeros(n_cols), A_eq=A_eq, b_eq=b_eq,
-            bounds=[(0, None)] * n_cols, method="highs",
-        )
+        res = linprog(np.zeros(n_cols), A_eq=A_eq, b_eq=b_eq,
+                      bounds=(0, None), method="highs")
         if res.status != 0:
             return False, None, None
         return True, res.x, None
 
     # minimize |sum(beta) - target| with the same equalities
+    beta_mask = 1.0 - simplex.sum(axis=0)
     c = np.zeros(n_cols + 1)
     c[-1] = 1.0
     A_eq2 = np.hstack([A_eq, np.zeros((len(A_eq), 1))])
@@ -286,13 +308,40 @@ def _selection_lp(piece_sets, hulls: List[np.ndarray], d: int,
         ]
     )
     b_ub = np.array([balance_target, -balance_target])
-    res = linprog(
-        c, A_eq=A_eq2, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub,
-        bounds=[(0, None)] * n_cols + [(0, None)], method="highs",
-    )
+    res = linprog(c, A_eq=A_eq2, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub,
+                  bounds=(0, None), method="highs")
     if res.status != 0:
         return False, None, None
     return True, res.x[:-1], float(res.fun)
+
+
+def _slack_lp(piece_sets, hulls: List[np.ndarray], lifted: bool = False
+              ) -> Optional[Tuple[float, np.ndarray]]:
+    """min |stationarity sum|_inf over the ``_lp_blocks`` variables.
+
+    Returns the optimum and the dual direction w of the two-sided rows, or
+    None when the LP fails.  w satisfies |w|_1 <= 1 and w.h >= 0 on every
+    hull vertex h, which makes it a lower bound for any direction y:
+    residual(y) >= sum_j y_j min_{v in piece j} w.v (weak duality).
+    """
+    station, simplex = _lp_blocks(piece_sets, hulls, lifted)
+    d, n_cols = station.shape
+    c = np.zeros(n_cols + 1)
+    c[-1] = 1.0
+    A_ub = np.vstack(
+        [
+            np.hstack([station, -np.ones((d, 1))]),
+            np.hstack([-station, -np.ones((d, 1))]),
+        ]
+    )
+    A_eq = np.hstack([simplex, np.zeros((len(simplex), 1))])
+    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(2 * d), A_eq=A_eq,
+                  b_eq=np.ones(len(simplex)), bounds=(0, None),
+                  method="highs")
+    if res.status != 0:
+        return None
+    marginals = res.ineqlin.marginals
+    return float(res.fun), marginals[d:] - marginals[:d]
 
 
 def _extract_mu(x: np.ndarray, piece_sets, hulls, binding: List[int],
@@ -362,23 +411,17 @@ def find_kkt_certificate(P: Problem, z, options: Optional[KktOptions] = None,
     d = P.decision_dim
     m = P.n_objectives
     a = analysis if analysis is not None else analyze_point(P, z, opts.grid)
-
-    edge = opts.y_grid - 1
-    indices = _simplex_indices(m, edge)
-    Y = indices.astype(float) / edge
-    keep = _prefilter(Y, a, d)
     hull_list = [a.hull(i).vertices for i in a.binding]
 
-    lp_budget = MAX_LP
-    for row in np.flatnonzero(keep):
-        y = Y[row]
-        found = _try_direction(P, y, a, hull_list, d, opts)
+    # the exact-scalarization subdifferential depends on y: that mode keeps
+    # the whole scan, and its coarse scan starts without lifted duals
+    lifted, duals = (_lifted_lps(a, hull_list) if opts.mode == "outer"
+                     else (0.0, []))
+    if lifted <= SKIP_TOL:
+        found = _scan(P, a, hull_list, d, m, opts)
         if found is not None:
-            mu_hat, mode_used = found
+            y, mu_hat, mode_used = found
             return _finalize(P, z, y, mu_hat, a, d, mode_used)
-        lp_budget -= 1
-        if lp_budget <= 0:
-            break
 
     # no weighted certificate: try the degenerate (zero-weight) form
     fj = _fritz_john(a, hull_list, d, P.n_constraints)
@@ -386,22 +429,60 @@ def find_kkt_certificate(P: Problem, z, options: Optional[KktOptions] = None,
         return _finalize(P, z, np.zeros(m), fj, a, d, opts.mode,
                          fritz_john=True)
 
-    best_res, best_dir = _coarse_residual_scan(a, d, m)
+    best_res, best_dir = _coarse_residual_scan(a, hull_list, m, duals)
     raise NotFoundAtResolution(
         f"no certificate on the {opts.y_grid}-point direction grid",
         best_res, best_dir,
     )
 
 
-def _try_direction(P, y, analysis, hull_list, d, opts):
+def _lifted_lps(analysis, hull_list) -> Tuple[float, List[np.ndarray]]:
+    """Smallest lifted residual over the full piece selections, and the duals.
+
+    A direction y and selection that pass their feasibility LP give the
+    lifted point alpha_jk = y_j * lambda_jk of residual zero, so the optimum
+    bounds every direction's stationarity residual from below.
+    """
+    subdiffs = analysis.objective_subdiffs
+    best, duals = np.inf, []
+    for sel in itertools.product(*(range(len(s.pieces)) for s in subdiffs)):
+        piece_sets = [(1.0, s.pieces[k].vertices)
+                      for s, k in zip(subdiffs, sel)]
+        out = _slack_lp(piece_sets, hull_list, lifted=True)
+        if out is None:  # a failed solve proves nothing
+            best = 0.0
+            continue
+        best = min(best, out[0])
+        duals.append(out[1])
+    return best, duals
+
+
+def _scan(P, analysis, hull_list, d, m, opts):
+    """First lattice direction that passes, in scan order: (y, mu, mode)."""
+    edge = opts.y_grid - 1
+    Y = _simplex_indices(m, edge).astype(float) / edge
+    lp_budget = MAX_LP
+    for start in range(0, len(Y), SCAN_CHUNK):
+        chunk = Y[start:start + SCAN_CHUNK]
+        for y in chunk[_prefilter(chunk, analysis, d)]:
+            found = _try_direction(P, y, analysis, hull_list, opts)
+            if found is not None:
+                return (y, *found)
+            lp_budget -= 1
+            if lp_budget <= 0:
+                return None
+    return None
+
+
+def _try_direction(P, y, analysis, hull_list, opts):
     if opts.mode == "exact":
-        return _try_direction_exact(P, y, analysis, hull_list, d)
+        return _try_direction_exact(P, y, analysis, hull_list)
     active_obj = [j for j in range(len(y)) if y[j] > 0]
     counts = [len(analysis.objective_subdiffs[j].pieces) for j in active_obj]
     feasible = []
     for sel in itertools.product(*(range(c) for c in counts)):
         piece_sets = _direction_piece_sets(y, analysis, sel, active_obj)
-        ok, x, _ = _selection_lp(piece_sets, hull_list, d)
+        ok, x, _ = _selection_lp(piece_sets, hull_list)
         if ok:
             feasible.append(piece_sets)
     if not feasible:
@@ -411,11 +492,10 @@ def _try_direction(P, y, analysis, hull_list, d, opts):
 
 def _balance(y, feasible, hull_list, analysis, n_constraints):
     """Canonical multipliers: total closest to |y|_2; ties go to the first."""
-    d = len(hull_list[0][0]) if hull_list else len(feasible[0][0][1][0])
     target = float(np.linalg.norm(y))
     best = None
     for piece_sets in feasible:
-        ok, x, t = _selection_lp(piece_sets, hull_list, d,
+        ok, x, t = _selection_lp(piece_sets, hull_list,
                                  balance_target=target)
         if not ok:
             continue
@@ -425,13 +505,13 @@ def _balance(y, feasible, hull_list, analysis, n_constraints):
             best = (t, mu)
     if best is None:  # fall back to plain feasibility of the first selection
         piece_sets = feasible[0]
-        _, x, _ = _selection_lp(piece_sets, hull_list, d)
+        _, x, _ = _selection_lp(piece_sets, hull_list)
         return _extract_mu(x, piece_sets, hull_list, analysis.binding,
                            n_constraints)
     return best[1]
 
 
-def _try_direction_exact(P, y, analysis, hull_list, d):
+def _try_direction_exact(P, y, analysis, hull_list):
     """Exact-scalarization stationarity for one direction (when available)."""
     try:
         sc = scalarized_subdiff(y, P.objectives, analysis.point)
@@ -442,7 +522,7 @@ def _try_direction_exact(P, y, analysis, hull_list, d):
     feasible = []
     for piece in union.pieces:
         piece_sets = [(1.0, piece.vertices)]
-        ok, x, _ = _selection_lp(piece_sets, hull_list, d)
+        ok, x, _ = _selection_lp(piece_sets, hull_list)
         if ok:
             feasible.append(piece_sets)
     if not feasible:
@@ -511,64 +591,61 @@ def _finalize(P, z, y_hat, mu_hat, analysis, d, mode_used,
     )
 
 
-def _coarse_residual_scan(analysis, d, m) -> Tuple[float, Optional[np.ndarray]]:
-    """Smallest infinity-norm stationarity residual on a coarse direction grid."""
-    indices = _simplex_indices(m, COARSE_EDGE)
-    Y = indices.astype(float) / COARSE_EDGE
-    hull_list = [analysis.hull(i).vertices for i in analysis.binding]
-    best = (np.inf, None)
-    for y in Y:
+def _dual_bound(w, Y, subdiffs, hull_list) -> Optional[np.ndarray]:
+    """Lower bounds on the residual of every direction in Y from one dual w.
+
+    r(y) >= sum_j y_j min_{v in dF_j} w.v holds once |w|_1 <= 1 and w.h >= 0
+    on every hull vertex h; None when w misses the latter by over CUT_TOL.
+    """
+    w = w / max(1.0, float(np.abs(w).sum()))
+    if any(np.min(h @ w) < -CUT_TOL for h in hull_list):
+        return None
+    c = np.array([min(np.min(p.vertices @ w) for p in s.pieces)
+                  for s in subdiffs])
+    return Y @ c
+
+
+def _coarse_residual_scan(analysis, hull_list, m, duals
+                          ) -> Tuple[float, Optional[np.ndarray]]:
+    """Smallest infinity-norm stationarity residual on a coarse direction grid.
+
+    The answer is the plain scan's: the first strictly smallest residual in
+    scan order.  Directions are solved lowest lower bound first (each dual
+    in ``duals``, and of every LP solved here, bounds all directions), and
+    solving stops once every unsolved bound exceeds the best residual by
+    ``PRUNE_MARGIN``.
+    """
+    Y = _simplex_indices(m, COARSE_EDGE).astype(float) / COARSE_EDGE
+    subdiffs = analysis.objective_subdiffs
+    bound = np.zeros(len(Y))
+    resid = np.full(len(Y), np.inf)
+    unsolved = np.ones(len(Y), dtype=bool)
+
+    def add_cuts(ws):
+        for w in ws:
+            b = _dual_bound(w, Y, subdiffs, hull_list)
+            if b is not None:
+                np.maximum(bound, b, out=bound)
+
+    add_cuts(duals)
+    while unsolved.any():
+        row = int(np.argmin(np.where(unsolved, bound, np.inf)))
+        if bound[row] > resid.min() + PRUNE_MARGIN:
+            break
+        unsolved[row] = False
+        y = Y[row]
         active_obj = [j for j in range(m) if y[j] > 0]
-        counts = [len(analysis.objective_subdiffs[j].pieces)
-                  for j in active_obj]
+        counts = [len(subdiffs[j].pieces) for j in active_obj]
         for sel in itertools.product(*(range(c) for c in counts)):
             piece_sets = _direction_piece_sets(y, analysis, sel, active_obj)
-            r = _slack_lp(piece_sets, hull_list, d)
-            if r is not None and r < best[0]:
-                best = (r, y.copy())
-    return best
-
-
-def _slack_lp(piece_sets, hulls, d) -> Optional[float]:
-    """min |stationarity sum|_inf over the same variable structure."""
-    blocks: List[np.ndarray] = []
-    meta: List[Tuple[str, int]] = []
-    for w, verts in piece_sets:
-        blocks.append(w * verts.T)
-        meta.append(("lam", len(verts)))
-    for verts in hulls:
-        blocks.append(verts.T)
-        meta.append(("beta", len(verts)))
-    n_cols = sum(n for _, n in meta)
-    if n_cols == 0:
-        return None
-    station = np.hstack(blocks)
-    c = np.zeros(n_cols + 1)
-    c[-1] = 1.0
-    A_ub = np.vstack(
-        [
-            np.hstack([station, -np.ones((d, 1))]),
-            np.hstack([-station, -np.ones((d, 1))]),
-        ]
-    )
-    b_ub = np.zeros(2 * d)
-    eq_rows = []
-    eq_rhs = []
-    col = 0
-    for kind, n in meta:
-        if kind == "lam":
-            row = np.zeros(n_cols + 1)
-            row[col:col + n] = 1.0
-            eq_rows.append(row)
-            eq_rhs.append(1.0)
-        col += n
-    A_eq = np.vstack(eq_rows) if eq_rows else None
-    b_eq = np.array(eq_rhs) if eq_rows else None
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=[(0, None)] * n_cols + [(0, None)], method="highs")
-    if res.status != 0:
-        return None
-    return float(res.fun)
+            out = _slack_lp(piece_sets, hull_list)
+            if out is not None:
+                resid[row] = min(resid[row], out[0])
+                add_cuts([out[1]])
+    row = int(np.argmin(resid))
+    if not np.isfinite(resid[row]):
+        return np.inf, None
+    return float(resid[row]), Y[row].copy()
 
 
 # ---------------------------------------------------------------------------

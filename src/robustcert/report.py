@@ -162,8 +162,11 @@ def duality_section(P: Problem, z=None, triple: Optional[DualTriple] = None,
                                         ctx).to_jsonable(),
         "weak_typeII": weak_duality_test(P, triple, "typeII", grid, ugrid,
                                          ctx).to_jsonable(),
-        "converse": converse_duality_check(P, triple, grid, ugrid,
-                                           ctx).to_jsonable(),
+        # the converse check reads the default-mode report at RESIDUAL_TOL
+        "converse": converse_duality_check(
+            P, triple, grid, ugrid, ctx,
+            feas if mode == "default" and tol == RESIDUAL_TOL else None,
+        ).to_jsonable(),
     }
     return out
 

@@ -181,3 +181,66 @@ def min_norm_in_sum(vertex_sets, starts=8, seed=0):
         if res.fun < best:
             best = float(res.fun)
     return float(np.sqrt(max(best, 0.0)))
+
+
+def loop_simplex_indices(m, edge):
+    """Integer simplex directions in scan order, by the plain nested loop.
+
+    Scan order is ascending lexicographic on (i_2, ..., i_{m-1}, i_1); the
+    last index is determined by the total.
+    """
+    if m == 1:
+        return np.array([[edge]])
+    rows = []
+    for mid in itertools.product(*(range(edge + 1) for _ in range(m - 2))):
+        s = sum(mid)
+        if s > edge:
+            continue
+        for i1 in range(edge - s + 1):
+            rows.append((i1, *mid, edge - s - i1))
+    return np.array(rows, dtype=np.int64)
+
+
+def unpruned_kkt_search(P, z, options):
+    """The certificate search by its definition, without any pruning.
+
+    Every prefiltered lattice direction in scan order, then the Fritz John
+    form, then every direction and piece selection of the coarse residual
+    scan, keeping the first strictly smallest residual.  It shares the
+    library's per-direction LPs, so its floats are comparable bit for bit.
+    Returns the certificate or raises ``NotFoundAtResolution``.
+    """
+    from robustcert import kkt
+    from robustcert.constraints import analyze_point
+
+    z = np.asarray(z, dtype=float)
+    d, m = P.decision_dim, P.n_objectives
+    a = analyze_point(P, z, options.grid)
+    hull_list = [a.hull(i).vertices for i in a.binding]
+    edge = options.y_grid - 1
+    Y = loop_simplex_indices(m, edge).astype(float) / edge
+    budget = kkt.MAX_LP
+    for y in Y[kkt._prefilter(Y, a, d)]:
+        found = kkt._try_direction(P, y, a, hull_list, options)
+        if found is not None:
+            return kkt._finalize(P, z, y, found[0], a, d, found[1])
+        budget -= 1
+        if budget <= 0:
+            break
+    fj = kkt._fritz_john(a, hull_list, d, P.n_constraints)
+    if fj is not None:
+        return kkt._finalize(P, z, np.zeros(m), fj, a, d, options.mode,
+                             fritz_john=True)
+    coarse = loop_simplex_indices(m, kkt.COARSE_EDGE)
+    best = (np.inf, None)
+    for y in coarse.astype(float) / kkt.COARSE_EDGE:
+        active = [j for j in range(m) if y[j] > 0]
+        counts = [len(a.objective_subdiffs[j].pieces) for j in active]
+        for sel in itertools.product(*(range(c) for c in counts)):
+            piece_sets = kkt._direction_piece_sets(y, a, sel, active)
+            out = kkt._slack_lp(piece_sets, hull_list)
+            if out is not None and out[0] < best[0]:
+                best = (out[0], y.copy())
+    raise kkt.NotFoundAtResolution(
+        f"no certificate on the {options.y_grid}-point direction grid", *best
+    )

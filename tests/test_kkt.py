@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from robustcert import kkt
 from robustcert.constraints import analyze_point
 from robustcert.expr import Point
 from robustcert.kkt import (
@@ -23,7 +24,7 @@ from robustcert.polytope import Polytope, PolytopeUnion
 from robustcert.problem_io import load_problem, problem_from_dict
 from robustcert.subdiff import limiting_subdiff
 
-from oracles import min_norm_in_sum
+from oracles import loop_simplex_indices, min_norm_in_sum, unpruned_kkt_search
 
 SQRT2 = np.sqrt(2.0)
 Z_REF = np.array([0.0, 1.0])
@@ -110,6 +111,15 @@ class TestDirectionGrid:
     def test_single_weight(self):
         assert [tuple(r) for r in _simplex_indices(1, 7)] == [(7,)]
 
+    @pytest.mark.parametrize("m,edge", [
+        (m, edge) for m in (1, 2, 3, 4) for edge in (1, 2, 5, 24)
+    ] + [(3, 720)])
+    def test_matches_loop(self, m, edge):
+        rows = _simplex_indices(m, edge)
+        ref = loop_simplex_indices(m, edge)
+        assert rows.dtype == ref.dtype
+        np.testing.assert_array_equal(rows, ref)
+
     def test_prefilter_blocks_small_first_weight(self, ex3_2):
         # with no weight on the second objective, the second coordinate of the
         # stationarity sum can only vanish when the first weight dominates the
@@ -180,11 +190,114 @@ class TestFindCertificate:
         )
         assert "721" in str(err)
 
+    def test_lp_counts_on_the_not_found_path(self, monkeypatch):
+        # the lifted LP proves that no direction passes, and its duals prune
+        # the coarse scan: the plain search solves 326 and 325 LPs here
+        calls = []
+        orig = kkt.linprog
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(kkt, "linprog", counted)
+        for name, z in (("ex2_2", [0.0, -2.0]), ("ex3_2", [-1.0, 0.0])):
+            calls.clear()
+            with pytest.raises(NotFoundAtResolution):
+                find_kkt_certificate(load_problem(name), z)
+            assert len(calls) <= 10, name
+
     def test_options_validated(self, ex3_2):
         with pytest.raises(ValueError):
             find_kkt_certificate(ex3_2, Z_REF, KktOptions(y_grid=1))
         with pytest.raises(ValueError):
             find_kkt_certificate(ex3_2, Z_REF, KktOptions(mode="bogus"))
+
+
+# the 4 fixtures at their anchor, a kink and a uniform point, and a union-type
+# kink with two objectives; the ex3_2 kink and uniform points and the ex3_3
+# kink point have a continuous certificate (lifted optimum zero) but none on
+# the lattice, so their direction scans run in full
+UNION_KINK = {
+    "decision_dim": 2, "uncertainty_dim": 1,
+    "objectives": ["min(z1, -z1) + z2^2", "z1 - z2"],
+    "constraints": ["z1^2 + z2^2 + u1*z2 - 4"],
+    "uncertainty": {"type": "box", "lower": [-0.5], "upper": [0.5]},
+    "cone": {"type": "orthant"},
+    "box": {"lower": [-2, -2], "upper": [2, 2]},
+}
+PRUNING_CASES = [
+    ("ex3_2", [0.0, 1.0], 721, "outer"),
+    ("ex3_2", [0.0, 1.0], 41, "exact"),
+    ("ex3_2", [-1.0, 1.0], 41, "outer"),
+    ("ex3_2", [0.913927, 3.102172], 41, "outer"),
+    ("ex2_2", [0.0, -2.0], 721, "outer"),
+    ("ex2_2", [0.0, -2.0], 41, "exact"),
+    ("ex2_2", [0.0, -3.0], 41, "outer"),
+    ("ex2_2", [1.031818, -2.476571], 41, "outer"),
+    ("ex3_3", [0.0, 1.0], 721, "exact"),
+    ("ex3_3", [-2.0, 1.0], 41, "outer"),
+    ("ex3_3", [-0.908155, -2.494937], 41, "exact"),
+    ("ex2_3", [0.0, -2.0], 41, "outer"),
+    ("ex2_3", [0.0, -3.5], 41, "exact"),
+    ("ex2_3", [1.86186, -2.084434], 41, "outer"),
+    ("union_kink", [0.0, 0.0], 41, "outer"),
+    ("union_kink", [0.0, 1.0], 41, "exact"),
+]
+
+
+@pytest.mark.parametrize("name,z,y_grid,mode", PRUNING_CASES)
+def test_pruned_search_matches_unpruned_scan(name, z, y_grid, mode):
+    P = (problem_from_dict(UNION_KINK) if name == "union_kink"
+         else load_problem(name))
+    opts = KktOptions(y_grid=y_grid, mode=mode)
+    try:
+        ref = unpruned_kkt_search(P, z, opts)
+    except NotFoundAtResolution as exc:
+        with pytest.raises(NotFoundAtResolution) as got:
+            find_kkt_certificate(P, z, opts)
+        assert str(got.value) == str(exc)
+        assert got.value.best_residual == exc.best_residual
+        np.testing.assert_array_equal(got.value.best_direction,
+                                      exc.best_direction)
+        return
+    cert = find_kkt_certificate(P, z, opts)
+    assert json.dumps(cert.to_jsonable()) == json.dumps(ref.to_jsonable())
+
+
+@pytest.mark.parametrize("name,z", [
+    ("ex2_2", [0.0, -2.0]), ("ex3_2", [-1.0, 0.0]), ("ex3_2", [0.0, 1.0]),
+    ("ex3_3", [-2.0, 1.0]), ("union_kink", [0.0, 1.0]),
+])
+def test_dual_bounds_hold_on_every_direction(name, z):
+    # every dual of the lifted and per-direction LPs bounds every direction's
+    # residual from below, and each per-direction dual is tight at its own
+    # direction when every subdifferential is one piece
+    P = (problem_from_dict(UNION_KINK) if name == "union_kink"
+         else load_problem(name))
+    a = analyze_point(P, z)
+    hull_list = [a.hull(i).vertices for i in a.binding]
+    subdiffs = a.objective_subdiffs
+    m = P.n_objectives
+    Y = _simplex_indices(m, 6).astype(float) / 6
+    one_piece = all(len(s.pieces) == 1 for s in subdiffs)
+    _, duals = kkt._lifted_lps(a, hull_list)
+    resid = np.full(len(Y), np.inf)
+    for row, y in enumerate(Y):
+        active = [j for j in range(m) if y[j] > 0]
+        counts = [len(subdiffs[j].pieces) for j in active]
+        for sel in itertools.product(*(range(c) for c in counts)):
+            r, w = kkt._slack_lp(
+                kkt._direction_piece_sets(y, a, sel, active), hull_list)
+            resid[row] = min(resid[row], r)
+            duals.append(w)
+            if one_piece:
+                own = kkt._dual_bound(w, Y, subdiffs, hull_list)
+                assert own[row] == pytest.approx(r, abs=1e-9)
+    for w in duals:
+        bound = kkt._dual_bound(w, Y, subdiffs, hull_list)
+        assert bound is not None
+        assert np.all(bound <= resid + 1e-9)
 
 
 # ---------------------------------------------------------------------------

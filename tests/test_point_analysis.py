@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import robustcert
-from robustcert import constraints, efficiency
+from robustcert import constraints, duality, efficiency
 from robustcert.constraints import (
     PointAnalysis,
     active_uncertainty,
@@ -33,6 +33,7 @@ COUNTED = (
     (constraints, "active_uncertainty"),
     (constraints, "worst_case_subdiff"),
     (efficiency, "grid_context"),
+    (duality, "is_dual_feasible"),
 )
 
 
@@ -61,6 +62,15 @@ def test_report_with_certificate_computes_the_point_once(calls):
     # the analysis, verify_certificate and the converse duality check
     assert calls["constraint_values"] <= 3
     assert calls["grid_context"] == 1
+
+
+def test_report_checks_dual_feasibility_once(calls):
+    # the converse duality check reads the duality section's default-mode
+    # feasibility report instead of recomputing it
+    report = build_report(load_problem("ex3_2"), "report", [0.0, 1.0])
+    assert report["duality"]["converse"]["feasibility"] == \
+        report["duality"]["feasibility"]
+    assert calls["is_dual_feasible"] == 1
 
 
 def test_report_without_certificate_computes_the_point_once(calls):
