@@ -33,8 +33,9 @@ ACTIVE_TOL = 1e-6
 REFINE_XATOL = 1e-10
 # attaining clusters wider than this are treated as plateaus (outer estimate)
 EXTENT_TOL = 1e-6
-# rows of decision points evaluated per chunk in batch mode
-CHUNK_ROWS = 2000
+# array elements (decision rows x uncertainty points) per chunk in batch
+# mode: 2000 rows against a 1001-point axis, one row against a 1001^2 grid
+CHUNK_ELEMENTS = 2000 * 1001
 # default slack for robust feasibility
 FEAS_TOL = 1e-9
 
@@ -369,18 +370,22 @@ def _batch_threads() -> int:
 
 def worst_case_values_batch(e: Expr, Z: np.ndarray, U: UncertaintySet,
                             grid: int = GRID_DEFAULT,
-                            chunk: int = CHUNK_ROWS) -> np.ndarray:
+                            chunk: Optional[int] = None) -> np.ndarray:
     """Grid-resolution worst-case values for many decision points at once.
 
     Chunks of decision rows are independent; with ROBUSTCERT_THREADS > 1 they
     run on a thread pool.  Each chunk writes its own output slice, so results
-    are identical for any thread count.
+    are identical for any thread count and chunk size.  By default a chunk
+    holds as many rows as fit ``CHUNK_ELEMENTS`` against the uncertainty grid
+    (at least one).
     """
     Z = np.asarray(Z, dtype=float)
     if U.dim == 0:
         cols = [Z[:, j] for j in range(Z.shape[1])]
         return np.broadcast_to(eval_broadcast(e, cols), (len(Z),)).astype(float)
     pts = U.grid_points(grid)
+    if chunk is None:
+        chunk = max(1, CHUNK_ELEMENTS // len(pts))
     out = np.empty(len(Z))
 
     def run_chunk(start: int) -> None:

@@ -228,9 +228,10 @@ def _scan(P: Problem, z, kinds: Sequence[str], samples: int, seed: int,
             idx.append(drawn)
             drawn += 1
         Z = np.array(batch)
-        feas = np.ones(len(Z), dtype=bool)
-        for g in P.constraints:
-            feas &= worst_case_values_batch(g, Z, P.uncertainty, grid) <= 1e-9
+        psi_all = np.empty((len(Z), P.n_constraints))
+        for i, g in enumerate(P.constraints):
+            psi_all[:, i] = worst_case_values_batch(g, Z, P.uncertainty, grid)
+        feas = np.all(psi_all <= 1e-9, axis=1)
         if not np.any(feas):
             continue
         Zf = Z[feas]
@@ -270,15 +271,7 @@ def _scan(P: Problem, z, kinds: Sequence[str], samples: int, seed: int,
                 )
                 used[STRICT] = int(idxf[r]) + 1
         if QUASI in kinds and found[QUASI] is None and a.binding:
-            psi_mat = np.stack(
-                [
-                    worst_case_values_batch(
-                        P.constraints[i], Zf, P.uncertainty, grid
-                    )
-                    for i in a.binding
-                ],
-                axis=1,
-            )
+            psi_mat = psi_all[feas][:, a.binding]
             cmax, _ = _support_matrix(
                 W, [a.hull(i).vertices for i in a.binding]
             )

@@ -8,6 +8,11 @@ makes the point a scalar minimizer.  The certifiers here check these
 statements exhaustively over a finite decision grid; "certified" therefore
 always means "no counterexample at this resolution", not a continuum proof.
 
+The feasible grid (``grid_context``) depends only on the problem's content
+and the two grid sizes, so each process builds it once per such combination
+and shares it, read-only, with every later efficiency, duality and report
+call on that problem.
+
 ``sufficient_conditions`` combines a verified first-order certificate with
 the sampling-based convexity classification to state which efficiency
 concepts follow from the supported sufficiency rules.
@@ -15,6 +20,8 @@ concepts follow from the supported sufficiency rules.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -31,11 +38,17 @@ DOMINANCE_TOL = 1e-9
 PROPER_EPS = 1e-3
 
 EFFICIENCY_GRID = 101
+# feasible grids kept per process; the least recently used is dropped first
+# (one entry is about 0.4 MB for two decision variables at grid 101)
+GRID_CONTEXT_ENTRIES = 8
 
 
-@dataclass
+@dataclass(frozen=True)
 class EfficiencyContext:
-    """Precomputed grid data reusable across certifications of one problem."""
+    """Precomputed grid data reusable across certifications of one problem.
+
+    Shared between callers, so ``Z`` and ``F`` are read-only.
+    """
 
     Z: np.ndarray                # feasible grid rows
     F: np.ndarray                # objective values at those rows
@@ -43,14 +56,56 @@ class EfficiencyContext:
     total_points: int
 
 
-def grid_context(P: Problem, grid: int = EFFICIENCY_GRID,
-                 ugrid: int = GRID_DEFAULT) -> EfficiencyContext:
+_contexts: "OrderedDict[tuple, EfficiencyContext]" = OrderedDict()
+_contexts_lock = threading.Lock()
+
+
+def _content_key(P: Problem) -> tuple:
+    """Everything the feasible grid depends on, label and cone excluded.
+
+    Expressions enter by ``repr``, which tells ``Lit(-0.0)`` from
+    ``Lit(0.0)`` where ``==`` does not; arrays by shape and bytes.
+    """
+    U = P.uncertainty
+    arrays = tuple(
+        None if a is None else (np.shape(a), np.asarray(a, dtype=float).tobytes())
+        for a in (P.box_lower, P.box_upper, U.lower, U.upper, U.points)
+    )
+    return (tuple(map(repr, P.objectives)), tuple(map(repr, P.constraints)),
+            U.kind, arrays)
+
+
+def _build_grid_context(P: Problem, grid: int, ugrid: int) -> EfficiencyContext:
     Z = P.box_grid(grid)
     feas = np.ones(len(Z), dtype=bool)
     for g in P.constraints:
         feas &= worst_case_values_batch(g, Z, P.uncertainty, ugrid) <= FEAS_TOL
     Zf = Z[feas]
-    return EfficiencyContext(Zf, P.objective_values_batch(Zf), grid, len(Z))
+    F = P.objective_values_batch(Zf)
+    Zf.setflags(write=False)
+    F.setflags(write=False)
+    return EfficiencyContext(Zf, F, grid, len(Z))
+
+
+def grid_context(P: Problem, grid: int = EFFICIENCY_GRID,
+                 ugrid: int = GRID_DEFAULT) -> EfficiencyContext:
+    """Robust-feasible rows of the decision grid and their objective values.
+
+    Memoized per process on the problem's content and ``(grid, ugrid)``:
+    the last ``GRID_CONTEXT_ENTRIES`` contexts are kept.
+    """
+    key = (_content_key(P), grid, ugrid)
+    with _contexts_lock:
+        ctx = _contexts.get(key)
+        if ctx is not None:
+            _contexts.move_to_end(key)
+            return ctx
+    ctx = _build_grid_context(P, grid, ugrid)
+    with _contexts_lock:
+        _contexts[key] = ctx
+        while len(_contexts) > GRID_CONTEXT_ENTRIES:
+            _contexts.popitem(last=False)
+    return ctx
 
 
 @dataclass

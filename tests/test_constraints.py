@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from oracles import grid_worst_case
+from robustcert import constraints
 from robustcert.constraints import (
+    CHUNK_ELEMENTS,
     AttainingRealization,
     ConeSpec,
     ProblemFormatError,
@@ -21,7 +23,7 @@ from robustcert.constraints import (
     worst_case_value,
     worst_case_values_batch,
 )
-from robustcert.expr import parse_expr
+from robustcert.expr import eval_broadcast, parse_expr
 from robustcert.problem_io import fixture_path, load_problem, problem_from_dict
 
 VALUE_TOL = 1e-12
@@ -132,6 +134,38 @@ def test_batch_values_identical_for_any_thread_count(monkeypatch):
     monkeypatch.setenv("ROBUSTCERT_THREADS", "4")
     threaded = worst_case_values_batch(g1, Z, UBOX, chunk=16)
     assert np.array_equal(sequential, threaded)
+
+
+@pytest.fixture
+def chunk_sizes(monkeypatch):
+    """Sizes of the arrays eval_broadcast hands to worst_case_values_batch."""
+    sizes = []
+
+    def recording(*args, **kwargs):
+        out = eval_broadcast(*args, **kwargs)
+        sizes.append(int(np.size(out)))
+        return out
+
+    monkeypatch.setattr(constraints, "eval_broadcast", recording)
+    return sizes
+
+
+def test_batch_chunks_keep_2000_rows_on_one_uncertainty_axis(chunk_sizes):
+    g1 = parse_expr(G1, 2, 1)
+    Z = np.random.default_rng(5).uniform([-4, -5], [1, 5], size=(2001, 2))
+    batch = worst_case_values_batch(g1, Z, UBOX)
+    assert chunk_sizes == [2000 * 1001, 1001]
+    assert np.array_equal(batch, worst_case_values_batch(g1, Z, UBOX, chunk=1))
+
+
+def test_batch_chunks_fit_the_budget_on_two_uncertainty_axes(chunk_sizes):
+    # 1001^2 u-points per row: at a fixed 2000 rows a chunk would be 16 GB
+    e = parse_expr("u1*z1 + u2*z2 - abs(u1 - u2)", 2, 2)
+    U = UncertaintySet.box([-1.0, -1.0], [1.0, 1.0])
+    Z = np.array([[0.5, -1.0], [2.0, 0.25], [-1.5, 1.0]])
+    batch = worst_case_values_batch(e, Z, U)
+    assert max(chunk_sizes) <= CHUNK_ELEMENTS
+    assert np.array_equal(batch, worst_case_values_batch(e, Z, U, chunk=1))
 
 
 def test_finite_uncertainty_exact():

@@ -1,10 +1,14 @@
 """Tests for grid-based efficiency certification and sufficiency rules."""
 
+import dataclasses
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from robustcert import efficiency
 from robustcert.convexity import classify_type
 from robustcert.efficiency import (
     certify_efficient,
@@ -13,8 +17,10 @@ from robustcert.efficiency import (
     grid_context,
     sufficient_conditions,
 )
+from robustcert.expr import BinOp, Lit, parse_expr
 from robustcert.kkt import KktOptions, find_kkt_certificate, verify_certificate
 from robustcert.problem_io import load_problem, problem_from_dict
+from robustcert.report import build_report, render_json
 
 Z32 = np.array([0.0, 1.0])
 Z22 = np.array([0.0, -2.0])
@@ -253,3 +259,115 @@ def test_report_serialization(ex2_2, ex3_2, ctx22, ctx32):
     blob = json.loads(json.dumps(p.to_jsonable()))
     assert blob["certified"] is True
     assert len(blob["witness_y"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# per-process memo of the feasible grid
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def empty_memo():
+    """Start and leave the grid-context memo empty, whatever ran before."""
+    efficiency._contexts.clear()
+    yield
+    efficiency._contexts.clear()
+
+
+def _cold(P, grid=101, ugrid=1001):
+    return efficiency._build_grid_context(P, grid, ugrid)
+
+
+def _assert_same_context(a, b):
+    np.testing.assert_array_equal(a.Z, b.Z)
+    np.testing.assert_array_equal(a.F, b.F)
+    assert (a.grid, a.total_points) == (b.grid, b.total_points)
+
+
+def _with_constraint(P, i, source):
+    cons = list(P.constraints)
+    cons[i] = parse_expr(source, P.decision_dim, P.uncertainty_dim)
+    return dataclasses.replace(P, constraints=tuple(cons))
+
+
+def test_second_call_reuses_the_grid(ex3_2, empty_memo, monkeypatch):
+    first = grid_context(ex3_2)
+    calls = []
+    monkeypatch.setattr(efficiency, "worst_case_values_batch",
+                        lambda *a, **k: calls.append(a))
+    assert grid_context(load_problem("ex3_2")) is first
+    assert calls == []
+
+
+def test_changed_content_or_grid_is_computed_afresh(ex3_2, empty_memo):
+    base = grid_context(ex3_2)
+    changed = _with_constraint(ex3_2, 1, "-3*abs(z1) + u1*z2 - 1")
+    assert changed.label == ex3_2.label
+    ctx = grid_context(changed)
+    assert len(ctx.Z) != len(base.Z)
+    _assert_same_context(ctx, _cold(changed))
+    for grid, ugrid in ((51, 1001), (101, 101)):
+        ctx = grid_context(ex3_2, grid, ugrid)
+        assert ctx is not base
+        _assert_same_context(ctx, _cold(ex3_2, grid, ugrid))
+
+
+def test_negative_zero_literal_is_other_content(ex3_2, empty_memo):
+    def shifted(zero):
+        g = BinOp("+", ex3_2.constraints[0], Lit(zero))
+        return dataclasses.replace(ex3_2, constraints=(g,))
+
+    assert grid_context(shifted(-0.0), 11, 11) is not \
+        grid_context(shifted(0.0), 11, 11)
+
+
+def test_memo_keeps_a_fixed_number_of_entries(ex3_2, empty_memo):
+    # the decision-grid size is part of the key, so each call adds an entry
+    for grid in range(2, 2 + 2 * efficiency.GRID_CONTEXT_ENTRIES):
+        grid_context(ex3_2, grid, 11)
+    assert len(efficiency._contexts) == efficiency.GRID_CONTEXT_ENTRIES
+
+
+def test_shared_arrays_are_read_only(ex2_2, empty_memo):
+    ctx = grid_context(ex2_2)
+    with pytest.raises(ValueError):
+        ctx.Z[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        ctx.F[0, 0] = 1.0
+    # a counterexample is a view into the shared grid
+    w = certify_weak(ex2_2, Z22)
+    with pytest.raises(ValueError):
+        w.counterexample[0] = 1.0
+
+
+def _without_timestamp(text):
+    return [line for line in text.splitlines() if "generated_at" not in line]
+
+
+def test_report_on_a_memoized_grid_matches_a_cold_report(ex3_2, empty_memo):
+    build_report(ex3_2, "report", [0.0, 1.0])
+    warm = render_json(build_report(ex3_2, "report", [0.0, -1.0]))
+    efficiency._contexts.clear()
+    cold = render_json(build_report(ex3_2, "report", [0.0, -1.0]))
+    assert _without_timestamp(warm) == _without_timestamp(cold)
+
+
+def test_concurrent_callers_get_correct_contexts(ex3_2, empty_memo,
+                                                 monkeypatch):
+    # more problems than entries, so threads evict while others look up
+    monkeypatch.setattr(efficiency, "GRID_CONTEXT_ENTRIES", 2)
+    problems = [_with_constraint(ex3_2, 1, f"-3*abs(z1) + u1*z2 - {k}")
+                for k in range(4)]
+    expected = [_cold(P, 9, 11) for P in problems]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(grid_context, problems[k % 4], 9, 11)
+                       for k in range(200)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for k, ctx in enumerate(results):
+        _assert_same_context(ctx, expected[k % 4])
+    assert len(efficiency._contexts) <= 2

@@ -3,7 +3,8 @@
 The call counts below pin the sharing: a ``report`` computes the worst-case
 values at its point once for all sections (plus the independent recomputations
 of ``verify_certificate`` and the converse duality check) and builds the
-feasible decision grid once.
+feasible decision grid once; the convexity scan evaluates each constraint once
+per sample chunk.
 """
 
 import importlib
@@ -32,6 +33,7 @@ COUNTED = (
     (constraints, "constraint_values"),
     (constraints, "active_uncertainty"),
     (constraints, "worst_case_subdiff"),
+    (constraints, "worst_case_values_batch"),
     (efficiency, "grid_context"),
     (duality, "is_dual_feasible"),
 )
@@ -114,3 +116,10 @@ def test_passed_analysis_gives_the_same_answers():
             find_kkt_certificate(P, z, opts).to_jsonable()
     assert classify_type(P, z, samples=300, analysis=a).to_jsonable() == \
         classify_type(P, z, samples=300).to_jsonable()
+
+
+def test_convexity_scan_evaluates_each_constraint_once_per_chunk(calls):
+    # two constraints x two chunks of 1000 samples; the quasi-convexity
+    # premise reads the feasibility pass's values for the binding constraint
+    classify_type(load_problem("ex3_2"), [0.0, 1.0])
+    assert calls["worst_case_values_batch"] == 4
