@@ -82,6 +82,8 @@ def _parse_point(text: str, dim: int) -> np.ndarray:
         values = [float(tok) for tok in text.split(",")]
     except ValueError:
         raise UsageError(f"could not parse point {text!r}")
+    if not np.all(np.isfinite(values)):
+        raise UsageError(f"--point must be finite, got {text!r}")
     if len(values) != dim:
         raise UsageError(
             f"point has {len(values)} coordinates, problem expects {dim}"
@@ -105,6 +107,9 @@ def _parse_triple(text: str, P: Problem) -> DualTriple:
             or len(triple.weights) != P.n_objectives
             or len(triple.multipliers) != P.n_constraints):
         raise UsageError("dual triple dimensions do not match the problem")
+    if not all(np.all(np.isfinite(v)) for v in
+               (triple.point, triple.weights, triple.multipliers)):
+        raise UsageError("--triple must hold finite numbers")
     return triple
 
 
@@ -116,13 +121,15 @@ def _load(path: str) -> Problem:
 
 
 def _validate_numbers(args) -> None:
-    if not args.tol > 0:
-        raise UsageError("--tol must be positive")
+    if not 0 < args.tol < np.inf:
+        raise UsageError("--tol must be positive and finite")
     for name in ("grid", "ugrid", "ygrid"):
         if getattr(args, name) < 2:
             raise UsageError(f"--{name} must be at least 2")
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be non-negative")
 
 
 def main(argv=None) -> int:

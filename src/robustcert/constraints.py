@@ -44,6 +44,16 @@ class ProblemFormatError(Exception):
     """Malformed problem description."""
 
 
+def box_lattice(lower, upper, n: int) -> np.ndarray:
+    """(n^k, k) row-major grid over a box; a zero-width axis keeps one point."""
+    axes = [np.linspace(lo, hi, 1 if lo == hi else n)
+            for lo, hi in zip(lower, upper)]
+    if not axes:
+        return np.zeros((1, 0))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
 # ---------------------------------------------------------------------------
 # uncertainty sets
 # ---------------------------------------------------------------------------
@@ -87,14 +97,7 @@ class UncertaintySet:
         """(M, p) array of evaluation points."""
         if self.kind == "finite":
             return self.points
-        axes = [
-            np.linspace(lo, hi, 1 if hi == lo else n)
-            for lo, hi in zip(self.lower, self.upper)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij") if axes else []
-        if not axes:
-            return np.zeros((1, 0))
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return box_lattice(self.lower, self.upper, n)
 
     def contains(self, u, tol: float = 1e-9) -> bool:
         u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -278,20 +281,9 @@ class Problem:
     def n_constraints(self) -> int:
         return len(self.constraints)
 
-    def in_box(self, z, tol: float = 1e-9) -> bool:
-        z = np.asarray(z, dtype=float)
-        return bool(
-            np.all(z >= self.box_lower - tol) and np.all(z <= self.box_upper + tol)
-        )
-
     def box_grid(self, n: int = 101) -> np.ndarray:
         """(n^d, d) row-major grid over the decision box."""
-        axes = [
-            np.linspace(lo, hi, 1 if lo == hi else n)
-            for lo, hi in zip(self.box_lower, self.box_upper)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return box_lattice(self.box_lower, self.box_upper, n)
 
     def objective_values(self, z) -> np.ndarray:
         pt = Point.of(z)
@@ -404,6 +396,15 @@ def worst_case_values_batch(e: Expr, Z: np.ndarray, U: UncertaintySet,
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_chunk, starts))
+    return out
+
+
+def worst_case_matrix(P: Problem, Z: np.ndarray,
+                      grid: int = GRID_DEFAULT) -> np.ndarray:
+    """(N, n_constraints) grid-resolution worst-case values at the rows of Z."""
+    out = np.empty((len(Z), P.n_constraints))
+    for i, g in enumerate(P.constraints):
+        out[:, i] = worst_case_values_batch(g, Z, P.uncertainty, grid)
     return out
 
 

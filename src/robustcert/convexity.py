@@ -39,6 +39,7 @@ from .constraints import (
     PointAnalysis,
     Problem,
     analyze_point,
+    worst_case_matrix,
     worst_case_values_batch,
 )
 from .polytope import dedup_rows
@@ -228,9 +229,7 @@ def _scan(P: Problem, z, kinds: Sequence[str], samples: int, seed: int,
             idx.append(drawn)
             drawn += 1
         Z = np.array(batch)
-        psi_all = np.empty((len(Z), P.n_constraints))
-        for i, g in enumerate(P.constraints):
-            psi_all[:, i] = worst_case_values_batch(g, Z, P.uncertainty, grid)
+        psi_all = worst_case_matrix(P, Z, grid)
         feas = np.all(psi_all <= 1e-9, axis=1)
         if not np.any(feas):
             continue
@@ -250,26 +249,19 @@ def _scan(P: Problem, z, kinds: Sequence[str], samples: int, seed: int,
             r, c = divmod(int(flat[0]), mask.shape[1])
             return r, c
 
-        if PSEUDO in kinds and found[PSEUDO] is None:
-            hit = first_hit((Delta < -PREMISE_TOL) & (S >= -SUPPORT_TOL))
+        for kind in (PSEUDO, STRICT):
+            if kind not in kinds or found[kind] is not None:
+                continue
+            premise = (Delta < -PREMISE_TOL if kind == PSEUDO else
+                       (Delta <= PREMISE_TOL) & not_same[:, None])
+            hit = first_hit(premise & (S >= -SUPPORT_TOL))
             if hit is not None:
                 r, c = hit
-                found[PSEUDO] = ConvexityWitness(
+                found[kind] = ConvexityWitness(
                     Zf[r], Y[c], "objectives",
                     float(Delta[r, c]), float(S[r, c]), int(idxf[r]),
                 )
-                used[PSEUDO] = int(idxf[r]) + 1
-        if STRICT in kinds and found[STRICT] is None:
-            hit = first_hit(
-                (Delta <= PREMISE_TOL) & (S >= -SUPPORT_TOL) & not_same[:, None]
-            )
-            if hit is not None:
-                r, c = hit
-                found[STRICT] = ConvexityWitness(
-                    Zf[r], Y[c], "objectives",
-                    float(Delta[r, c]), float(S[r, c]), int(idxf[r]),
-                )
-                used[STRICT] = int(idxf[r]) + 1
+                used[kind] = int(idxf[r]) + 1
         if QUASI in kinds and found[QUASI] is None and a.binding:
             psi_mat = psi_all[feas][:, a.binding]
             cmax, _ = _support_matrix(

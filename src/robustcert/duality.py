@@ -28,25 +28,16 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .constraints import (
-    ACTIVE_TOL,
     FEAS_TOL,
     GRID_DEFAULT,
     Problem,
     analyze_point,
-    worst_case_subdiff,
     worst_case_value,
 )
-from .efficiency import (
-    EFFICIENCY_GRID,
-    EfficiencyContext,
-    _dominator_mask,
-    certify_weak,
-    grid_context,
-)
-from .expr import Point, eval_broadcast
-from .kkt import MU_ZERO_TOL, RESIDUAL_TOL, KktCertificate, _residual
-from .polytope import Polytope
-from .subdiff import limiting_subdiff
+from .efficiency import EFFICIENCY_GRID, certify_weak, first_dominator
+from .expr import eval_broadcast
+from .kkt import (MU_ZERO_TOL, RESIDUAL_TOL, KktCertificate,
+                  stationarity_distance)
 
 
 @dataclass
@@ -114,18 +105,9 @@ def is_dual_feasible(P: Problem, triple: DualTriple, mode: str = "default",
     w = np.asarray(triple.point, dtype=float)
     y = np.asarray(triple.weights, dtype=float)
     mu = np.asarray(triple.multipliers, dtype=float)
-    d = P.decision_dim
     checks: Dict[str, bool] = {}
 
-    subdiffs = [limiting_subdiff(f, Point.of(w), wrt="decision")
-                for f in P.objectives]
-    hulls: Dict[int, Polytope] = {}
-    for i in range(P.n_constraints):
-        if mu[i] > MU_ZERO_TOL:
-            hulls[i] = worst_case_subdiff(
-                P.constraints[i], w, P.uncertainty, ACTIVE_TOL, grid
-            ).hull()
-    distance = _residual(y, subdiffs, mu, hulls, d)
+    distance = stationarity_distance(P, w, y, mu, grid, exact=False)
     checks["stationarity"] = distance <= tol
 
     sign_values: List[float] = []
@@ -177,8 +159,7 @@ class WeakDualityReport:
 
 
 def weak_duality_test(P: Problem, triple: DualTriple, kind: str = "typeI",
-                      grid: int = EFFICIENCY_GRID, ugrid: int = GRID_DEFAULT,
-                      context: Optional[EfficiencyContext] = None
+                      grid: int = EFFICIENCY_GRID, ugrid: int = GRID_DEFAULT
                       ) -> WeakDualityReport:
     """Scan feasible grid values for forbidden domination of the dual value.
 
@@ -189,16 +170,12 @@ def weak_duality_test(P: Problem, triple: DualTriple, kind: str = "typeI",
     """
     if kind not in ("typeI", "typeII"):
         raise ValueError("kind must be 'typeI' or 'typeII'")
-    ctx = context if context is not None else grid_context(P, grid, ugrid)
-    w_vals = P.objective_values(triple.point)
-    D = ctx.F - w_vals[None, :]
-    mask = _dominator_mask(P, D, strict=(kind == "typeI"))
-    hits = np.flatnonzero(mask)
-    if len(hits) == 0:
-        return WeakDualityReport(True, kind, ctx.grid, len(ctx.Z))
-    first = int(hits[0])
+    ctx, first = first_dominator(P, P.objective_values(triple.point),
+                                 kind == "typeI", grid, ugrid)
+    if first is None:
+        return WeakDualityReport(True, kind, grid, len(ctx.Z))
     return WeakDualityReport(
-        False, kind, ctx.grid, len(ctx.Z),
+        False, kind, grid, len(ctx.Z),
         first_violation=ctx.Z[first], violation_values=ctx.F[first],
     )
 
@@ -242,7 +219,6 @@ class ConverseDualityReport:
 def converse_duality_check(P: Problem, triple: DualTriple,
                            grid: int = EFFICIENCY_GRID,
                            ugrid: int = GRID_DEFAULT,
-                           context: Optional[EfficiencyContext] = None,
                            feasibility: Optional[DualFeasibilityReport] = None
                            ) -> ConverseDualityReport:
     """Brute-force weak efficiency at a dual feasible triple's point.
@@ -255,7 +231,7 @@ def converse_duality_check(P: Problem, triple: DualTriple,
     applicable = rep.feasible and analyze_point(
         P, triple.point, ugrid
     ).feasible(FEAS_TOL)
-    weak = certify_weak(P, triple.point, grid, ugrid, context=context)
+    weak = certify_weak(P, triple.point, grid, ugrid)
     weakly_efficient = bool(weak.certified)
     consistent = (not applicable) or weakly_efficient
     return ConverseDualityReport(applicable, weakly_efficient, consistent, rep)

@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy.optimize import linprog
 
-from .constraints import FEAS_TOL, GRID_DEFAULT, Problem, worst_case_values_batch
+from .constraints import FEAS_TOL, GRID_DEFAULT, Problem, worst_case_matrix
 from .convexity import TypeClassification
 from .kkt import KktCertificate, VerificationReport
 
@@ -45,15 +45,13 @@ GRID_CONTEXT_ENTRIES = 8
 
 @dataclass(frozen=True)
 class EfficiencyContext:
-    """Precomputed grid data reusable across certifications of one problem.
+    """The robust-feasible rows of one problem's decision grid.
 
     Shared between callers, so ``Z`` and ``F`` are read-only.
     """
 
     Z: np.ndarray                # feasible grid rows
     F: np.ndarray                # objective values at those rows
-    grid: int
-    total_points: int
 
 
 _contexts: "OrderedDict[tuple, EfficiencyContext]" = OrderedDict()
@@ -77,14 +75,11 @@ def _content_key(P: Problem) -> tuple:
 
 def _build_grid_context(P: Problem, grid: int, ugrid: int) -> EfficiencyContext:
     Z = P.box_grid(grid)
-    feas = np.ones(len(Z), dtype=bool)
-    for g in P.constraints:
-        feas &= worst_case_values_batch(g, Z, P.uncertainty, ugrid) <= FEAS_TOL
-    Zf = Z[feas]
+    Zf = Z[np.all(worst_case_matrix(P, Z, ugrid) <= FEAS_TOL, axis=1)]
     F = P.objective_values_batch(Zf)
     Zf.setflags(write=False)
     F.setflags(write=False)
-    return EfficiencyContext(Zf, F, grid, len(Z))
+    return EfficiencyContext(Zf, F)
 
 
 def grid_context(P: Problem, grid: int = EFFICIENCY_GRID,
@@ -140,14 +135,8 @@ class EfficiencyReport:
 
 def _feasibility_guard(P: Problem, z, concept: str, grid: int,
                        ugrid: int) -> Optional[EfficiencyReport]:
-    z = np.asarray(z, dtype=float)
-    vals = np.array(
-        [
-            float(worst_case_values_batch(g, z[None, :], P.uncertainty, ugrid)[0])
-            for g in P.constraints
-        ]
-    )
-    if np.max(vals, initial=-np.inf) > FEAS_TOL:
+    psi = worst_case_matrix(P, np.asarray(z, dtype=float)[None, :], ugrid)
+    if np.max(psi, initial=-np.inf) > FEAS_TOL:
         return EfficiencyReport(
             concept, False, grid, 0,
             notes=("point is not robust feasible",),
@@ -177,53 +166,54 @@ def _dominators_general(P: Problem, D: np.ndarray, strict: bool) -> np.ndarray:
     return out
 
 
-def _dominator_mask(P: Problem, D: np.ndarray, strict: bool) -> np.ndarray:
+def first_dominator(P: Problem, values: np.ndarray, strict: bool,
+                    grid: int, ugrid: int
+                    ) -> Tuple[EfficiencyContext, Optional[int]]:
+    """The feasible grid and its first row whose objectives dominate ``values``.
+
+    ``strict`` asks for cone-interior domination; otherwise domination in
+    the cone ordering without a tie.  The row is None when there is none.
+    """
+    ctx = grid_context(P, grid, ugrid)
+    D = ctx.F - np.asarray(values, dtype=float)[None, :]
     if P.cone.kind == "orthant":
-        return _dominators_orthant(D, strict)
-    return _dominators_general(P, D, strict)
+        mask = _dominators_orthant(D, strict)
+    else:
+        mask = _dominators_general(P, D, strict)
+    hits = np.flatnonzero(mask)
+    return ctx, (int(hits[0]) if len(hits) else None)
 
 
 def _dominance_report(P: Problem, z, concept: str, strict: bool, grid: int,
-                      ugrid: int, context: Optional[EfficiencyContext]
-                      ) -> EfficiencyReport:
+                      ugrid: int) -> EfficiencyReport:
     guard = _feasibility_guard(P, z, concept, grid, ugrid)
     if guard is not None:
         return guard
-    ctx = context if context is not None else grid_context(P, grid, ugrid)
-    z = np.asarray(z, dtype=float)
-    D = ctx.F - P.objective_values(z)[None, :]
-    mask = _dominator_mask(P, D, strict)
-    hits = np.flatnonzero(mask)
-    if len(hits) == 0:
-        return EfficiencyReport(concept, True, ctx.grid, len(ctx.Z))
-    first = int(hits[0])
+    ctx, first = first_dominator(P, P.objective_values(z), strict, grid, ugrid)
+    if first is None:
+        return EfficiencyReport(concept, True, grid, len(ctx.Z))
     return EfficiencyReport(
-        concept, False, ctx.grid, len(ctx.Z),
+        concept, False, grid, len(ctx.Z),
         counterexample=ctx.Z[first],
         counterexample_values=ctx.F[first],
     )
 
 
 def certify_weak(P: Problem, z, grid: int = EFFICIENCY_GRID,
-                 ugrid: int = GRID_DEFAULT,
-                 context: Optional[EfficiencyContext] = None
-                 ) -> EfficiencyReport:
+                 ugrid: int = GRID_DEFAULT) -> EfficiencyReport:
     """No feasible grid point improves every objective strictly."""
-    return _dominance_report(P, z, "weak", True, grid, ugrid, context)
+    return _dominance_report(P, z, "weak", True, grid, ugrid)
 
 
 def certify_efficient(P: Problem, z, grid: int = EFFICIENCY_GRID,
-                      ugrid: int = GRID_DEFAULT,
-                      context: Optional[EfficiencyContext] = None
-                      ) -> EfficiencyReport:
+                      ugrid: int = GRID_DEFAULT) -> EfficiencyReport:
     """No feasible grid point dominates in the cone ordering."""
-    return _dominance_report(P, z, "efficient", False, grid, ugrid, context)
+    return _dominance_report(P, z, "efficient", False, grid, ugrid)
 
 
 def certify_proper(P: Problem, z, grid: int = EFFICIENCY_GRID,
-                   eps: float = PROPER_EPS, ugrid: int = GRID_DEFAULT,
-                   context: Optional[EfficiencyContext] = None
-                   ) -> EfficiencyReport:
+                   eps: float = PROPER_EPS,
+                   ugrid: int = GRID_DEFAULT) -> EfficiencyReport:
     """A uniformly interior dual weight makes the point a grid minimizer.
 
     Searches by linear programming for weights with margin ``eps`` against
@@ -233,8 +223,7 @@ def certify_proper(P: Problem, z, grid: int = EFFICIENCY_GRID,
     guard = _feasibility_guard(P, z, "proper", grid, ugrid)
     if guard is not None:
         return guard
-    ctx = context if context is not None else grid_context(P, grid, ugrid)
-    z = np.asarray(z, dtype=float)
+    ctx = grid_context(P, grid, ugrid)
     D = ctx.F - P.objective_values(z)[None, :]
     R = P.cone.generating_rays()
     m = P.n_objectives
@@ -248,12 +237,56 @@ def certify_proper(P: Problem, z, grid: int = EFFICIENCY_GRID,
     )
     if res.status != 0:
         return EfficiencyReport(
-            "proper", False, ctx.grid, len(ctx.Z),
+            "proper", False, grid, len(ctx.Z),
             notes=("no interior weight vector supports the point "
                    f"at margin {eps}",),
         )
     return EfficiencyReport(
-        "proper", True, ctx.grid, len(ctx.Z), witness_y=res.x,
+        "proper", True, grid, len(ctx.Z), witness_y=res.x,
+    )
+
+
+@dataclass
+class ProperNecessaryReport:
+    ok: bool
+    interior_margin: float
+    min_value: float
+    argmin: np.ndarray
+    feasible_points: int
+
+    def to_jsonable(self) -> dict:
+        return {
+            "ok": bool(self.ok),
+            "interior_margin": float(self.interior_margin),
+            "min_value": float(self.min_value),
+            "argmin": [float(v) for v in np.atleast_1d(self.argmin)],
+            "feasible_points": int(self.feasible_points),
+        }
+
+
+def check_proper_necessary(P: Problem, z, y_star, grid: int = EFFICIENCY_GRID,
+                           ugrid: int = GRID_DEFAULT) -> ProperNecessaryReport:
+    """Scan: does z minimize <y_star, f> over the feasible box grid?
+
+    A positive-interior weight vector whose scalarization is minimized at z is
+    the defining witness of proper behavior; this checks the minimization on a
+    finite grid (necessary-side evidence, not a proof over the continuum).
+    """
+    y = np.asarray(y_star, dtype=float)
+    margin = P.cone.dual_margin(y)
+    ctx = grid_context(P, grid, ugrid)
+    if len(ctx.Z) == 0:
+        return ProperNecessaryReport(False, margin, np.inf,
+                                     np.full(P.decision_dim, np.nan), 0)
+    scores = (ctx.F - P.objective_values(z)) @ y
+    idx = int(np.argmin(scores))
+    min_value = float(scores[idx])
+    return ProperNecessaryReport(
+        ok=min_value >= -FEAS_TOL and margin > 0,
+        interior_margin=margin,
+        min_value=min_value,
+        argmin=ctx.Z[idx],
+        feasible_points=len(ctx.Z),
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -146,16 +146,6 @@ class Point:
         if u is not None:
             ut = tuple(float(v) for v in np.atleast_1d(np.asarray(u, dtype=float)))
         return Point(zt, ut)
-
-    @property
-    def z_array(self) -> np.ndarray:
-        return np.asarray(self.z, dtype=float)
-
-    @property
-    def u_array(self) -> np.ndarray:
-        if self.u is None:
-            return np.zeros(0)
-        return np.asarray(self.u, dtype=float)
 
 
 # ---------------------------------------------------------------------------

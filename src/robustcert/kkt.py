@@ -43,7 +43,6 @@ from .constraints import (
     analyze_point,
     constraint_values,
     worst_case_subdiff,
-    worst_case_values_batch,
 )
 from .expr import Point, evaluate
 from .polytope import Polytope, PolytopeUnion, convex_hull_of
@@ -354,12 +353,13 @@ def _extract_mu(x: np.ndarray, piece_sets, hulls, binding: List[int],
     return mu
 
 
-def _direction_piece_sets(y: np.ndarray, analysis: PointAnalysis,
-                          selection: Tuple[int, ...], active_obj: List[int]):
+def _direction_piece_sets(y: np.ndarray, analysis: PointAnalysis):
+    """Piece sets of direction y, one per selection of objective pieces."""
+    active = [j for j in range(len(y)) if y[j] > 0]
     return [
-        (float(y[j]),
-         analysis.objective_subdiffs[j].pieces[selection[idx]].vertices)
-        for idx, j in enumerate(active_obj)
+        [(float(y[j]), piece.vertices) for j, piece in zip(active, selection)]
+        for selection in itertools.product(
+            *(analysis.objective_subdiffs[j].pieces for j in active))
     ]
 
 
@@ -387,6 +387,30 @@ def _stationarity_union(y: np.ndarray, obj_subdiffs: Sequence[PolytopeUnion],
 def _residual(y, obj_subdiffs, mu, hulls, d) -> float:
     union = _stationarity_union(y, obj_subdiffs, mu, hulls, d)
     return float(union.distance(np.zeros(d)))
+
+
+def stationarity_distance(P: Problem, z, y, mu, grid: int,
+                          exact: bool) -> float:
+    """Distance from zero to the weighted stationarity set at z, from scratch.
+
+    Recomputes every subdifferential (no ``PointAnalysis``): the hull of the
+    worst-case subdifferential of each constraint with a nonzero multiplier,
+    and either each objective's limiting subdifferential or, when ``exact``,
+    the scalarized subdifferential of the y-weighted objectives.
+    """
+    pt = Point.of(z)
+    hulls = {
+        i: worst_case_subdiff(P.constraints[i], z, P.uncertainty, ACTIVE_TOL,
+                              grid).hull()
+        for i in range(P.n_constraints) if mu[i] > MU_ZERO_TOL
+    }
+    if exact:
+        subdiffs = [scalarized_subdiff(y, P.objectives, pt).best]
+        y = np.ones(1)
+    else:
+        subdiffs = [limiting_subdiff(f, pt, wrt="decision")
+                    for f in P.objectives]
+    return _residual(y, subdiffs, mu, hulls, P.decision_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -475,19 +499,25 @@ def _scan(P, analysis, hull_list, d, m, opts):
 
 
 def _try_direction(P, y, analysis, hull_list, opts):
+    """(mu, mode) when some piece selection at direction y passes its LP.
+
+    Outer mode selects one piece of each weighted objective subdifferential;
+    exact mode one piece of the scalarized subdifferential, when available.
+    """
     if opts.mode == "exact":
-        return _try_direction_exact(P, y, analysis, hull_list)
-    active_obj = [j for j in range(len(y)) if y[j] > 0]
-    counts = [len(analysis.objective_subdiffs[j].pieces) for j in active_obj]
-    feasible = []
-    for sel in itertools.product(*(range(c) for c in counts)):
-        piece_sets = _direction_piece_sets(y, analysis, sel, active_obj)
-        ok, x, _ = _selection_lp(piece_sets, hull_list)
-        if ok:
-            feasible.append(piece_sets)
+        try:
+            sc = scalarized_subdiff(y, P.objectives, analysis.point)
+        except UnsupportedComposition:
+            return None
+        mode_used = "exact" if sc.exact is not None else "outer"
+        candidates = [[(1.0, piece.vertices)] for piece in sc.best.pieces]
+    else:
+        mode_used = "outer"
+        candidates = _direction_piece_sets(y, analysis)
+    feasible = [ps for ps in candidates if _selection_lp(ps, hull_list)[0]]
     if not feasible:
         return None
-    return _balance(y, feasible, hull_list, analysis, P.n_constraints), "outer"
+    return _balance(y, feasible, hull_list, analysis, P.n_constraints), mode_used
 
 
 def _balance(y, feasible, hull_list, analysis, n_constraints):
@@ -509,26 +539,6 @@ def _balance(y, feasible, hull_list, analysis, n_constraints):
         return _extract_mu(x, piece_sets, hull_list, analysis.binding,
                            n_constraints)
     return best[1]
-
-
-def _try_direction_exact(P, y, analysis, hull_list):
-    """Exact-scalarization stationarity for one direction (when available)."""
-    try:
-        sc = scalarized_subdiff(y, P.objectives, analysis.point)
-    except UnsupportedComposition:
-        return None
-    union = sc.best
-    mode_used = "exact" if sc.exact is not None else "outer"
-    feasible = []
-    for piece in union.pieces:
-        piece_sets = [(1.0, piece.vertices)]
-        ok, x, _ = _selection_lp(piece_sets, hull_list)
-        if ok:
-            feasible.append(piece_sets)
-    if not feasible:
-        return None
-    mu = _balance(y, feasible, hull_list, analysis, P.n_constraints)
-    return mu, mode_used
 
 
 def _fj_solve(hull_list, d) -> Optional[np.ndarray]:
@@ -633,11 +643,7 @@ def _coarse_residual_scan(analysis, hull_list, m, duals
         if bound[row] > resid.min() + PRUNE_MARGIN:
             break
         unsolved[row] = False
-        y = Y[row]
-        active_obj = [j for j in range(m) if y[j] > 0]
-        counts = [len(subdiffs[j].pieces) for j in active_obj]
-        for sel in itertools.product(*(range(c) for c in counts)):
-            piece_sets = _direction_piece_sets(y, analysis, sel, active_obj)
+        for piece_sets in _direction_piece_sets(Y[row], analysis):
             out = _slack_lp(piece_sets, hull_list)
             if out is not None:
                 resid[row] = min(resid[row], out[0])
@@ -673,7 +679,6 @@ def verify_certificate(P: Problem, z, cert: KktCertificate,
                        tol: float = RESIDUAL_TOL,
                        grid: int = GRID_DEFAULT) -> VerificationReport:
     z = np.asarray(z, dtype=float)
-    d = P.decision_dim
     checks: Dict[str, bool] = {}
     details: Dict[str, str] = {}
     y = np.asarray(cert.y_star, dtype=float)
@@ -682,22 +687,8 @@ def verify_certificate(P: Problem, z, cert: KktCertificate,
     psi_vals = constraint_values(P, z, grid)
 
     # stationarity by explicit geometry
-    hulls: Dict[int, Polytope] = {}
-    for i in range(P.n_constraints):
-        if mu[i] > MU_ZERO_TOL:
-            hulls[i] = worst_case_subdiff(
-                P.constraints[i], z, P.uncertainty, ACTIVE_TOL, grid
-            ).hull()
-    if cert.mode == "exact":
-        sc = scalarized_subdiff(y, P.objectives, Point.of(z))
-        subdiffs = [sc.best]
-        y_eff = np.ones(1)
-    else:
-        subdiffs = [
-            limiting_subdiff(f, Point.of(z), wrt="decision") for f in P.objectives
-        ]
-        y_eff = y
-    distance = _residual(y_eff, subdiffs, mu, hulls, d)
+    distance = stationarity_distance(P, z, y, mu, grid,
+                                     exact=cert.mode == "exact")
     checks["stationarity"] = distance <= tol
     details["stationarity"] = f"distance {distance:.3e}"
 
@@ -747,60 +738,3 @@ def verify_certificate(P: Problem, z, cert: KktCertificate,
 
     ok = all(checks.values())
     return VerificationReport(ok, checks, float(distance), details)
-
-
-# ---------------------------------------------------------------------------
-# necessary condition for proper efficiency
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ProperNecessaryReport:
-    ok: bool
-    interior_margin: float
-    min_value: float
-    argmin: np.ndarray
-    feasible_points: int
-
-    def to_jsonable(self) -> dict:
-        return {
-            "ok": bool(self.ok),
-            "interior_margin": float(self.interior_margin),
-            "min_value": float(self.min_value),
-            "argmin": [float(v) for v in np.atleast_1d(self.argmin)],
-            "feasible_points": int(self.feasible_points),
-        }
-
-
-def check_proper_necessary(P: Problem, z, y_star, grid: int = 101,
-                           tol: float = 1e-9,
-                           ugrid: int = GRID_DEFAULT) -> ProperNecessaryReport:
-    """Scan: does z minimize <y_star, f> over the feasible box grid?
-
-    A positive-interior weight vector whose scalarization is minimized at z is
-    the defining witness of proper behavior; this checks the minimization on a
-    finite grid (necessary-side evidence, not a proof over the continuum).
-    """
-    z = np.asarray(z, dtype=float)
-    y = np.asarray(y_star, dtype=float)
-    Z = P.box_grid(grid)
-    feas = np.ones(len(Z), dtype=bool)
-    for g in P.constraints:
-        feas &= worst_case_values_batch(g, Z, P.uncertainty, ugrid) <= tol
-    margin = P.cone.dual_margin(y)
-    if not np.any(feas):
-        return ProperNecessaryReport(False, float(margin), np.inf,
-                                     np.full(P.decision_dim, np.nan), 0)
-    F = P.objective_values_batch(Z[feas])
-    base = P.objective_values(z)
-    scores = (F - base) @ y
-    idx = int(np.argmin(scores))
-    min_value = float(scores[idx])
-    ok = min_value >= -tol and margin > 0
-    return ProperNecessaryReport(
-        ok=ok,
-        interior_margin=float(margin),
-        min_value=min_value,
-        argmin=Z[feas][idx],
-        feasible_points=int(np.sum(feas)),
-    )

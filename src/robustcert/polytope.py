@@ -9,7 +9,7 @@ claimed exact, when True it is only guaranteed to be a superset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np

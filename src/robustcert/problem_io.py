@@ -39,6 +39,17 @@ def _require(data: dict, key: str, kind, where: str):
     return value
 
 
+def _numbers(data: dict, key: str, where: str) -> np.ndarray:
+    """A list field as a float array; ``json`` lets NaN and Infinity through."""
+    try:
+        values = np.asarray(_require(data, key, list, where), dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ProblemFormatError(f"'{key}' in {where} must hold numbers") from err
+    if not np.all(np.isfinite(values)):
+        raise ProblemFormatError(f"'{key}' in {where} must be finite")
+    return values
+
+
 def problem_from_dict(data: dict) -> Problem:
     if not isinstance(data, dict):
         raise ProblemFormatError("problem description must be a JSON object")
@@ -71,12 +82,12 @@ def problem_from_dict(data: dict) -> Problem:
     u_type = _require(u_data, "type", str, "uncertainty")
     if u_type == "box":
         uncertainty = UncertaintySet.box(
-            _require(u_data, "lower", list, "uncertainty"),
-            _require(u_data, "upper", list, "uncertainty"),
+            _numbers(u_data, "lower", "uncertainty"),
+            _numbers(u_data, "upper", "uncertainty"),
         )
     elif u_type == "finite":
         uncertainty = UncertaintySet.finite(
-            _require(u_data, "points", list, "uncertainty")
+            _numbers(u_data, "points", "uncertainty")
         )
     else:
         raise ProblemFormatError(f"unknown uncertainty type '{u_type}'")
@@ -91,7 +102,7 @@ def problem_from_dict(data: dict) -> Problem:
     if cone_type == "orthant":
         cone = ConeSpec.orthant(m)
     elif cone_type == "generators":
-        cone = ConeSpec.from_rays(_require(cone_data, "rays", list, "cone"))
+        cone = ConeSpec.from_rays(_numbers(cone_data, "rays", "cone"))
         if cone.dim != m:
             raise ProblemFormatError(
                 f"cone dimension {cone.dim} != number of objectives {m}"
@@ -100,8 +111,8 @@ def problem_from_dict(data: dict) -> Problem:
         raise ProblemFormatError(f"unknown cone type '{cone_type}'")
 
     box_data = _require(data, "box", dict, "problem")
-    lower = np.asarray(_require(box_data, "lower", list, "box"), dtype=float)
-    upper = np.asarray(_require(box_data, "upper", list, "box"), dtype=float)
+    lower = _numbers(box_data, "lower", "box")
+    upper = _numbers(box_data, "upper", "box")
     if lower.shape != (d,) or upper.shape != (d,):
         raise ProblemFormatError("decision box bounds must have length decision_dim")
     if np.any(lower > upper):

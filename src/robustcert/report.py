@@ -18,14 +18,13 @@ from .constraints import (ACTIVE_TOL, FEAS_TOL, GRID_DEFAULT, PointAnalysis,
 from .convexity import DEFAULT_SAMPLES, DEFAULT_Y_EDGE, classify_type
 from .duality import (DualTriple, converse_duality_check, is_dual_feasible,
                       strong_duality_construct, weak_duality_test)
-from .efficiency import (EFFICIENCY_GRID, EfficiencyContext, certify_efficient,
-                         certify_proper, certify_weak, grid_context)
+from .efficiency import (EFFICIENCY_GRID, PROPER_EPS, certify_efficient,
+                         certify_proper, certify_weak)
 from .kkt import (RESIDUAL_TOL, KktCertificate, KktOptions,
                   NotFoundAtResolution, check_cq, find_kkt_certificate,
                   verify_certificate)
 
 SCHEMA_VERSION = 1
-PROPER_EPS = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -117,18 +116,16 @@ def convexity_section(P: Problem, z, samples: int = DEFAULT_SAMPLES,
 
 def efficiency_section(P: Problem, z, grid: int = EFFICIENCY_GRID,
                        ugrid: int = GRID_DEFAULT,
-                       eps: float = PROPER_EPS,
-                       context: Optional[EfficiencyContext] = None) -> dict:
-    ctx = context if context is not None else grid_context(P, grid, ugrid)
+                       eps: float = PROPER_EPS) -> dict:
     return {
         "grid": int(grid),
         "box": {
             "lower": [float(v) for v in P.box_lower],
             "upper": [float(v) for v in P.box_upper],
         },
-        "weak": certify_weak(P, z, grid, ugrid, ctx).to_jsonable(),
-        "efficient": certify_efficient(P, z, grid, ugrid, ctx).to_jsonable(),
-        "proper": certify_proper(P, z, grid, eps, ugrid, ctx).to_jsonable(),
+        "weak": certify_weak(P, z, grid, ugrid).to_jsonable(),
+        "efficient": certify_efficient(P, z, grid, ugrid).to_jsonable(),
+        "proper": certify_proper(P, z, grid, eps, ugrid).to_jsonable(),
     }
 
 
@@ -136,14 +133,11 @@ def duality_section(P: Problem, z=None, triple: Optional[DualTriple] = None,
                     cert: Optional[KktCertificate] = None,
                     strict: bool = False, tol: float = RESIDUAL_TOL,
                     grid: int = EFFICIENCY_GRID,
-                    ugrid: int = GRID_DEFAULT,
-                    context: Optional[EfficiencyContext] = None) -> dict:
+                    ugrid: int = GRID_DEFAULT) -> dict:
     """Dual-side suite at a triple.
 
     The triple may be supplied directly or derived from a certificate at z;
     when neither is available the section reports itself skipped.
-    ``context`` is the feasible grid of (P, grid, ugrid); built when not
-    given.
     """
     if triple is None:
         if cert is None or z is None:
@@ -151,20 +145,19 @@ def duality_section(P: Problem, z=None, triple: Optional[DualTriple] = None,
                                "(no certificate found at this point)"}
         triple = strong_duality_construct(P, z, cert)
     mode = "strict" if strict else "default"
-    ctx = context if context is not None else grid_context(P, grid, ugrid)
     feas = is_dual_feasible(P, triple, mode, tol, ugrid)
     out = {
         "triple": triple.to_jsonable(),
         "mode": mode,
         "tol": float(tol),
         "feasibility": feas.to_jsonable(),
-        "weak_typeI": weak_duality_test(P, triple, "typeI", grid, ugrid,
-                                        ctx).to_jsonable(),
-        "weak_typeII": weak_duality_test(P, triple, "typeII", grid, ugrid,
-                                         ctx).to_jsonable(),
+        "weak_typeI": weak_duality_test(P, triple, "typeI", grid,
+                                        ugrid).to_jsonable(),
+        "weak_typeII": weak_duality_test(P, triple, "typeII", grid,
+                                         ugrid).to_jsonable(),
         # the converse check reads the default-mode report at RESIDUAL_TOL
         "converse": converse_duality_check(
-            P, triple, grid, ugrid, ctx,
+            P, triple, grid, ugrid,
             feas if mode == "default" and tol == RESIDUAL_TOL else None,
         ).to_jsonable(),
     }
@@ -185,8 +178,8 @@ def build_report(P: Problem, command: str, z, *, tol: float = RESIDUAL_TOL,
                  point_text: str = "") -> dict:
     """Run the checks requested by ``command`` and assemble one report dict.
 
-    ``report`` computes the point data at z and the feasible grid once and
-    shares them between its sections.
+    ``report`` computes the point data at z once and shares it between its
+    sections; the feasible grid is memoized per process (``grid_context``).
     """
     opts = KktOptions(y_grid=ygrid, tol=tol,
                       mode="exact" if exact_scalarization else "outer",
@@ -235,7 +228,9 @@ def build_report(P: Problem, command: str, z, *, tol: float = RESIDUAL_TOL,
                                             tol, grid, ugrid)
     elif command == "report":
         analysis = analyze_point(P, z, ugrid)
-        ctx = grid_context(P, grid, ugrid)
+        # efficiency first: building the feasible grid after the point
+        # sections raised the peak memory of a CLI report
+        report["efficiency"] = efficiency_section(P, z, grid, ugrid)
         report["feasibility"] = feasibility_section(P, z, tol, ugrid,
                                                     analysis)
         report["subdifferentials"] = subdiff_section(P, z, ugrid, analysis)
@@ -243,13 +238,11 @@ def build_report(P: Problem, command: str, z, *, tol: float = RESIDUAL_TOL,
         report["kkt"] = kkt_section(P, z, opts, analysis)
         report["convexity"] = convexity_section(P, z, samples, seed,
                                                 ugrid=ugrid, analysis=analysis)
-        report["efficiency"] = efficiency_section(P, z, grid, ugrid,
-                                                  context=ctx)
         cert = None
         if report["kkt"]["found"]:
             cert = KktCertificate.from_jsonable(report["kkt"]["certificate"])
         report["duality"] = duality_section(P, z, triple, cert, strict_dual,
-                                            tol, grid, ugrid, ctx)
+                                            tol, grid, ugrid)
     else:
         raise ValueError(f"unknown command {command!r}")
     return report

@@ -234,10 +234,7 @@ def unpruned_kkt_search(P, z, options):
     coarse = loop_simplex_indices(m, kkt.COARSE_EDGE)
     best = (np.inf, None)
     for y in coarse.astype(float) / kkt.COARSE_EDGE:
-        active = [j for j in range(m) if y[j] > 0]
-        counts = [len(a.objective_subdiffs[j].pieces) for j in active]
-        for sel in itertools.product(*(range(c) for c in counts)):
-            piece_sets = kkt._direction_piece_sets(y, a, sel, active)
+        for piece_sets in kkt._direction_piece_sets(y, a):
             out = kkt._slack_lp(piece_sets, hull_list)
             if out is not None and out[0] < best[0]:
                 best = (out[0], y.copy())

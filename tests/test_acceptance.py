@@ -21,10 +21,10 @@ from robustcert.convexity import (STRICT, ConvexityWitness, classify_type,
 from robustcert.duality import (converse_duality_check, is_dual_feasible,
                                 strong_duality_construct, weak_duality_test)
 from robustcert.efficiency import (certify_efficient, certify_proper,
-                                   certify_weak, grid_context)
+                                   certify_weak, check_proper_necessary)
 from robustcert.expr import ActiveKinkError, Point, evaluate, grad_smooth
-from robustcert.kkt import (KktCertificate, check_cq, check_proper_necessary,
-                            find_kkt_certificate, verify_certificate)
+from robustcert.kkt import (KktCertificate, check_cq, find_kkt_certificate,
+                            verify_certificate)
 from robustcert.polytope import Polytope
 from robustcert.problem_io import load_problem
 from robustcert.subdiff import limiting_subdiff, scalarized_subdiff
@@ -352,14 +352,13 @@ def test_criterion_7_subdifferential_properties(problems):
 def test_criterion_8_efficiency_hierarchy(problems):
     rng = np.random.default_rng(77)
     for P in problems.values():
-        ctx = grid_context(P, 101)
         points = [ANCHORS[P.label]]
         while len(points) < 21:
             base = rng.uniform(P.box_lower, P.box_upper)
             points.append(base)
         for z in points:
-            weak = certify_weak(P, z, 101, context=ctx).certified
-            efficient = certify_efficient(P, z, 101, context=ctx).certified
-            proper = certify_proper(P, z, 101, context=ctx).certified
+            weak = certify_weak(P, z, 101).certified
+            efficient = certify_efficient(P, z, 101).certified
+            proper = certify_proper(P, z, 101).certified
             assert (not proper) or efficient, (P.label, z)
             assert (not efficient) or weak, (P.label, z)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from robustcert.cli import main
+from robustcert.problem_io import fixture_path
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_DIR = os.path.join(REPO_ROOT, "src")
@@ -168,6 +169,36 @@ class TestExitCodes:
     def test_malformed_triple_is_usage_error(self, capsys):
         assert main(["dual", "--problem", "ex3_2",
                      "--triple", "{not json"]) == 1
+
+    @pytest.mark.parametrize("argv,name", [
+        (["check", "--point", "nan,0"], "--point"),
+        (["kkt", "--point", "nan,1"], "--point"),
+        (["efficiency", "--point", "0,inf"], "--point"),
+        (["dual", "--triple",
+          '{"y": [0, 1], "y_star": [NaN, 0, 0.5], "mu": [0.5, 0]}'],
+         "--triple"),
+        (["dual", "--triple",
+          '{"y": [NaN, 1], "y_star": [0.5, 0, 0.5], "mu": [0.5, 0]}'],
+         "--triple"),
+        (["convexity", "--point", "0,1", "--samples", "10", "--seed", "-1"],
+         "--seed"),
+        (["check", "--point", "0.5,0", "--tol", "inf"], "--tol"),
+    ])
+    def test_bad_number_is_usage_error(self, capsys, argv, name):
+        assert main(argv[:1] + ["--problem", "ex3_2"] + argv[1:]) == 1
+        assert name in capsys.readouterr().err
+
+    def test_non_finite_problem_number_is_usage_error(self, capsys,
+                                                      tmp_path):
+        # an infinite box bound gives an empty grid, over which every
+        # certifier holds vacuously
+        data = json.loads(fixture_path("ex3_2").read_text())
+        data["box"]["upper"][1] = float("inf")
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(data))
+        assert main(["efficiency", "--problem", str(path),
+                     "--point", "0,1"]) == 1
+        assert "finite" in capsys.readouterr().err
 
     def test_unsupported_composition_is_internal_failure(self, capsys,
                                                          tmp_path):

@@ -332,6 +332,9 @@ def test_box_grid_contains_reference_point():
     assert any(np.allclose(row, [0.0, 1.0], atol=0) for row in grid)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 @pytest.mark.parametrize(
     "mutate,message",
     [
@@ -343,6 +346,21 @@ def test_box_grid_contains_reference_point():
         (
             lambda d: d.update(cone={"type": "generators", "rays": [[1, 0], [0, 1]]}),
             "cone dimension",
+        ),
+        # json.loads reads NaN and Infinity, so the loader must reject them
+        (lambda d: d["box"].update(lower=[-INF, -5]), "finite"),
+        (lambda d: d["box"].update(upper=[1, INF]), "finite"),
+        (lambda d: d["uncertainty"].update(lower=[NAN]), "finite"),
+        (lambda d: d["uncertainty"].update(upper=[INF]), "finite"),
+        (
+            lambda d: d.update(uncertainty={"type": "finite",
+                                            "points": [[0.5], [NAN]]}),
+            "finite",
+        ),
+        (
+            lambda d: d.update(cone={"type": "generators",
+                                     "rays": [[1, 0, 0], [0, 1, 0], [0, 0, INF]]}),
+            "finite",
         ),
     ],
 )

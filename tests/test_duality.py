@@ -13,7 +13,6 @@ from robustcert.duality import (
     strong_duality_construct,
     weak_duality_test,
 )
-from robustcert.efficiency import grid_context
 from robustcert.kkt import find_kkt_certificate
 from robustcert.problem_io import load_problem
 
@@ -29,16 +28,6 @@ def ex3_2():
 @pytest.fixture(scope="module")
 def ex2_2():
     return load_problem("ex2_2")
-
-
-@pytest.fixture(scope="module")
-def ctx32(ex3_2):
-    return grid_context(ex3_2)
-
-
-@pytest.fixture(scope="module")
-def ctx22(ex2_2):
-    return grid_context(ex2_2)
 
 
 @pytest.fixture(scope="module")
@@ -109,17 +98,16 @@ def test_min_over_uncertainty_helper(ex3_2):
 
 
 class TestWeakDuality:
-    def test_holds_for_strong_triple_both_kinds(self, ex3_2, strong_triple,
-                                                ctx32):
-        r1 = weak_duality_test(ex3_2, strong_triple, "typeI", context=ctx32)
-        r2 = weak_duality_test(ex3_2, strong_triple, "typeII", context=ctx32)
+    def test_holds_for_strong_triple_both_kinds(self, ex3_2, strong_triple):
+        r1 = weak_duality_test(ex3_2, strong_triple, "typeI")
+        r2 = weak_duality_test(ex3_2, strong_triple, "typeII")
         assert r1.holds and r2.holds
         assert r1.checked_points == 7231
         assert r1.first_violation is None
 
-    def test_detects_dominated_dual_point(self, ex2_2, ctx22):
+    def test_detects_dominated_dual_point(self, ex2_2):
         triple = DualTriple(Z22, np.array([0.3, 0.3, 0.4]), np.zeros(2))
-        rep = weak_duality_test(ex2_2, triple, "typeI", context=ctx22)
+        rep = weak_duality_test(ex2_2, triple, "typeI")
         assert not rep.holds
         np.testing.assert_allclose(rep.first_violation, [-0.2, -5.0],
                                    atol=1e-12)
@@ -130,9 +118,9 @@ class TestWeakDuality:
         with pytest.raises(ValueError):
             weak_duality_test(ex3_2, strong_triple, kind="typeIII")
 
-    def test_serialization(self, ex2_2, ctx22):
+    def test_serialization(self, ex2_2):
         triple = DualTriple(Z22, np.array([0.3, 0.3, 0.4]), np.zeros(2))
-        rep = weak_duality_test(ex2_2, triple, "typeI", context=ctx22)
+        rep = weak_duality_test(ex2_2, triple, "typeI")
         blob = json.loads(json.dumps(rep.to_jsonable()))
         assert blob["holds"] is False
         assert blob["kind"] == "typeI"
@@ -159,16 +147,16 @@ def test_strong_triple_serialization(strong_triple):
     np.testing.assert_allclose(back.multipliers, strong_triple.multipliers)
 
 
-def test_converse_duality_consistent(ex3_2, strong_triple, ctx32):
-    rep = converse_duality_check(ex3_2, strong_triple, context=ctx32)
+def test_converse_duality_consistent(ex3_2, strong_triple):
+    rep = converse_duality_check(ex3_2, strong_triple)
     assert rep.applicable
     assert rep.weakly_efficient
     assert rep.consistent
     assert rep.feasibility.feasible
 
 
-def test_converse_duality_not_applicable_for_infeasible_triple(ex3_2, ctx32):
+def test_converse_duality_not_applicable_for_infeasible_triple(ex3_2):
     triple = DualTriple(Z32, np.zeros(3), np.zeros(2))
-    rep = converse_duality_check(ex3_2, triple, context=ctx32)
+    rep = converse_duality_check(ex3_2, triple)
     assert not rep.applicable
     assert rep.consistent  # vacuously

@@ -46,16 +46,6 @@ def ctx32(ex3_2):
     return grid_context(ex3_2)
 
 
-@pytest.fixture(scope="module")
-def ctx22(ex2_2):
-    return grid_context(ex2_2)
-
-
-@pytest.fixture(scope="module")
-def ctx23(ex2_3):
-    return grid_context(ex2_3)
-
-
 # ---------------------------------------------------------------------------
 # fixture certifications
 # ---------------------------------------------------------------------------
@@ -63,25 +53,25 @@ def ctx23(ex2_3):
 
 class TestFixtureCertifications:
     def test_anchor_point_passes_all_three(self, ex3_2, ctx32):
-        w = certify_weak(ex3_2, Z32, context=ctx32)
-        e = certify_efficient(ex3_2, Z32, context=ctx32)
-        p = certify_proper(ex3_2, Z32, context=ctx32)
+        w = certify_weak(ex3_2, Z32)
+        e = certify_efficient(ex3_2, Z32)
+        p = certify_proper(ex3_2, Z32)
         assert w.certified and e.certified and p.certified
         assert w.counterexample is None
         assert len(ctx32.Z) == 7231  # feasible grid points
         # witness weights satisfy the interior margin
         assert np.all(p.witness_y >= 1e-3 - 1e-12)
 
-    def test_piecewise_linear_point_strictly_dominated(self, ex2_2, ctx22):
-        w = certify_weak(ex2_2, Z22, context=ctx22)
+    def test_piecewise_linear_point_strictly_dominated(self, ex2_2):
+        w = certify_weak(ex2_2, Z22)
         assert not w.certified
         np.testing.assert_allclose(w.counterexample, [-0.2, -5.0], atol=1e-12)
         np.testing.assert_allclose(
             w.counterexample_values, [-0.2, -8.9, -0.7], atol=1e-9
         )
 
-    def test_piecewise_linear_point_dominated_with_tie(self, ex2_2, ctx22):
-        e = certify_efficient(ex2_2, Z22, context=ctx22)
+    def test_piecewise_linear_point_dominated_with_tie(self, ex2_2):
+        e = certify_efficient(ex2_2, Z22)
         assert not e.certified
         # earlier grid column: first objective ties exactly, others drop
         np.testing.assert_allclose(e.counterexample, [-0.24, -5.0], atol=1e-12)
@@ -89,15 +79,15 @@ class TestFixtureCertifications:
             e.counterexample_values, [0.0, -8.88, -0.54], atol=1e-9
         )
 
-    def test_piecewise_linear_point_not_proper(self, ex2_2, ctx22):
-        p = certify_proper(ex2_2, Z22, context=ctx22)
+    def test_piecewise_linear_point_not_proper(self, ex2_2):
+        p = certify_proper(ex2_2, Z22)
         assert not p.certified
         assert p.witness_y is None
         assert any("no interior weight" in n for n in p.notes)
 
-    def test_quadratic_point_dominated_on_axis(self, ex2_3, ctx23):
-        w = certify_weak(ex2_3, Z22, context=ctx23)
-        e = certify_efficient(ex2_3, Z22, context=ctx23)
+    def test_quadratic_point_dominated_on_axis(self, ex2_3):
+        w = certify_weak(ex2_3, Z22)
+        e = certify_efficient(ex2_3, Z22)
         assert not w.certified and not e.certified
         np.testing.assert_allclose(w.counterexample, [0.0, -2.48], atol=1e-12)
         np.testing.assert_allclose(
@@ -106,10 +96,11 @@ class TestFixtureCertifications:
 
 
 def test_context_and_direct_paths_agree(ex3_2, ctx32):
-    direct = certify_weak(ex3_2, Z32)
-    cached = certify_weak(ex3_2, Z32, context=ctx32)
-    assert direct.certified == cached.certified
-    assert direct.feasible_points == cached.feasible_points
+    # every certifier scans the grid that grid_context returns
+    for rep in (certify_weak(ex3_2, Z32), certify_efficient(ex3_2, Z32),
+                certify_proper(ex3_2, Z32)):
+        assert rep.grid == 101
+        assert rep.feasible_points == len(ctx32.Z)
 
 
 def test_infeasible_point_is_rejected_up_front(ex3_2):
@@ -152,27 +143,24 @@ def test_generator_cone_blocks_componentwise_domination():
 # ---------------------------------------------------------------------------
 
 
-def test_implication_chain_on_fixture_grid(ex3_2, ex2_2, ex2_3,
-                                           ctx32, ctx22, ctx23):
+def test_implication_chain_on_fixture_grid(ex3_2, ex2_2, ex2_3):
     rng = np.random.default_rng(7)
     cases = []
-    for P, ctx, anchor in (
-        (ex3_2, ctx32, Z32), (ex2_2, ctx22, Z22), (ex2_3, ctx23, Z22)
-    ):
-        cases.append((P, ctx, anchor))
+    for P, anchor in ((ex3_2, Z32), (ex2_2, Z22), (ex2_3, Z22)):
+        cases.append((P, anchor))
         for _ in range(5):
             z = P.box_lower + (P.box_upper - P.box_lower) * rng.uniform(size=2)
-            cases.append((P, ctx, z))
-    for P, ctx, z in cases:
-        w = certify_weak(P, z, context=ctx)
-        e = certify_efficient(P, z, context=ctx)
-        p = certify_proper(P, z, context=ctx)
+            cases.append((P, z))
+    for P, z in cases:
+        w = certify_weak(P, z)
+        e = certify_efficient(P, z)
+        p = certify_proper(P, z)
         assert (not p.certified) or e.certified
         assert (not e.certified) or w.certified
 
 
 def test_proper_witness_satisfies_lp_conditions(ex3_2, ctx32):
-    p = certify_proper(ex3_2, Z32, context=ctx32)
+    p = certify_proper(ex3_2, Z32)
     y = p.witness_y
     assert np.all(y >= 1e-3 - 1e-12)
     assert np.sum(y) == pytest.approx(1.0, abs=1e-9)
@@ -250,12 +238,12 @@ class TestSufficiencyRules:
         assert any("degenerate" in r for r in rep.reasons)
 
 
-def test_report_serialization(ex2_2, ex3_2, ctx22, ctx32):
-    w = certify_weak(ex2_2, Z22, context=ctx22)
+def test_report_serialization(ex2_2, ex3_2):
+    w = certify_weak(ex2_2, Z22)
     blob = json.loads(json.dumps(w.to_jsonable()))
     assert blob["certified"] is False
     assert blob["counterexample"] == pytest.approx([-0.2, -5.0], abs=1e-12)
-    p = certify_proper(ex3_2, Z32, context=ctx32)
+    p = certify_proper(ex3_2, Z32)
     blob = json.loads(json.dumps(p.to_jsonable()))
     assert blob["certified"] is True
     assert len(blob["witness_y"]) == 3
@@ -281,7 +269,6 @@ def _cold(P, grid=101, ugrid=1001):
 def _assert_same_context(a, b):
     np.testing.assert_array_equal(a.Z, b.Z)
     np.testing.assert_array_equal(a.F, b.F)
-    assert (a.grid, a.total_points) == (b.grid, b.total_points)
 
 
 def _with_constraint(P, i, source):
@@ -293,7 +280,7 @@ def _with_constraint(P, i, source):
 def test_second_call_reuses_the_grid(ex3_2, empty_memo, monkeypatch):
     first = grid_context(ex3_2)
     calls = []
-    monkeypatch.setattr(efficiency, "worst_case_values_batch",
+    monkeypatch.setattr(efficiency, "worst_case_matrix",
                         lambda *a, **k: calls.append(a))
     assert grid_context(load_problem("ex3_2")) is first
     assert calls == []

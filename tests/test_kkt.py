@@ -8,6 +8,7 @@ import pytest
 
 from robustcert import kkt
 from robustcert.constraints import analyze_point
+from robustcert.efficiency import check_proper_necessary
 from robustcert.expr import Point
 from robustcert.kkt import (
     KktCertificate,
@@ -16,7 +17,6 @@ from robustcert.kkt import (
     _prefilter,
     _simplex_indices,
     check_cq,
-    check_proper_necessary,
     find_kkt_certificate,
     verify_certificate,
 )
@@ -284,11 +284,8 @@ def test_dual_bounds_hold_on_every_direction(name, z):
     _, duals = kkt._lifted_lps(a, hull_list)
     resid = np.full(len(Y), np.inf)
     for row, y in enumerate(Y):
-        active = [j for j in range(m) if y[j] > 0]
-        counts = [len(subdiffs[j].pieces) for j in active]
-        for sel in itertools.product(*(range(c) for c in counts)):
-            r, w = kkt._slack_lp(
-                kkt._direction_piece_sets(y, a, sel, active), hull_list)
+        for piece_sets in kkt._direction_piece_sets(y, a):
+            r, w = kkt._slack_lp(piece_sets, hull_list)
             resid[row] = min(resid[row], r)
             duals.append(w)
             if one_piece:
@@ -408,7 +405,8 @@ def test_certificate_json_round_trip(ref_cert):
 
 
 # ---------------------------------------------------------------------------
-# necessary side of proper behavior
+# necessary side of proper behavior (the check lives in efficiency, beside
+# the feasible grid it scans)
 # ---------------------------------------------------------------------------
 
 

@@ -34,7 +34,7 @@ COUNTED = (
     (constraints, "active_uncertainty"),
     (constraints, "worst_case_subdiff"),
     (constraints, "worst_case_values_batch"),
-    (efficiency, "grid_context"),
+    (efficiency, "_build_grid_context"),
     (duality, "is_dual_feasible"),
 )
 
@@ -60,10 +60,11 @@ def calls(monkeypatch):
 
 
 def test_report_with_certificate_computes_the_point_once(calls):
+    efficiency._contexts.clear()
     build_report(load_problem("ex3_2"), "report", [0.0, 1.0])
     # the analysis, verify_certificate and the converse duality check
     assert calls["constraint_values"] <= 3
-    assert calls["grid_context"] == 1
+    assert calls["_build_grid_context"] == 1
 
 
 def test_report_checks_dual_feasibility_once(calls):
