@@ -14,11 +14,12 @@ from typing import Optional
 
 import numpy as np
 
-from .constraints import GRID_DEFAULT, Problem, ProblemFormatError
+from .constraints import (GRID_DEFAULT, MAX_LATTICE_ROWS, Problem,
+                          ProblemFormatError, box_lattice_rows)
 from .convexity import DEFAULT_SAMPLES
 from .duality import DualTriple
 from .efficiency import EFFICIENCY_GRID
-from .kkt import RESIDUAL_TOL
+from .kkt import RESIDUAL_TOL, simplex_rows
 from .problem_io import load_problem
 from .report import build_report, render_json, render_text
 
@@ -132,6 +133,23 @@ def _validate_numbers(args) -> None:
         raise UsageError("--seed must be non-negative")
 
 
+def _validate_lattices(args, P: Problem) -> None:
+    """Refuse a grid size whose lattice would exceed MAX_LATTICE_ROWS."""
+    rows = {
+        "grid": box_lattice_rows(P.box_lower, P.box_upper, args.grid),
+        "ygrid": simplex_rows(P.n_objectives, args.ygrid - 1),
+    }
+    U = P.uncertainty
+    if U.kind == "box":
+        rows["ugrid"] = box_lattice_rows(U.lower, U.upper, args.ugrid)
+    for name, n in rows.items():
+        if n > MAX_LATTICE_ROWS:
+            raise UsageError(
+                f"--{name} {getattr(args, name)} gives a lattice of {n:,} "
+                f"rows on this problem; the limit is {MAX_LATTICE_ROWS:,}"
+            )
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -142,6 +160,7 @@ def main(argv=None) -> int:
     try:
         _validate_numbers(args)
         P = _load(args.problem)
+        _validate_lattices(args, P)
         triple: Optional[DualTriple] = None
         if args.command == "dual" and args.triple:
             triple = _parse_triple(args.triple, P)

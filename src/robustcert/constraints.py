@@ -38,14 +38,33 @@ EXTENT_TOL = 1e-6
 CHUNK_ELEMENTS = 2000 * 1001
 # default slack for robust feasibility
 FEAS_TOL = 1e-9
+# rows a decision, uncertainty or weight lattice may have (240 MB for three
+# float columns); a larger lattice is refused before anything is allocated
+MAX_LATTICE_ROWS = 10**7
 
 
 class ProblemFormatError(Exception):
     """Malformed problem description."""
 
 
+class LatticeTooLarge(ValueError):
+    """A requested lattice has more than ``MAX_LATTICE_ROWS`` rows."""
+
+
+def check_lattice_rows(rows: int) -> None:
+    if rows > MAX_LATTICE_ROWS:
+        raise LatticeTooLarge(f"a lattice of {rows:,} rows exceeds the "
+                              f"limit of {MAX_LATTICE_ROWS:,}")
+
+
+def box_lattice_rows(lower, upper, n: int) -> int:
+    """Rows of ``box_lattice(lower, upper, n)``, in exact integer arithmetic."""
+    return int(n) ** sum(1 for lo, hi in zip(lower, upper) if lo != hi)
+
+
 def box_lattice(lower, upper, n: int) -> np.ndarray:
     """(n^k, k) row-major grid over a box; a zero-width axis keeps one point."""
+    check_lattice_rows(box_lattice_rows(lower, upper, n))
     axes = [np.linspace(lo, hi, 1 if lo == hi else n)
             for lo, hi in zip(lower, upper)]
     if not axes:

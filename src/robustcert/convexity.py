@@ -23,18 +23,28 @@ over the decision box (integer coordinates first, then halves, quarters, ...),
 the rest are uniform draws from a fixed-seed PCG64 generator.  The lattice
 guarantees that structured rational points — where piecewise-linear ties
 typically live — are reached deterministically.
+
+The stream, its worst-case and objective values and the dual weight grid do
+not depend on the point, so each process keeps them per problem content,
+seed and ``ugrid`` (the stream's first ``STREAM_ROWS`` rows, evaluated a
+chunk at a time as scans first reach them) and per cone and resolution (the
+weight grid), read-only.  Only the point-dependent part of a scan — steps,
+value changes, support matrices, the first violation and its revalidation —
+runs at every call.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .constraints import (
+    FEAS_TOL,
     GRID_DEFAULT,
     PointAnalysis,
     Problem,
@@ -44,6 +54,7 @@ from .constraints import (
 )
 from .polytope import dedup_rows
 from .kkt import _simplex_indices
+from .memo import LruMemo, cone_key, content_key
 
 # premise tolerances: strict decrease must clear this, ties may sit within it
 PREMISE_TOL = 1e-12
@@ -57,6 +68,13 @@ SAME_POINT_TOL = 1e-12
 DEFAULT_SAMPLES = 2000
 DEFAULT_Y_EDGE = 24
 CHUNK = 1000
+# per-process memos, the least recently used entry dropped first: sample
+# streams per (problem content, seed, ugrid) and weight grids per (cone, edge)
+STREAM_ENTRIES = 8
+WEIGHT_GRID_ENTRIES = 8
+# leading stream rows a memo entry keeps (about 0.2 MB at d = 2 with three
+# objectives and two constraints); later rows are evaluated per scan
+STREAM_ROWS = 2 * DEFAULT_SAMPLES
 
 PSEUDO = "pseudo"
 STRICT = "strict"
@@ -173,16 +191,117 @@ def _candidate_stream(P: Problem, seed: int) -> Iterator[np.ndarray]:
         yield P.box_lower + width * rng.uniform(size=P.decision_dim)
 
 
+@dataclass(frozen=True)
+class _Samples:
+    """Consecutive stream rows with the values every scan of them reads."""
+
+    Z: np.ndarray      # (n, d) candidates
+    psi: np.ndarray    # (n, n_constraints) grid worst-case values
+    feas: np.ndarray   # (n,) robust feasible
+    F: np.ndarray      # (n, m) objective values, NaN at infeasible rows
+
+    def __getitem__(self, rows: slice) -> "_Samples":
+        return _Samples(self.Z[rows], self.psi[rows], self.feas[rows],
+                        self.F[rows])
+
+    def concat(self, other: "_Samples") -> "_Samples":
+        return _Samples(*(np.concatenate([a, b]) for a, b in (
+            (self.Z, other.Z), (self.psi, other.psi),
+            (self.feas, other.feas), (self.F, other.F))))
+
+
+def _evaluate_samples(P: Problem, stream: Iterator[np.ndarray], n: int,
+                      ugrid: int) -> _Samples:
+    """Draw the next ``n`` candidates of ``stream`` and evaluate them."""
+    Z = np.array([next(stream) for _ in range(n)])
+    psi = worst_case_matrix(P, Z, ugrid)
+    feas = np.all(psi <= FEAS_TOL, axis=1)
+    F = np.full((n, P.n_objectives), np.nan)
+    if np.any(feas):
+        F[feas] = P.objective_values_batch(Z[feas])
+    return _Samples(Z, psi, feas, F)
+
+
+class _SharedStream:
+    """The leading rows of one candidate stream, evaluated once per process.
+
+    Rows are evaluated when a scan first reaches them and kept up to
+    ``STREAM_ROWS``.  Adding rows replaces the read-only arrays instead of
+    writing into them, so a scan's slices never change under it.
+    """
+
+    def __init__(self, P: Problem, seed: int, ugrid: int):
+        self._P, self._ugrid = P, ugrid
+        self._stream = _candidate_stream(P, seed)
+        self._lock = threading.Lock()
+        self._kept: Optional[_Samples] = None
+
+    def __len__(self) -> int:
+        return 0 if self._kept is None else len(self._kept.Z)
+
+    def first(self, stop: int) -> _Samples:
+        """At least the first ``stop`` rows."""
+        with self._lock:
+            have = len(self)
+            if stop > have:
+                new = _evaluate_samples(self._P, self._stream, stop - have,
+                                        self._ugrid)
+                kept = new if self._kept is None else self._kept.concat(new)
+                for a in (kept.Z, kept.psi, kept.feas, kept.F):
+                    a.setflags(write=False)
+                self._kept = kept
+            return self._kept
+
+
+_streams = LruMemo()
+
+
+def _sample_chunks(P: Problem, seed: int, ugrid: int, samples: int
+                   ) -> Iterator[Tuple[int, _Samples]]:
+    """(first sample index, rows) of each ``CHUNK`` of the first ``samples``.
+
+    Chunks that end within ``STREAM_ROWS`` come from the memo of (P's
+    content, seed, ugrid); later ones are drawn and evaluated afresh and not
+    kept.  A chunk is evaluated only when the scan asks for it.
+    """
+    shared = _streams.get((content_key(P), seed, ugrid),
+                          lambda: _SharedStream(P, seed, ugrid),
+                          STREAM_ENTRIES)
+    tail: Optional[Iterator[np.ndarray]] = None
+    for start in range(0, samples, CHUNK):
+        stop = min(start + CHUNK, samples)
+        if stop <= STREAM_ROWS:
+            yield start, shared.first(stop)[start:stop]
+            continue
+        if tail is None:
+            tail = itertools.islice(_candidate_stream(P, seed), start, None)
+        yield start, _evaluate_samples(P, tail, stop - start, ugrid)
+
+
 # ---------------------------------------------------------------------------
 # weight grid
 # ---------------------------------------------------------------------------
 
 
-def dual_weight_grid(P: Problem, edge: int = DEFAULT_Y_EDGE) -> np.ndarray:
-    """Simplex mixtures of the dual cone's extreme rays, in scan order."""
+def _build_weight_grid(P: Problem, edge: int) -> np.ndarray:
     rays = P.cone.dual_rays()
     lam = _simplex_indices(len(rays), edge).astype(float) / edge
-    return dedup_rows(lam @ rays, 1e-12)
+    Y = dedup_rows(lam @ rays, 1e-12)
+    Y.setflags(write=False)
+    return Y
+
+
+_weight_grids = LruMemo()
+
+
+def dual_weight_grid(P: Problem, edge: int = DEFAULT_Y_EDGE) -> np.ndarray:
+    """Simplex mixtures of the dual cone's extreme rays, in scan order.
+
+    Memoized per process on the cone and ``edge``; the array is read-only.
+    """
+    return _weight_grids.get((cone_key(P.cone), edge),
+                             lambda: _build_weight_grid(P, edge),
+                             WEIGHT_GRID_ENTRIES)
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +326,7 @@ def _objective_stacks(analysis: PointAnalysis) -> List[np.ndarray]:
 
 
 def _scan(P: Problem, z, kinds: Sequence[str], samples: int, seed: int,
-          y_edge: int, grid: int, analysis: Optional[PointAnalysis] = None,
-          chunk: int = CHUNK
+          y_edge: int, grid: int, analysis: Optional[PointAnalysis] = None
           ) -> Tuple[Dict[str, Optional[ConvexityWitness]], Dict[str, int]]:
     z = np.asarray(z, dtype=float)
     a = analysis if analysis is not None else analyze_point(P, z, grid)
@@ -219,24 +337,15 @@ def _scan(P: Problem, z, kinds: Sequence[str], samples: int, seed: int,
 
     found: Dict[str, Optional[ConvexityWitness]] = {k: None for k in kinds}
     used: Dict[str, int] = {k: samples for k in kinds}
-    stream = _candidate_stream(P, seed)
-    drawn = 0
-    while drawn < samples and any(found[k] is None for k in kinds):
-        batch = []
-        idx = []
-        while len(batch) < chunk and drawn < samples:
-            batch.append(next(stream))
-            idx.append(drawn)
-            drawn += 1
-        Z = np.array(batch)
-        psi_all = worst_case_matrix(P, Z, grid)
-        feas = np.all(psi_all <= 1e-9, axis=1)
+    # the next chunk is evaluated only while some kind is still unrefuted
+    for start, rows in _sample_chunks(P, seed, grid, samples):
+        feas = rows.feas
         if not np.any(feas):
             continue
-        Zf = Z[feas]
-        idxf = np.asarray(idx)[feas]
+        Zf = rows.Z[feas]
+        idxf = start + np.flatnonzero(feas)
         W = Zf - z[None, :]
-        F = P.objective_values_batch(Zf)
+        F = rows.F[feas]
         Delta = (F - a.objective_values[None, :]) @ Y.T  # (c, n_y)
         smax, smin = _support_matrix(W, obj_stacks)
         S = smax @ Yp.T + smin @ Ym.T                    # (c, n_y)
@@ -258,12 +367,12 @@ def _scan(P: Problem, z, kinds: Sequence[str], samples: int, seed: int,
             if hit is not None:
                 r, c = hit
                 found[kind] = ConvexityWitness(
-                    Zf[r], Y[c], "objectives",
+                    Zf[r], Y[c].copy(), "objectives",
                     float(Delta[r, c]), float(S[r, c]), int(idxf[r]),
                 )
                 used[kind] = int(idxf[r]) + 1
         if QUASI in kinds and found[QUASI] is None and a.binding:
-            psi_mat = psi_all[feas][:, a.binding]
+            psi_mat = rows.psi[feas][:, a.binding]
             cmax, _ = _support_matrix(
                 W, [a.hull(i).vertices for i in a.binding]
             )
@@ -278,6 +387,8 @@ def _scan(P: Problem, z, kinds: Sequence[str], samples: int, seed: int,
                     float(cmax[r, c]), int(idxf[r]),
                 )
                 used[QUASI] = int(idxf[r]) + 1
+        if all(found[k] is not None for k in kinds):
+            break
 
     for kind, wit in found.items():
         if wit is not None:

@@ -20,8 +20,6 @@ concepts follow from the supported sufficiency rules.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -31,6 +29,7 @@ from scipy.optimize import linprog
 from .constraints import FEAS_TOL, GRID_DEFAULT, Problem, worst_case_matrix
 from .convexity import TypeClassification
 from .kkt import KktCertificate, VerificationReport
+from .memo import LruMemo, content_key
 
 # strict componentwise improvement must clear this margin
 DOMINANCE_TOL = 1e-9
@@ -54,23 +53,7 @@ class EfficiencyContext:
     F: np.ndarray                # objective values at those rows
 
 
-_contexts: "OrderedDict[tuple, EfficiencyContext]" = OrderedDict()
-_contexts_lock = threading.Lock()
-
-
-def _content_key(P: Problem) -> tuple:
-    """Everything the feasible grid depends on, label and cone excluded.
-
-    Expressions enter by ``repr``, which tells ``Lit(-0.0)`` from
-    ``Lit(0.0)`` where ``==`` does not; arrays by shape and bytes.
-    """
-    U = P.uncertainty
-    arrays = tuple(
-        None if a is None else (np.shape(a), np.asarray(a, dtype=float).tobytes())
-        for a in (P.box_lower, P.box_upper, U.lower, U.upper, U.points)
-    )
-    return (tuple(map(repr, P.objectives)), tuple(map(repr, P.constraints)),
-            U.kind, arrays)
+_contexts = LruMemo()
 
 
 def _build_grid_context(P: Problem, grid: int, ugrid: int) -> EfficiencyContext:
@@ -89,18 +72,9 @@ def grid_context(P: Problem, grid: int = EFFICIENCY_GRID,
     Memoized per process on the problem's content and ``(grid, ugrid)``:
     the last ``GRID_CONTEXT_ENTRIES`` contexts are kept.
     """
-    key = (_content_key(P), grid, ugrid)
-    with _contexts_lock:
-        ctx = _contexts.get(key)
-        if ctx is not None:
-            _contexts.move_to_end(key)
-            return ctx
-    ctx = _build_grid_context(P, grid, ugrid)
-    with _contexts_lock:
-        _contexts[key] = ctx
-        while len(_contexts) > GRID_CONTEXT_ENTRIES:
-            _contexts.popitem(last=False)
-    return ctx
+    return _contexts.get((content_key(P), grid, ugrid),
+                         lambda: _build_grid_context(P, grid, ugrid),
+                         GRID_CONTEXT_ENTRIES)
 
 
 @dataclass

@@ -29,6 +29,7 @@ smallest coarse residual in scan order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -41,6 +42,7 @@ from .constraints import (
     PointAnalysis,
     Problem,
     analyze_point,
+    check_lattice_rows,
     constraint_values,
     worst_case_subdiff,
 )
@@ -183,12 +185,18 @@ def check_cq(P: Problem, z, grid: int = GRID_DEFAULT,
 # ---------------------------------------------------------------------------
 
 
+def simplex_rows(m: int, edge: int) -> int:
+    """Rows of ``_simplex_indices(m, edge)``: compositions of edge into m parts."""
+    return math.comb(int(edge) + m - 1, m - 1)
+
+
 def _simplex_indices(m: int, edge: int) -> np.ndarray:
     """Integer simplex directions in scan order.
 
     Scan order is ascending lexicographic on (i_2, ..., i_{m-1}, i_1); the
     last index is determined by the total.
     """
+    check_lattice_rows(simplex_rows(m, edge))
     N = edge
     if m == 1:
         return np.array([[N]])

@@ -1,0 +1,81 @@
+"""Per-process memos of values that depend only on a problem's content.
+
+The feasible decision grid, the convexity scan's sample stream and the dual
+weight grid are functions of the problem alone, not of the point being
+checked.  Each is kept in an ``LruMemo`` keyed by the parts of the problem it
+depends on, so repeated calls in one process share one copy.  Shared arrays
+are made read-only by the functions that build them.
+"""
+
+from __future__ import annotations
+
+import threading
+from collections import OrderedDict
+from typing import Callable, Hashable, TypeVar
+
+import numpy as np
+
+from .constraints import ConeSpec, Problem
+
+V = TypeVar("V")
+
+
+def _array_key(a):
+    return None if a is None else (np.shape(a),
+                                   np.asarray(a, dtype=float).tobytes())
+
+
+def content_key(P: Problem) -> tuple:
+    """Everything a decision-box computation depends on, label and cone excluded.
+
+    Expressions enter by ``repr``, which tells ``Lit(-0.0)`` from
+    ``Lit(0.0)`` where ``==`` does not; arrays by shape and bytes.
+    """
+    U = P.uncertainty
+    arrays = tuple(map(_array_key, (P.box_lower, P.box_upper, U.lower,
+                                    U.upper, U.points)))
+    return (tuple(map(repr, P.objectives)), tuple(map(repr, P.constraints)),
+            U.kind, arrays)
+
+
+def cone_key(cone: ConeSpec) -> tuple:
+    """Everything a cone's dual rays depend on."""
+    return (cone.kind, cone.dim, _array_key(cone.rays))
+
+
+class LruMemo:
+    """Bounded least-recently-used map, safe to share between threads.
+
+    A missing value is built outside the lock, so two threads missing the
+    same key may both build it; the first stored value is the one every
+    caller then gets.
+    """
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable, build: Callable[[], V], entries: int) -> V:
+        """The value stored under ``key``, built and stored on a miss.
+
+        At most ``entries`` values are kept; the least recently used goes
+        first.
+        """
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                return self._entries[key]
+        value = build()
+        with self._lock:
+            value = self._entries.setdefault(key, value)
+            self._entries.move_to_end(key)
+            while len(self._entries) > entries:
+                self._entries.popitem(last=False)
+        return value
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)

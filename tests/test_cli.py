@@ -188,6 +188,19 @@ class TestExitCodes:
         assert main(argv[:1] + ["--problem", "ex3_2"] + argv[1:]) == 1
         assert name in capsys.readouterr().err
 
+    # each lattice would have about 10^10 rows or more, so a missing check
+    # fails at once on the allocation instead of filling memory slowly
+    @pytest.mark.parametrize("argv,name", [
+        (["efficiency", "--grid", "100000"], "--grid"),
+        (["kkt", "--ygrid", "200000"], "--ygrid"),
+        (["check", "--ugrid", "10000000000"], "--ugrid"),
+    ])
+    def test_oversized_lattice_is_usage_error(self, capsys, argv, name):
+        assert main(argv[:1] + ["--problem", "ex3_2", "--point", "0,1"]
+                    + argv[1:]) == 1
+        err = capsys.readouterr().err
+        assert name in err and "limit" in err
+
     def test_non_finite_problem_number_is_usage_error(self, capsys,
                                                       tmp_path):
         # an infinite box bound gives an empty grid, over which every

@@ -14,6 +14,7 @@ from robustcert.constraints import (
     CHUNK_ELEMENTS,
     AttainingRealization,
     ConeSpec,
+    LatticeTooLarge,
     ProblemFormatError,
     UncertaintySet,
     active_uncertainty,
@@ -52,6 +53,13 @@ def test_box_grid_points_include_endpoints_and_center():
     assert pts.shape == (1001, 1)
     assert pts[0, 0] == -1.0 and pts[-1, 0] == 1.0
     assert 0.0 in pts[:, 0]
+
+
+def test_oversized_box_lattice_is_refused_before_allocating():
+    # 10^5 points on each of two axes: 10^10 rows; a zero-width axis adds none
+    with pytest.raises(LatticeTooLarge):
+        constraints.box_lattice([0.0, 0.0], [1.0, 1.0], 10**5)
+    assert constraints.box_lattice_rows([0.0, 0.0], [0.0, 1.0], 10**5) == 10**5
 
 
 def test_box_contains_and_clip():

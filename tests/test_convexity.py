@@ -1,11 +1,16 @@
 """Tests for the generalized-convexity sampling classifiers."""
 
+import dataclasses
 import itertools
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from robustcert import convexity
+from robustcert.constraints import worst_case_matrix
 from robustcert.convexity import (
     PSEUDO,
     STRICT,
@@ -18,8 +23,9 @@ from robustcert.convexity import (
     dyadic_lattice,
     revalidate_witness,
     _candidate_stream,
+    _sample_chunks,
 )
-from robustcert.expr import Point
+from robustcert.expr import Point, parse_expr
 from robustcert.problem_io import load_problem, problem_from_dict
 from robustcert.subdiff import limiting_subdiff
 
@@ -213,3 +219,156 @@ def test_verdict_serialization_round_trip(cls22):
     assert wit["z"] == [-2.0, -4.0]
     assert wit["part"] == "objectives"
     assert back["type_ii"]["resolution"] == 24
+
+
+# ---------------------------------------------------------------------------
+# per-process memo of the sample stream and the weight grid
+# ---------------------------------------------------------------------------
+
+ANCHORS = {"ex2_2": Z22, "ex2_3": Z22, "ex3_2": Z32, "ex3_3": Z32}
+# min(z1, -z1) is a union kink: its limiting subdifferential is two points
+UNION_KINK = {
+    "decision_dim": 2, "uncertainty_dim": 1,
+    "objectives": ["min(z1, -z1) + z2^2", "z1 - z2"],
+    "constraints": ["z1^2 + z2^2 + u1*z2 - 4"],
+    "uncertainty": {"type": "box", "lower": [-0.5], "upper": [0.5]},
+    "cone": {"type": "orthant"},
+    "box": {"lower": [-2, -2], "upper": [2, 2]},
+}
+
+
+@pytest.fixture
+def empty_memo():
+    """Start and leave both convexity memos empty, whatever ran before."""
+    convexity._streams.clear()
+    convexity._weight_grids.clear()
+    yield
+    convexity._streams.clear()
+    convexity._weight_grids.clear()
+
+
+def _text(cls):
+    return json.dumps(cls.to_jsonable())
+
+
+def _with_constraint(P, i, source):
+    cons = list(P.constraints)
+    cons[i] = parse_expr(source, P.decision_dim, P.uncertainty_dim)
+    return dataclasses.replace(P, constraints=tuple(cons))
+
+
+@pytest.mark.parametrize("name", sorted(ANCHORS) + ["union_kink"])
+def test_warm_classification_equals_cold(name, empty_memo):
+    if name == "union_kink":
+        P, z = problem_from_dict(UNION_KINK), np.zeros(2)
+    else:
+        P, z = load_problem(name), ANCHORS[name]
+    # another point fills the memo with the same stream
+    classify_type(P, z + 0.5)
+    warm = _text(classify_type(P, z))
+    assert len(convexity._streams) == 1
+    convexity._streams.clear()
+    convexity._weight_grids.clear()
+    assert warm == _text(classify_type(P, z))
+
+
+def test_other_seed_ugrid_or_content_is_computed_afresh(ex3_2, empty_memo):
+    changed = _with_constraint(ex3_2, 1, "-3*abs(z1) + u1*z2 - 1")
+    assert changed.label == ex3_2.label
+    classify_type(ex3_2, Z32, samples=300)
+    cases = [(ex3_2, {"seed": 1}), (ex3_2, {"grid": 101}), (changed, {})]
+    warm = [_text(classify_type(P, Z32, samples=300, **kw))
+            for P, kw in cases]
+    assert len(convexity._streams) == 4
+    for (P, kw), text in zip(cases, warm):
+        convexity._streams.clear()
+        assert _text(classify_type(P, Z32, samples=300, **kw)) == text
+
+
+def test_budget_change_on_a_warm_stream_equals_cold(ex2_3, empty_memo):
+    # nothing is refuted here, so every sample of the budget is scanned
+    cold = {}
+    for samples in (300, 2000):
+        convexity._streams.clear()
+        cold[samples] = _text(classify_type(ex2_3, Z22, samples=samples))
+    convexity._streams.clear()
+    for samples in (2000, 300, 2000):
+        assert _text(classify_type(ex2_3, Z22, samples=samples)) == \
+            cold[samples]
+    convexity._streams.clear()
+    classify_type(ex2_3, Z22, samples=300)
+    assert _text(classify_type(ex2_3, Z22, samples=2000)) == cold[2000]
+
+
+def test_memo_keeps_a_fixed_number_of_entries(ex2_2, empty_memo):
+    # the seed and the edge are parts of the keys, so each call adds an entry
+    for seed in range(2 * convexity.STREAM_ENTRIES):
+        classify_type(ex2_2, Z22, samples=5, seed=seed)
+    assert len(convexity._streams) == convexity.STREAM_ENTRIES
+    for edge in range(2, 2 + 2 * convexity.WEIGHT_GRID_ENTRIES):
+        dual_weight_grid(ex2_2, edge)
+    assert len(convexity._weight_grids) == convexity.WEIGHT_GRID_ENTRIES
+
+
+def test_rows_past_the_cap_are_not_kept(ex2_2, empty_memo, monkeypatch):
+    # the first bundle is not refuted here, so all 2600 samples are scanned
+    cold = _text(classify_type(ex2_2, Z22, samples=2600, grid=101))
+    convexity._streams.clear()
+    # a cap that is no multiple of the chunk: the second chunk crosses it
+    # and is evaluated afresh like the third
+    monkeypatch.setattr(convexity, "STREAM_ROWS", 1500)
+    stream = _candidate_stream(ex2_2, 42)
+    Z = np.array([next(stream) for _ in range(2600)])
+    for _ in range(2):
+        chunks = list(_sample_chunks(ex2_2, 42, 101, 2600))
+        assert [start for start, _ in chunks] == [0, 1000, 2000]
+        np.testing.assert_array_equal(
+            np.concatenate([rows.Z for _, rows in chunks]), Z)
+        np.testing.assert_array_equal(
+            np.concatenate([rows.psi for _, rows in chunks]),
+            worst_case_matrix(ex2_2, Z, 101))
+        (shared,) = convexity._streams._entries.values()
+        assert len(shared) == 1000
+    assert _text(classify_type(ex2_2, Z22, samples=2600, grid=101)) == cold
+
+
+def test_shared_arrays_are_read_only(ex2_2, empty_memo):
+    Y = dual_weight_grid(ex2_2)
+    with pytest.raises(ValueError):
+        Y[0, 0] = 1.0
+    (_, rows), = _sample_chunks(ex2_2, 0, 101, 10)
+    for a in (rows.Z, rows.psi, rows.feas, rows.F):
+        with pytest.raises(ValueError):
+            a[0] = 1
+    before = classify_type(ex2_2, Z22)
+    text = _text(before)
+    w = before.type_ii.witness
+    assert not np.shares_memory(w.y, Y)
+    w.y[:] = 99.0
+    w.z[:] = 99.0
+    assert _text(classify_type(ex2_2, Z22)) == text
+
+
+def test_concurrent_callers_get_correct_classifications(ex3_2, empty_memo,
+                                                        monkeypatch):
+    # more problems than entries, so threads evict while others scan
+    monkeypatch.setattr(convexity, "STREAM_ENTRIES", 2)
+    problems = [_with_constraint(ex3_2, 1, f"-3*abs(z1) + u1*z2 - {k}")
+                for k in range(4)]
+    expected = []
+    for P in problems:
+        convexity._streams.clear()
+        expected.append(_text(classify_type(P, Z32, samples=300)))
+    convexity._streams.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(classify_type, problems[k % 4], Z32, 300)
+                       for k in range(40)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for k, cls in enumerate(results):
+        assert _text(cls) == expected[k % 4]
+    assert len(convexity._streams) <= 2

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from robustcert import kkt
-from robustcert.constraints import analyze_point
+from robustcert.constraints import LatticeTooLarge, analyze_point
 from robustcert.efficiency import check_proper_necessary
 from robustcert.expr import Point
 from robustcert.kkt import (
@@ -119,6 +119,11 @@ class TestDirectionGrid:
         ref = loop_simplex_indices(m, edge)
         assert rows.dtype == ref.dtype
         np.testing.assert_array_equal(rows, ref)
+
+    def test_oversized_lattice_is_refused_before_allocating(self):
+        # C(200001, 2), about 2 * 10^10 rows
+        with pytest.raises(LatticeTooLarge):
+            _simplex_indices(3, 200000)
 
     def test_prefilter_blocks_small_first_weight(self, ex3_2):
         # with no weight on the second objective, the second coordinate of the

@@ -4,7 +4,7 @@ The call counts below pin the sharing: a ``report`` computes the worst-case
 values at its point once for all sections (plus the independent recomputations
 of ``verify_certificate`` and the converse duality check) and builds the
 feasible decision grid once; the convexity scan evaluates each constraint once
-per sample chunk.
+per sample chunk, and not again while the chunk is memoized.
 """
 
 import importlib
@@ -15,14 +15,14 @@ import numpy as np
 import pytest
 
 import robustcert
-from robustcert import constraints, duality, efficiency
+from robustcert import constraints, convexity, duality, efficiency
 from robustcert.constraints import (
     PointAnalysis,
     active_uncertainty,
     analyze_point,
     worst_case_subdiff,
 )
-from robustcert.convexity import classify_type
+from robustcert.convexity import check_pseudo_convex, classify_type
 from robustcert.kkt import KktOptions, check_cq, find_kkt_certificate
 from robustcert.problem_io import load_problem
 from robustcert.report import build_report
@@ -122,5 +122,18 @@ def test_passed_analysis_gives_the_same_answers():
 def test_convexity_scan_evaluates_each_constraint_once_per_chunk(calls):
     # two constraints x two chunks of 1000 samples; the quasi-convexity
     # premise reads the feasibility pass's values for the binding constraint
+    convexity._streams.clear()
     classify_type(load_problem("ex3_2"), [0.0, 1.0])
     assert calls["worst_case_values_batch"] == 4
+    # a second call reads the memoized sample stream
+    classify_type(load_problem("ex3_2"), [0.0, 1.0])
+    assert calls["worst_case_values_batch"] == 4
+
+
+def test_convexity_scan_stops_after_the_chunk_that_refutes_every_kind(calls):
+    # pseudo-convexity fails at the first sample, so only the first chunk of
+    # the 2000-sample budget is evaluated, once per constraint
+    convexity._streams.clear()
+    verdict = check_pseudo_convex(load_problem("ex3_2"), [0.0, 1.0])
+    assert verdict.samples_used == 1
+    assert calls["worst_case_values_batch"] == 2
