@@ -68,6 +68,11 @@ SAME_POINT_TOL = 1e-12
 DEFAULT_SAMPLES = 2000
 DEFAULT_Y_EDGE = 24
 CHUNK = 1000
+# multiply-adds in one weighted product (sample rows x weight grid): OpenBLAS
+# keeps a product of at most 2**18 on the calling thread, and a worker
+# thread it wakes spins for a while after each product, taking CPU from the
+# caller whenever the host is busy
+PRODUCT_MACS = 2**18
 # per-process memos, the least recently used entry dropped first: sample
 # streams per (problem content, seed, ugrid) and weight grids per (cone, edge)
 STREAM_ENTRIES = 8
@@ -321,6 +326,15 @@ def _support_matrix(W: np.ndarray, stacks: Sequence[np.ndarray]
     return smax, smin
 
 
+def _first_hit(mask: np.ndarray) -> Optional[Tuple[int, int]]:
+    """(row, column) of the first True entry in row-major order."""
+    flat = np.flatnonzero(mask.ravel())
+    if len(flat) == 0:
+        return None
+    r, c = divmod(int(flat[0]), mask.shape[1])
+    return r, c
+
+
 def _objective_stacks(analysis: PointAnalysis) -> List[np.ndarray]:
     return [u.all_vertices() for u in analysis.objective_subdiffs]
 
@@ -334,6 +348,7 @@ def _scan(P: Problem, z, kinds: Sequence[str], samples: int, seed: int,
     Y = dual_weight_grid(P, y_edge)
     Yp = np.maximum(Y, 0.0)
     Ym = np.minimum(Y, 0.0)
+    block = max(1, PRODUCT_MACS // Y.size)
 
     found: Dict[str, Optional[ConvexityWitness]] = {k: None for k in kinds}
     used: Dict[str, int] = {k: samples for k in kinds}
@@ -345,39 +360,39 @@ def _scan(P: Problem, z, kinds: Sequence[str], samples: int, seed: int,
         Zf = rows.Z[feas]
         idxf = start + np.flatnonzero(feas)
         W = Zf - z[None, :]
-        F = rows.F[feas]
-        Delta = (F - a.objective_values[None, :]) @ Y.T  # (c, n_y)
+        Fd = rows.F[feas] - a.objective_values[None, :]
         smax, smin = _support_matrix(W, obj_stacks)
-        S = smax @ Yp.T + smin @ Ym.T                    # (c, n_y)
         not_same = np.max(np.abs(W), axis=1) > SAME_POINT_TOL
 
-        def first_hit(mask: np.ndarray) -> Optional[Tuple[int, int]]:
-            flat = np.flatnonzero(mask.ravel())
-            if len(flat) == 0:
-                return None
-            r, c = divmod(int(flat[0]), mask.shape[1])
-            return r, c
-
-        for kind in (PSEUDO, STRICT):
-            if kind not in kinds or found[kind] is not None:
-                continue
-            premise = (Delta < -PREMISE_TOL if kind == PSEUDO else
-                       (Delta <= PREMISE_TOL) & not_same[:, None])
-            hit = first_hit(premise & (S >= -SUPPORT_TOL))
-            if hit is not None:
-                r, c = hit
-                found[kind] = ConvexityWitness(
-                    Zf[r], Y[c].copy(), "objectives",
-                    float(Delta[r, c]), float(S[r, c]), int(idxf[r]),
-                )
-                used[kind] = int(idxf[r]) + 1
+        # value changes and supports (rows, n_y) a block of rows at a time,
+        # in row order, until every weighted kind has its first violation
+        for lo in range(0, len(Zf), block):
+            weighted = [k for k in (PSEUDO, STRICT)
+                        if k in kinds and found[k] is None]
+            if not weighted:
+                break
+            part = slice(lo, lo + block)
+            Delta = Fd[part] @ Y.T
+            S = smax[part] @ Yp.T + smin[part] @ Ym.T
+            for kind in weighted:
+                premise = (Delta < -PREMISE_TOL if kind == PSEUDO else
+                           (Delta <= PREMISE_TOL) & not_same[part, None])
+                hit = _first_hit(premise & (S >= -SUPPORT_TOL))
+                if hit is not None:
+                    r, c = hit
+                    found[kind] = ConvexityWitness(
+                        Zf[lo + r], Y[c].copy(), "objectives",
+                        float(Delta[r, c]), float(S[r, c]),
+                        int(idxf[lo + r]),
+                    )
+                    used[kind] = int(idxf[lo + r]) + 1
         if QUASI in kinds and found[QUASI] is None and a.binding:
             psi_mat = rows.psi[feas][:, a.binding]
             cmax, _ = _support_matrix(
                 W, [a.hull(i).vertices for i in a.binding]
             )
             premise = psi_mat <= a.psi[a.binding][None, :] + PREMISE_TOL
-            hit = first_hit(premise & (cmax >= QUASI_SUPPORT_TOL))
+            hit = _first_hit(premise & (cmax >= QUASI_SUPPORT_TOL))
             if hit is not None:
                 r, c = hit
                 i = a.binding[c]

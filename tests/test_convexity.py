@@ -49,6 +49,11 @@ def ex3_2():
 
 
 @pytest.fixture(scope="module")
+def ex3_3():
+    return load_problem("ex3_3")
+
+
+@pytest.fixture(scope="module")
 def cls22(ex2_2):
     return classify_type(ex2_2, Z22, samples=2000)
 
@@ -330,6 +335,32 @@ def test_rows_past_the_cap_are_not_kept(ex2_2, empty_memo, monkeypatch):
         (shared,) = convexity._streams._entries.values()
         assert len(shared) == 1000
     assert _text(classify_type(ex2_2, Z22, samples=2600, grid=101)) == cold
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_row_blocks_find_the_same_first_violation(ex2_2, ex2_3, ex3_3,
+                                                  monkeypatch, rows):
+    # violations at samples 0, 22 and 44, and a scan that finds none: with
+    # blocks of a few rows every block is reached in the same row order
+    cases = [(ex2_2, Z22), (ex2_3, Z22), (ex3_3, np.array([-0.967, 2.295])),
+             (ex3_3, np.array([-3.795, -4.835]))]
+    default = [classify_type(P, z).to_jsonable() for P, z in cases]
+    monkeypatch.setattr(convexity, "PRODUCT_MACS",
+                        rows * dual_weight_grid(ex2_2).size)
+    blocked = [classify_type(P, z).to_jsonable() for P, z in cases]
+    # the same violations; their values may differ in the last bit, since
+    # a product of other shape may take another BLAS kernel
+    for got, want in zip(blocked, default):
+        for kind in ("type_i", "type_ii"):
+            g, w = dict(got[kind]), dict(want[kind])
+            gw, ww = g.pop("witness", None), w.pop("witness", None)
+            assert g == w
+            if ww is None:
+                assert gw is None
+                continue
+            for key in ("delta", "support"):
+                assert gw.pop(key) == pytest.approx(ww.pop(key), rel=1e-12)
+            assert gw == ww
 
 
 def test_shared_arrays_are_read_only(ex2_2, empty_memo):
