@@ -13,6 +13,12 @@ and the two grid sizes, so each process builds it once per such combination
 and shares it, read-only, with every later efficiency, duality and report
 call on that problem.
 
+``certify_proper`` solves its LP in two stages.  An LP on a few candidate
+grid rows, chosen from the vertices of the weight polytope, is a relaxation:
+when HiGHS finds it infeasible the point is refuted, which is the common
+case.  Only when it is feasible is the LP over every feasible grid row
+solved, so a witness always comes from that full LP.
+
 ``sufficient_conditions`` combines a verified first-order certificate with
 the sampling-based convexity classification to state which efficiency
 concepts follow from the supported sufficiency rules.
@@ -20,6 +26,7 @@ concepts follow from the supported sufficiency rules.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -185,6 +192,71 @@ def certify_efficient(P: Problem, z, grid: int = EFFICIENCY_GRID,
     return _dominance_report(P, z, "efficient", False, grid, ugrid)
 
 
+def _weight_vertices(R: np.ndarray, eps: float) -> np.ndarray:
+    """Vertices of the weight polytope ``W = {y : R y >= eps, (sum R) . y = 1}``.
+
+    One row per vertex: each makes m - 1 ray rows tight together with the
+    equality.  There are none when the rays do not span R^m (W then holds a
+    line) or when W is empty.
+    """
+    k, m = R.shape
+    s = R.sum(axis=0)
+    vertices = []
+    for tight in itertools.combinations(range(k), m - 1):
+        A = np.vstack([R[list(tight)], s[None, :]])
+        if np.linalg.matrix_rank(A) < m:
+            continue
+        v = np.linalg.solve(A, np.append(np.full(m - 1, eps), 1.0))
+        if np.all(R @ v >= eps - FEAS_TOL):
+            vertices.append(v)
+    return np.array(vertices).reshape(-1, m)
+
+
+def _candidate_rows(D: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Rows of ``D`` likeliest to refute every weight in W, given its vertices.
+
+    ``argmin_r max_k D_r . v_k`` refutes W alone whenever some single row
+    does; each vertex adds its own most negative row.
+    """
+    # D @ V.T one column of D at a time: elementwise, so no BLAS worker
+    # thread wakes however many grid rows there are
+    S = D[:, :1] * V[:, 0]
+    for j in range(1, D.shape[1]):
+        S = S + D[:, j:j + 1] * V[:, j]
+    return np.unique(np.append(np.argmin(S, axis=0),
+                               np.argmin(np.max(S, axis=1))))
+
+
+def _proper_lp(D: np.ndarray, R: np.ndarray, eps: float):
+    """Feasibility LP for weights y with ``D y >= 0`` and y in W."""
+    m = R.shape[1]
+    A_ub = np.vstack([-D, -R])
+    b_ub = np.concatenate([np.zeros(len(D)), -eps * np.ones(len(R))])
+    A_eq = R.sum(axis=0)[None, :]
+    b_eq = np.array([1.0])
+    return linprog(
+        np.zeros(m), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+        bounds=[(None, None)] * m, method="highs",
+    )
+
+
+def _proper_weights(D: np.ndarray, R: np.ndarray,
+                    eps: float) -> Optional[np.ndarray]:
+    """Weights in W with ``D y >= 0``, or None when HiGHS finds none.
+
+    The LP on a few candidate rows is a relaxation of the LP on all of
+    ``D``: when it is infeasible, so is the full LP.  Otherwise the full
+    LP is solved as it stands, and its solution is returned.
+    """
+    V = _weight_vertices(R, eps)
+    if len(V) and len(D):
+        # status 2: HiGHS proved the relaxation infeasible
+        if _proper_lp(D[_candidate_rows(D, V)], R, eps).status == 2:
+            return None
+    res = _proper_lp(D, R, eps)
+    return res.x if res.status == 0 else None
+
+
 def certify_proper(P: Problem, z, grid: int = EFFICIENCY_GRID,
                    eps: float = PROPER_EPS,
                    ugrid: int = GRID_DEFAULT) -> EfficiencyReport:
@@ -192,32 +264,24 @@ def certify_proper(P: Problem, z, grid: int = EFFICIENCY_GRID,
 
     Searches by linear programming for weights with margin ``eps`` against
     every cone generator such that the weighted objective change is
-    nonnegative at every feasible grid point.
+    nonnegative at every feasible grid point.  A first LP keeps only a few
+    candidate grid rows (one per vertex of the weight polytope, plus one);
+    when it is infeasible the point is refuted.  Otherwise the LP over every
+    feasible grid row decides, and its solution is the witness.
     """
     guard = _feasibility_guard(P, z, "proper", grid, ugrid)
     if guard is not None:
         return guard
     ctx = grid_context(P, grid, ugrid)
     D = ctx.F - P.objective_values(z)[None, :]
-    R = P.cone.generating_rays()
-    m = P.n_objectives
-    A_ub = np.vstack([-D, -R])
-    b_ub = np.concatenate([np.zeros(len(D)), -eps * np.ones(len(R))])
-    A_eq = R.sum(axis=0)[None, :]
-    b_eq = np.array([1.0])
-    res = linprog(
-        np.zeros(m), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-        bounds=[(None, None)] * m, method="highs",
-    )
-    if res.status != 0:
+    y = _proper_weights(D, P.cone.generating_rays(), eps)
+    if y is None:
         return EfficiencyReport(
             "proper", False, grid, len(ctx.Z),
             notes=("no interior weight vector supports the point "
                    f"at margin {eps}",),
         )
-    return EfficiencyReport(
-        "proper", True, grid, len(ctx.Z), witness_y=res.x,
-    )
+    return EfficiencyReport("proper", True, grid, len(ctx.Z), witness_y=y)
 
 
 @dataclass

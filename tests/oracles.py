@@ -241,3 +241,39 @@ def unpruned_kkt_search(P, z, options):
     raise kkt.NotFoundAtResolution(
         f"no certificate on the {options.y_grid}-point direction grid", *best
     )
+
+
+def proper_lp_reference(P, z, grid=101, eps=1e-3, ugrid=1001):
+    """``certify_proper`` as one LP over every feasible grid row.
+
+    The interior-weight LP by its definition, with no relaxation first;
+    the inputs and options are the library's, so its floats are
+    comparable bit for bit.
+    """
+    from scipy.optimize import linprog
+
+    from robustcert import efficiency
+
+    guard = efficiency._feasibility_guard(P, z, "proper", grid, ugrid)
+    if guard is not None:
+        return guard
+    ctx = efficiency.grid_context(P, grid, ugrid)
+    D = ctx.F - P.objective_values(z)[None, :]
+    R = P.cone.generating_rays()
+    m = P.n_objectives
+    res = linprog(
+        np.zeros(m),
+        A_ub=np.vstack([-D, -R]),
+        b_ub=np.concatenate([np.zeros(len(D)), -eps * np.ones(len(R))]),
+        A_eq=R.sum(axis=0)[None, :], b_eq=np.array([1.0]),
+        bounds=[(None, None)] * m, method="highs",
+    )
+    if res.status != 0:
+        return efficiency.EfficiencyReport(
+            "proper", False, grid, len(ctx.Z),
+            notes=("no interior weight vector supports the point "
+                   f"at margin {eps}",),
+        )
+    return efficiency.EfficiencyReport(
+        "proper", True, grid, len(ctx.Z), witness_y=res.x,
+    )

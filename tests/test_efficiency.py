@@ -1,6 +1,7 @@
 """Tests for grid-based efficiency certification and sufficiency rules."""
 
 import dataclasses
+import itertools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -19,8 +20,14 @@ from robustcert.efficiency import (
 )
 from robustcert.expr import BinOp, Lit, parse_expr
 from robustcert.kkt import KktOptions, find_kkt_certificate, verify_certificate
-from robustcert.problem_io import load_problem, problem_from_dict
+from robustcert.problem_io import (
+    BUNDLED_FIXTURES,
+    load_problem,
+    problem_from_dict,
+)
 from robustcert.report import build_report, render_json
+
+from oracles import proper_lp_reference
 
 Z32 = np.array([0.0, 1.0])
 Z22 = np.array([0.0, -2.0])
@@ -166,6 +173,125 @@ def test_proper_witness_satisfies_lp_conditions(ex3_2, ctx32):
     assert np.sum(y) == pytest.approx(1.0, abs=1e-9)
     D = ctx32.F - ex3_2.objective_values(Z32)[None, :]
     assert np.min(D @ y) >= -1e-9
+
+
+# ---------------------------------------------------------------------------
+# two-stage proper-efficiency LP
+# ---------------------------------------------------------------------------
+
+ANCHORS = {"ex2_2": Z22, "ex2_3": Z22, "ex3_2": Z32, "ex3_3": Z32}
+
+
+def _half_integer_points(P):
+    axes = [np.arange(lo, hi + 0.25, 0.5)
+            for lo, hi in zip(P.box_lower, P.box_upper)]
+    return [np.array(z) for z in itertools.product(*axes)]
+
+
+def _assert_matches_full_lp(P, z, **kw):
+    assert certify_proper(P, z, **kw).to_jsonable() == \
+        proper_lp_reference(P, z, **kw).to_jsonable(), z
+
+
+@pytest.mark.parametrize("name", BUNDLED_FIXTURES)
+def test_two_stage_lp_matches_one_full_lp(name):
+    P = load_problem(name)
+    rng = np.random.default_rng(11)
+    uniform = P.box_lower + (P.box_upper - P.box_lower) * rng.uniform(
+        size=(20, P.decision_dim))
+    for z in [ANCHORS[name], *_half_integer_points(P), *uniform]:
+        _assert_matches_full_lp(P, z)
+
+
+def _line_problem(constraint, cone):
+    return problem_from_dict({
+        "decision_dim": 1,
+        "uncertainty_dim": 1,
+        "objectives": ["z1", "2*z1"],
+        "constraints": [constraint],
+        "uncertainty": {"type": "box", "lower": [-1], "upper": [1]},
+        "cone": cone,
+        "box": {"lower": [0.0], "upper": [1.0]},
+    })
+
+
+GENERATORS = {"type": "generators", "rays": [[1.0, 0.0], [1.0, 1.0]]}
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.2, 0.6])
+@pytest.mark.parametrize("cone", [GENERATORS, {"type": "orthant"}])
+def test_two_stage_lp_matches_on_small_cones(cone, eps):
+    # eps = 0.6 leaves the weight polytope empty (m * eps > 1 on the orthant)
+    P = _line_problem("0*z1*u1 - 1", cone)
+    for z in np.linspace(0.0, 1.0, 11):
+        _assert_matches_full_lp(P, [z], grid=11, eps=eps)
+
+
+def test_two_stage_lp_matches_without_feasible_grid_rows():
+    # z = 0.123 is feasible but no point of the 11-point grid is
+    P = _line_problem("abs(z1 - 0.123) - 0.001 + 0*u1", GENERATORS)
+    assert len(grid_context(P, 11).Z) == 0
+    rep = certify_proper(P, [0.123], grid=11)
+    assert rep.certified
+    assert rep.to_jsonable() == \
+        proper_lp_reference(P, [0.123], grid=11).to_jsonable()
+
+
+def _count_lps(monkeypatch):
+    """Record the row count of each LP that ``efficiency`` solves."""
+    calls = []
+    solve = efficiency.linprog
+
+    def counting(c, A_ub, *args, **kwargs):
+        calls.append(A_ub.shape[0])
+        return solve(c, A_ub, *args, **kwargs)
+
+    monkeypatch.setattr(efficiency, "linprog", counting)
+    return calls
+
+
+def test_refuted_point_solves_only_the_small_lp(ex2_2, monkeypatch):
+    calls = _count_lps(monkeypatch)
+    assert not certify_proper(ex2_2, Z22).certified
+    m = ex2_2.n_objectives
+    assert len(calls) == 1
+    assert calls[0] - m <= m + 1  # grid rows after the m orthant rays
+
+
+def test_certified_point_solves_the_full_lp_second(ex3_2, ctx32, monkeypatch):
+    calls = _count_lps(monkeypatch)
+    assert certify_proper(ex3_2, Z32).certified
+    m = ex3_2.n_objectives
+    assert len(calls) == 2
+    assert calls[0] - m <= m + 1
+    assert calls[1] == len(ctx32.Z) + m
+
+
+def test_orthant_weight_vertices():
+    eps = 1e-3
+    V = efficiency._weight_vertices(np.eye(3), eps)
+    expected = eps + (1 - 3 * eps) * np.eye(3)
+    np.testing.assert_allclose(sorted(V.tolist()), sorted(expected.tolist()),
+                               atol=1e-15)
+
+
+def test_generator_cone_weight_vertices():
+    eps = 1e-3
+    R = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                  [1.0, 1.0, 1.0]])
+    V = efficiency._weight_vertices(R, eps)
+    assert len(V) == 3
+    for v in V:
+        assert np.all(R @ v >= eps - 1e-12)
+        assert R.sum(axis=0) @ v == pytest.approx(1.0, abs=1e-12)
+    V2 = efficiency._weight_vertices(np.array(GENERATORS["rays"]), eps)
+    assert len(V2) == 2
+
+
+def test_rank_deficient_rays_have_no_weight_vertex():
+    R = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+    assert efficiency._weight_vertices(R, 1e-3).shape == (0, 3)
+    assert efficiency._weight_vertices(np.eye(2), 0.6).shape == (0, 2)
 
 
 # ---------------------------------------------------------------------------
