@@ -1,13 +1,3 @@
 """Desk-scale certification toolkit for uncertain multiobjective programs."""
 
-import os as _os
-
-_threads = _os.environ.get("ROBUSTCERT_THREADS")
-if _threads:
-    # Cap BLAS/OpenMP pools before numpy is first imported; best-effort if
-    # numpy was already loaded by the embedding process.
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-
 __version__ = "0.1.0"

@@ -11,8 +11,6 @@ cones and the problem container loaded from JSON.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -91,6 +89,8 @@ class UncertaintySet:
     def box(lower, upper) -> "UncertaintySet":
         lower = np.atleast_1d(np.asarray(lower, dtype=float))
         upper = np.atleast_1d(np.asarray(upper, dtype=float))
+        if lower.ndim != 1 or upper.ndim != 1:
+            raise ProblemFormatError("uncertainty bounds must be flat lists")
         if lower.shape != upper.shape:
             raise ProblemFormatError("uncertainty bounds must have equal length")
         if np.any(lower > upper):
@@ -102,6 +102,9 @@ class UncertaintySet:
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
+        if pts.ndim != 2:
+            raise ProblemFormatError("finite uncertainty points must be a "
+                                     "list of coordinate lists")
         if len(pts) == 0:
             raise ProblemFormatError("a finite uncertainty set needs points")
         return UncertaintySet("finite", points=pts)
@@ -350,16 +353,28 @@ def _refine_box_max(e: Expr, z, u0: np.ndarray, U: UncertaintySet,
     return u, best
 
 
+def grid_sweep(e: Expr, z, U: UncertaintySet,
+               grid: int = GRID_DEFAULT) -> Tuple[np.ndarray, np.ndarray]:
+    """U's grid points and ``e(z, u)`` at each of them, for one decision point.
+
+    The decision coordinates enter as 0-d columns broadcast against the
+    uncertainty columns, so the values are one ``(M,)`` array.
+    """
+    z = np.asarray(z, dtype=float)
+    pts = U.grid_points(grid)
+    cols_z = [np.asarray(z[j]) for j in range(len(z))]
+    cols_u = [pts[:, k] for k in range(U.dim)]
+    vals = np.broadcast_to(eval_broadcast(e, cols_z, cols_u), (len(pts),))
+    return pts, vals
+
+
 def worst_case_value(e: Expr, z, U: UncertaintySet,
                      grid: int = GRID_DEFAULT) -> float:
     """max over u in U of e(z, u), dense grid plus per-axis polish."""
     z = np.asarray(z, dtype=float)
     if U.dim == 0:
         return evaluate(e, Point.of(z, np.zeros(0)))
-    pts = U.grid_points(grid)
-    cols_z = [np.asarray(z[j]) for j in range(len(z))]
-    cols_u = [pts[:, k] for k in range(U.dim)]
-    vals = np.broadcast_to(eval_broadcast(e, cols_z, cols_u), (len(pts),))
+    pts, vals = grid_sweep(e, z, U, grid)
     best_idx = int(np.argmax(vals))
     best = float(vals[best_idx])
     if U.kind == "box":
@@ -372,49 +387,26 @@ def worst_case_value(e: Expr, z, U: UncertaintySet,
 psi = worst_case_value
 
 
-def _batch_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("ROBUSTCERT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def worst_case_values_batch(e: Expr, Z: np.ndarray, U: UncertaintySet,
-                            grid: int = GRID_DEFAULT,
-                            chunk: Optional[int] = None) -> np.ndarray:
-    """Grid-resolution worst-case values for many decision points at once.
+                            grid: int = GRID_DEFAULT) -> np.ndarray:
+    """Grid maxima of ``e(z, u)`` over U for every row z of Z, without polish.
 
-    Chunks of decision rows are independent; with ROBUSTCERT_THREADS > 1 they
-    run on a thread pool.  Each chunk writes its own output slice, so results
-    are identical for any thread count and chunk size.  By default a chunk
-    holds as many rows as fit ``CHUNK_ELEMENTS`` against the uncertainty grid
-    (at least one).
+    The rows are swept in chunks of as many rows as fit ``CHUNK_ELEMENTS``
+    array elements against U's grid (at least one row), so a chunk's arrays
+    stay near 16 MB whatever the grid; the chunk size changes no value.
     """
     Z = np.asarray(Z, dtype=float)
-    if U.dim == 0:
-        cols = [Z[:, j] for j in range(Z.shape[1])]
-        return np.broadcast_to(eval_broadcast(e, cols), (len(Z),)).astype(float)
     pts = U.grid_points(grid)
-    if chunk is None:
-        chunk = max(1, CHUNK_ELEMENTS // len(pts))
+    chunk = max(1, CHUNK_ELEMENTS // len(pts))
+    cols_u = [pts[:, k][None, :] for k in range(U.dim)]
     out = np.empty(len(Z))
-
-    def run_chunk(start: int) -> None:
-        stop = min(start + chunk, len(Z))
-        cols_z = [Z[start:stop, j][:, None] for j in range(Z.shape[1])]
-        cols_u = [pts[:, k][None, :] for k in range(U.dim)]
-        vals = eval_broadcast(e, cols_z, cols_u)
-        vals = np.broadcast_to(vals, (stop - start, len(pts)))
-        out[start:stop] = vals.max(axis=1)
-
-    starts = range(0, len(Z), chunk)
-    workers = min(_batch_threads(), max(1, len(starts)))
-    if workers == 1:
-        for start in starts:
-            run_chunk(start)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, starts))
+    for start in range(0, len(Z), chunk):
+        rows = Z[start:start + chunk]
+        cols_z = [rows[:, j][:, None] for j in range(Z.shape[1])]
+        # unnamed, so one chunk's values are freed before the next is built
+        out[start:start + chunk] = np.broadcast_to(
+            eval_broadcast(e, cols_z, cols_u), (len(rows), len(pts))
+        ).max(axis=1)
     return out
 
 
@@ -450,10 +442,7 @@ def active_uncertainty(e: Expr, z, U: UncertaintySet, tol: float = ACTIVE_TOL,
         v = evaluate(e, Point.of(z, np.zeros(0)))
         zero = np.zeros(0)
         return [AttainingRealization(zero, v, 0.0, zero, zero)]
-    pts = U.grid_points(grid)
-    cols_z = [np.asarray(z[j]) for j in range(len(z))]
-    cols_u = [pts[:, k] for k in range(U.dim)]
-    vals = np.broadcast_to(eval_broadcast(e, cols_z, cols_u), (len(pts),))
+    pts, vals = grid_sweep(e, z, U, grid)
     vmax = float(np.max(vals))
     cand = np.flatnonzero(vals >= vmax - tol)
 

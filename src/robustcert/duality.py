@@ -32,10 +32,10 @@ from .constraints import (
     GRID_DEFAULT,
     Problem,
     analyze_point,
+    grid_sweep,
     worst_case_value,
 )
 from .efficiency import EFFICIENCY_GRID, certify_weak, first_dominator
-from .expr import eval_broadcast
 from .kkt import (MU_ZERO_TOL, RESIDUAL_TOL, KktCertificate,
                   stationarity_distance)
 
@@ -80,23 +80,6 @@ class DualFeasibilityReport:
         }
 
 
-def _min_over_uncertainty(P: Problem, i: int, w: np.ndarray,
-                          grid: int) -> float:
-    """Smallest constraint value over the uncertainty grid at a fixed point."""
-    U = P.uncertainty
-    if U.dim == 0:
-        return float(
-            eval_broadcast(P.constraints[i], [np.asarray(v) for v in w])
-        )
-    pts = U.grid_points(grid)
-    cols_z = [np.asarray(w[j]) for j in range(len(w))]
-    cols_u = [pts[:, k] for k in range(U.dim)]
-    vals = np.broadcast_to(
-        eval_broadcast(P.constraints[i], cols_z, cols_u), (len(pts),)
-    )
-    return float(vals.min())
-
-
 def is_dual_feasible(P: Problem, triple: DualTriple, mode: str = "default",
                      tol: float = RESIDUAL_TOL,
                      grid: int = GRID_DEFAULT) -> DualFeasibilityReport:
@@ -118,7 +101,8 @@ def is_dual_feasible(P: Problem, triple: DualTriple, mode: str = "default",
         if mode == "default":
             value = worst_case_value(P.constraints[i], w, P.uncertainty, grid)
         else:
-            value = _min_over_uncertainty(P, i, w, grid)
+            _, vals = grid_sweep(P.constraints[i], w, P.uncertainty, grid)
+            value = float(vals.min())
         sign_values.append(float(mu[i] * value))
     checks["sign"] = all(v >= -tol for v in sign_values)
 

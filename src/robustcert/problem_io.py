@@ -32,9 +32,10 @@ def _require(data: dict, key: str, kind, where: str):
     if key not in data:
         raise ProblemFormatError(f"missing '{key}' in {where}")
     value = data[key]
-    if kind is not None and not isinstance(value, kind):
+    # bool is a subclass of int, but `true` is no dimension
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ProblemFormatError(
-            f"'{key}' in {where} should be {kind.__name__ if hasattr(kind, '__name__') else kind}"
+            f"'{key}' in {where} should be {kind.__name__}"
         )
     return value
 

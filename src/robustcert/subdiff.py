@@ -138,7 +138,7 @@ def _abs_class_case(e, pt, wrt, tol, key, arg) -> Optional[PolytopeUnion]:
 
 
 def _sum_case(e, pt, wrt, tol) -> Optional[PolytopeUnion]:
-    kind, dim = _wrt_info(pt, wrt)
+    _, dim = _wrt_info(pt, wrt)
     terms, _const = decompose_sum(e)
     terms = collect_terms(terms)
     if not terms:
@@ -146,25 +146,29 @@ def _sum_case(e, pt, wrt, tol) -> Optional[PolytopeUnion]:
     rebuilt = [_rebuild_term(c, t) for c, t in terms]
     if len(terms) == 1 and rebuilt[0] == e:
         return None  # no structural progress; let another case handle it
-    parts = [limiting_subdiff(r, pt, wrt, tol) for r in rebuilt]
-    nonsmooth = [
-        (i, free_var_indices(rebuilt[i], kind))
-        for i, part in enumerate(parts)
+    return _fold(rebuilt, pt, wrt, tol,
+                 "sum rule over coupled nonsmooth terms: outer estimate")
+
+
+def _fold(terms, pt, wrt, tol, note: str) -> PolytopeUnion:
+    """Minkowski sum of the terms' subdifferentials.
+
+    Exact when the nonsmooth terms touch pairwise disjoint variables;
+    otherwise flagged as an outer estimate with ``note`` appended.
+    """
+    kind, _ = _wrt_info(pt, wrt)
+    parts = [limiting_subdiff(t, pt, wrt, tol) for t in terms]
+    nonsmooth_vars = [
+        free_var_indices(t, kind)
+        for t, part in zip(terms, parts)
         if _is_nonsingleton(part)
     ]
-    exact = len(nonsmooth) <= 1 or _pairwise_disjoint(
-        [vars_ for _, vars_ in nonsmooth]
-    )
     out = parts[0]
     for part in parts[1:]:
         out = out.minkowski_sum(part)
-    if not exact and not out.outer_estimate:
-        out = PolytopeUnion(
-            out.pieces,
-            outer_estimate=True,
-            notes=out.notes
-            + ("sum rule over coupled nonsmooth terms: outer estimate",),
-        )
+    if not _pairwise_disjoint(nonsmooth_vars) and not out.outer_estimate:
+        out = PolytopeUnion(out.pieces, outer_estimate=True,
+                            notes=out.notes + (note,))
     return out
 
 
@@ -294,31 +298,12 @@ def scalarized_subdiff(weights, exprs: Sequence[Expr], pt: Point,
         raise ValueError("one weight per expression is required")
 
     # outer route: fold per-term subdifferentials of w_i * f_i
-    active = [(w, f) for w, f in zip(weights, exprs) if w != 0.0]
-    kind, dim = _wrt_info(pt, wrt)
-    if not active:
-        outer = singleton(np.zeros(dim))
+    active = [_rebuild_term(w, f) for w, f in zip(weights, exprs) if w != 0.0]
+    if active:
+        outer = _fold(active, pt, wrt, tol,
+                      "per-objective fold over coupled nonsmooth terms")
     else:
-        parts = [
-            limiting_subdiff(_rebuild_term(w, f), pt, wrt, tol)
-            for w, f in active
-        ]
-        nonsmooth_vars = [
-            free_var_indices(f, kind)
-            for (w, f), part in zip(active, parts)
-            if _is_nonsingleton(part)
-        ]
-        exact_fold = len(nonsmooth_vars) <= 1 or _pairwise_disjoint(nonsmooth_vars)
-        outer = parts[0]
-        for part in parts[1:]:
-            outer = outer.minkowski_sum(part)
-        if not exact_fold and not outer.outer_estimate:
-            outer = PolytopeUnion(
-                outer.pieces,
-                outer_estimate=True,
-                notes=outer.notes
-                + ("per-objective fold over coupled nonsmooth terms",),
-            )
+        outer = singleton(np.zeros(_wrt_info(pt, wrt)[1]))
 
     # exact route: symbolic combination first, so identical kinks cancel
     exact: Optional[PolytopeUnion]

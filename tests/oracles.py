@@ -130,6 +130,43 @@ def finite_worst_case(e, z, points):
     return max(evaluate(e, Point.of(z, np.asarray(u))) for u in points)
 
 
+def per_point_sweep(e, z, U, grid):
+    """U's grid and ``e(z, u)`` on it, as each consumer wrote the sweep out.
+
+    The decision coordinates enter as 0-d columns against the uncertainty
+    columns; with no uncertainty variables the decision columns alone are
+    evaluated.  Returns ``(points, values)`` with one value per grid point.
+    """
+    from robustcert.expr import eval_broadcast
+
+    z = np.asarray(z, dtype=float)
+    pts = U.grid_points(grid)
+    cols_z = [np.asarray(z[j]) for j in range(len(z))]
+    cols_u = [pts[:, k] for k in range(U.dim)] if U.dim else None
+    vals = np.broadcast_to(eval_broadcast(e, cols_z, cols_u), (len(pts),))
+    return pts, vals
+
+
+def per_point_worst_case(e, z, U, grid):
+    """``worst_case_value`` over ``per_point_sweep``.
+
+    The grid maximum, polished per axis on box sets by the library's own
+    polish, so its floats are comparable bit for bit; with no uncertainty
+    variables, the scalar evaluation.
+    """
+    from robustcert.constraints import _refine_box_max
+
+    z = np.asarray(z, dtype=float)
+    if U.dim == 0:
+        return evaluate(e, Point.of(z, np.zeros(0)))
+    pts, vals = per_point_sweep(e, z, U, grid)
+    best_idx = int(np.argmax(vals))
+    best = float(vals[best_idx])
+    if U.kind == "box":
+        best = max(best, _refine_box_max(e, z, pts[best_idx], U)[1])
+    return best
+
+
 def min_norm_in_sum(vertex_sets, starts=8, seed=0):
     """min |v|_2 over v in the Minkowski sum of convex hulls, by SLSQP.
 

@@ -28,6 +28,16 @@ HARD_PROBLEM = {
     "label": "hard",
 }
 
+LINE_PROBLEM = {
+    "decision_dim": 1,
+    "uncertainty_dim": 1,
+    "objectives": ["z1"],
+    "constraints": ["z1 - u1"],
+    "uncertainty": {"type": "box", "lower": [0], "upper": [1]},
+    "cone": {"type": "orthant"},
+    "box": {"lower": [-1], "upper": [1]},
+}
+
 
 def run_json(capsys, argv):
     code = main(argv + ["--json"])
@@ -213,6 +223,19 @@ class TestExitCodes:
                      "--point", "0,1"]) == 1
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change", [
+        {"uncertainty": {"type": "box", "lower": [[0, 1]],
+                         "upper": [[1, 2]]}},
+        {"uncertainty": {"type": "finite", "points": [[[0]], [[1]]]}},
+        {"decision_dim": True},
+    ], ids=["box-bounds-not-flat", "finite-points-not-2d", "bool-dimension"])
+    def test_malformed_problem_is_usage_error(self, capsys, tmp_path, change):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(dict(LINE_PROBLEM, **change)))
+        assert main(["check", "--problem", str(path), "--point", "0.5"]) == 1
+        assert ("robustcert: error: could not load problem"
+                in capsys.readouterr().err)
+
     def test_unsupported_composition_is_internal_failure(self, capsys,
                                                          tmp_path):
         path = tmp_path / "hard.json"
@@ -310,14 +333,3 @@ class TestProcess:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["feasibility"]["feasible"] is True
-
-    def test_thread_cap_env_applied(self):
-        env = dict(os.environ, ROBUSTCERT_THREADS="1")
-        env.pop("OMP_NUM_THREADS", None)
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import robustcert, os; print(os.environ['OMP_NUM_THREADS'])"],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "1"

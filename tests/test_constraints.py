@@ -125,23 +125,15 @@ def test_refinement_recovers_off_grid_maximizer():
     assert reps[0].point[0] == pytest.approx(0.123456789, abs=1e-8)
 
 
-def test_batch_values_match_pointwise():
+def test_batch_values_match_pointwise(monkeypatch):
     g1 = parse_expr(G1, 2, 1)
     rng = np.random.default_rng(17)
     Z = rng.uniform([-4, -5], [1, 5], size=(20, 2))
-    batch = worst_case_values_batch(g1, Z, UBOX, chunk=7)
+    # 7 rows per chunk against the 1001-point grid: the last chunk is partial
+    monkeypatch.setattr(constraints, "CHUNK_ELEMENTS", 7 * 1001)
+    batch = worst_case_values_batch(g1, Z, UBOX)
     for i, z in enumerate(Z):
         assert batch[i] == pytest.approx(closed_form_psi1(z), abs=1e-9)
-
-
-def test_batch_values_identical_for_any_thread_count(monkeypatch):
-    g1 = parse_expr(G1, 2, 1)
-    rng = np.random.default_rng(3)
-    Z = rng.uniform([-4, -5], [1, 5], size=(150, 2))
-    sequential = worst_case_values_batch(g1, Z, UBOX, chunk=16)
-    monkeypatch.setenv("ROBUSTCERT_THREADS", "4")
-    threaded = worst_case_values_batch(g1, Z, UBOX, chunk=16)
-    assert np.array_equal(sequential, threaded)
 
 
 @pytest.fixture
@@ -158,22 +150,26 @@ def chunk_sizes(monkeypatch):
     return sizes
 
 
-def test_batch_chunks_keep_2000_rows_on_one_uncertainty_axis(chunk_sizes):
+def test_batch_chunks_keep_2000_rows_on_one_uncertainty_axis(chunk_sizes,
+                                                            monkeypatch):
     g1 = parse_expr(G1, 2, 1)
     Z = np.random.default_rng(5).uniform([-4, -5], [1, 5], size=(2001, 2))
     batch = worst_case_values_batch(g1, Z, UBOX)
     assert chunk_sizes == [2000 * 1001, 1001]
-    assert np.array_equal(batch, worst_case_values_batch(g1, Z, UBOX, chunk=1))
+    monkeypatch.setattr(constraints, "CHUNK_ELEMENTS", 1)  # one row a chunk
+    assert np.array_equal(batch, worst_case_values_batch(g1, Z, UBOX))
 
 
-def test_batch_chunks_fit_the_budget_on_two_uncertainty_axes(chunk_sizes):
+def test_batch_chunks_fit_the_budget_on_two_uncertainty_axes(chunk_sizes,
+                                                             monkeypatch):
     # 1001^2 u-points per row: at a fixed 2000 rows a chunk would be 16 GB
     e = parse_expr("u1*z1 + u2*z2 - abs(u1 - u2)", 2, 2)
     U = UncertaintySet.box([-1.0, -1.0], [1.0, 1.0])
     Z = np.array([[0.5, -1.0], [2.0, 0.25], [-1.5, 1.0]])
     batch = worst_case_values_batch(e, Z, U)
     assert max(chunk_sizes) <= CHUNK_ELEMENTS
-    assert np.array_equal(batch, worst_case_values_batch(e, Z, U, chunk=1))
+    monkeypatch.setattr(constraints, "CHUNK_ELEMENTS", 1)  # one row a chunk
+    assert np.array_equal(batch, worst_case_values_batch(e, Z, U))
 
 
 def test_finite_uncertainty_exact():

@@ -7,7 +7,6 @@ import pytest
 
 from robustcert.duality import (
     DualTriple,
-    _min_over_uncertainty,
     converse_duality_check,
     is_dual_feasible,
     strong_duality_construct,
@@ -87,9 +86,11 @@ class TestDualFeasibility:
 
 
 def test_min_over_uncertainty_helper(ex3_2):
-    # min over u in [-1,1] of u^2 - 3|u| at the anchor point is -2 (at |u|=1)
-    value = _min_over_uncertainty(ex3_2, 0, Z32, 1001)
-    assert value == pytest.approx(-2.0, abs=1e-12)
+    # min over u in [-1,1] of u^2 - 3|u| at the anchor point is -2 (at |u|=1);
+    # with unit multiplier the strict sign value is that minimum
+    triple = DualTriple(Z32, np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0]))
+    rep = is_dual_feasible(ex3_2, triple, "strict", grid=1001)
+    assert rep.sign_values[0] == pytest.approx(-2.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
