@@ -328,29 +328,57 @@ class Problem:
 
 def _refine_box_max(e: Expr, z, u0: np.ndarray, U: UncertaintySet,
                     passes: int = 2) -> Tuple[np.ndarray, float]:
-    """Per-axis bounded polish of a grid maximizer (box sets only)."""
-    u = np.asarray(u0, dtype=float).copy()
-    z = np.asarray(z, dtype=float)
-    best = evaluate(e, Point.of(z, u))
+    """Per-axis bounded polish of a grid maximizer (box sets only).
+
+    Each pass runs a bounded Brent line search along every axis in turn and
+    keeps a move that raises the value.  An axis is skipped while no other
+    coordinate has moved since its last line search: its 1-D objective is
+    then the same function, and the deterministic search would return the
+    same point, which cannot raise the value again.  At p = 1 that drops the
+    whole second pass.
+    """
+    start = Point.of(z, u0)
+    zt, u = start.z, list(start.u)
+    best = evaluate(e, start)
+    # axes whose 1-D objective may have changed since their last line search
+    stale = [True] * len(u)
     for _ in range(passes):
         for j in range(len(u)):
             lo, hi = U.lower[j], U.upper[j]
-            if hi <= lo:
+            if hi <= lo or not stale[j]:
                 continue
+            head, tail = tuple(u[:j]), tuple(u[j + 1:])
 
-            def neg(t, j=j):
-                trial = u.copy()
-                trial[j] = t
-                return -evaluate(e, Point.of(z, trial))
+            def neg(t):
+                return -evaluate(e, Point(zt, head + (float(t),) + tail))
 
             res = minimize_scalar(
                 neg, bounds=(lo, hi), method="bounded",
                 options={"xatol": REFINE_XATOL},
             )
+            stale[j] = False
             if -res.fun > best:
                 best = float(-res.fun)
                 u[j] = float(res.x)
-    return u, best
+                stale = [k != j for k in range(len(u))]
+    return np.array(u), best
+
+
+def _polish(e: Expr, z, u0: np.ndarray, U: UncertaintySet,
+            polished: Optional[dict]) -> Tuple[np.ndarray, float]:
+    """``_refine_box_max`` from ``u0``, read from or stored in ``polished``.
+
+    ``polished`` holds the polishes of one expression at one decision point,
+    keyed by the start's bytes; each caller gets its own copy of the point.
+    Without it, the polish is run.
+    """
+    if polished is None:
+        return _refine_box_max(e, z, u0, U)
+    key = np.asarray(u0, dtype=float).tobytes()
+    if key not in polished:
+        polished[key] = _refine_box_max(e, z, u0, U)
+    u, value = polished[key]
+    return u.copy(), value
 
 
 def grid_sweep(e: Expr, z, U: UncertaintySet,
@@ -369,8 +397,12 @@ def grid_sweep(e: Expr, z, U: UncertaintySet,
 
 
 def worst_case_value(e: Expr, z, U: UncertaintySet,
-                     grid: int = GRID_DEFAULT) -> float:
-    """max over u in U of e(z, u), dense grid plus per-axis polish."""
+                     grid: int = GRID_DEFAULT,
+                     polished: Optional[dict] = None) -> float:
+    """max over u in U of e(z, u), dense grid plus per-axis polish.
+
+    ``polished`` is a memo of polishes of ``e`` at ``z`` (see ``_polish``).
+    """
     z = np.asarray(z, dtype=float)
     if U.dim == 0:
         return evaluate(e, Point.of(z, np.zeros(0)))
@@ -378,7 +410,7 @@ def worst_case_value(e: Expr, z, U: UncertaintySet,
     best_idx = int(np.argmax(vals))
     best = float(vals[best_idx])
     if U.kind == "box":
-        _, refined = _refine_box_max(e, z, pts[best_idx], U)
+        _, refined = _polish(e, z, pts[best_idx], U, polished)
         best = max(best, refined)
     return best
 
@@ -435,8 +467,14 @@ class AttainingRealization:
 
 
 def active_uncertainty(e: Expr, z, U: UncertaintySet, tol: float = ACTIVE_TOL,
-                       grid: int = GRID_DEFAULT) -> List[AttainingRealization]:
-    """Clustered uncertainty realizations attaining the worst case at z."""
+                       grid: int = GRID_DEFAULT,
+                       polished: Optional[dict] = None
+                       ) -> List[AttainingRealization]:
+    """Clustered uncertainty realizations attaining the worst case at z.
+
+    Each cluster is polished from its best grid point; ``polished`` is a memo
+    of polishes of ``e`` at ``z`` (see ``_polish``).
+    """
     z = np.asarray(z, dtype=float)
     if U.dim == 0:
         v = evaluate(e, Point.of(z, np.zeros(0)))
@@ -487,7 +525,7 @@ def active_uncertainty(e: Expr, z, U: UncertaintySet, tol: float = ACTIVE_TOL,
         cluster_pts = cand_pts[members]
         cluster_vals = vals[cand[members]]
         best_local = int(np.argmax(cluster_vals))
-        u_ref, v_ref = _refine_box_max(e, z, cluster_pts[best_local], U)
+        u_ref, v_ref = _polish(e, z, cluster_pts[best_local], U, polished)
         lower = np.minimum(cluster_pts.min(axis=0), u_ref)
         upper = np.maximum(cluster_pts.max(axis=0), u_ref)
         extent = float(np.max(np.linalg.norm(cluster_pts - u_ref, axis=1), initial=0.0))
@@ -565,10 +603,17 @@ def _box_corners(lower: np.ndarray, upper: np.ndarray) -> List[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def constraint_values(P: Problem, z, grid: int = GRID_DEFAULT) -> np.ndarray:
-    """Worst-case value of every constraint at z."""
+def constraint_values(P: Problem, z, grid: int = GRID_DEFAULT,
+                      polished: Optional[Sequence[dict]] = None
+                      ) -> np.ndarray:
+    """Worst-case value of every constraint at z.
+
+    ``polished[i]``, when given, is constraint i's polish memo at z.
+    """
+    memos = polished if polished is not None else [None] * P.n_constraints
     return np.array(
-        [worst_case_value(g, z, P.uncertainty, grid) for g in P.constraints]
+        [worst_case_value(g, z, P.uncertainty, grid, polished=memo)
+         for g, memo in zip(P.constraints, memos)]
     )
 
 
@@ -577,8 +622,11 @@ class PointAnalysis:
 
     ``psi`` (the worst-case constraint values) is computed on construction;
     everything else on first use, memoized per constraint index, so every
-    consumer of one analysis shares one computation.  Activity is decided at
-    ``ACTIVE_TOL``:
+    consumer of one analysis shares one computation.  The per-axis polishes
+    of grid maximizers are shared too: each constraint keeps a memo of them
+    keyed by the start u, so ``realizations(i)`` reuses the polish that
+    ``psi`` made from the same grid point.  Nothing outlives the analysis.
+    Activity is decided at ``ACTIVE_TOL``:
 
     * ``binding`` -- constraints whose worst case is within it of zero;
     * ``active_max`` -- constraints whose worst case is within it of the
@@ -590,7 +638,8 @@ class PointAnalysis:
         self.z = np.asarray(z, dtype=float)
         self.grid = grid
         self.point = Point.of(self.z)
-        self.psi = constraint_values(P, self.z, grid)
+        self._polished: List[dict] = [{} for _ in P.constraints]
+        self.psi = constraint_values(P, self.z, grid, self._polished)
         self._realizations: Dict[int, List[AttainingRealization]] = {}
         self._subdiffs: Dict[int, PolytopeUnion] = {}
         self._hulls: Dict[int, Polytope] = {}
@@ -621,7 +670,7 @@ class PointAnalysis:
         if i not in self._realizations:
             self._realizations[i] = active_uncertainty(
                 self.problem.constraints[i], self.z, self.problem.uncertainty,
-                ACTIVE_TOL, self.grid,
+                ACTIVE_TOL, self.grid, polished=self._polished[i],
             )
         return self._realizations[i]
 

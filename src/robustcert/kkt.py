@@ -47,6 +47,7 @@ from .constraints import (
     worst_case_subdiff,
 )
 from .expr import Point, evaluate
+from .memo import LruMemo
 from .polytope import Polytope, PolytopeUnion, convex_hull_of
 from .subdiff import UnsupportedComposition, limiting_subdiff, scalarized_subdiff
 
@@ -73,6 +74,8 @@ PRUNE_MARGIN = 1e-6
 CUT_TOL = 1e-9
 # lattice rows per prefilter chunk of the direction scan
 SCAN_CHUNK = 4096
+# scaled direction lattices kept per process, one per (m, edge)
+DIRECTION_GRID_ENTRIES = 8
 
 
 @dataclass
@@ -212,6 +215,25 @@ def _simplex_indices(m: int, edge: int) -> np.ndarray:
         total = np.repeat(total, counts) + nxt
     # key columns (i_2, ..., i_{m-1}, i_1) back to index order
     return np.column_stack([keys[:, -1], keys[:, :-1], N - total])
+
+
+def _build_direction_grid(m: int, edge: int) -> np.ndarray:
+    Y = _simplex_indices(m, edge).astype(float) / edge
+    Y.setflags(write=False)
+    return Y
+
+
+_direction_grids = LruMemo()
+
+
+def _direction_grid(m: int, edge: int) -> np.ndarray:
+    """``_simplex_indices(m, edge) / edge``: the scan's directions, in order.
+
+    Memoized per process on ``(m, edge)``; the array is read-only.
+    """
+    return _direction_grids.get((m, edge),
+                                lambda: _build_direction_grid(m, edge),
+                                DIRECTION_GRID_ENTRIES)
 
 
 def _piece_ranges(union: PolytopeUnion) -> Tuple[np.ndarray, np.ndarray]:
@@ -492,7 +514,7 @@ def _lifted_lps(analysis, hull_list) -> Tuple[float, List[np.ndarray]]:
 def _scan(P, analysis, hull_list, d, m, opts):
     """First lattice direction that passes, in scan order: (y, mu, mode)."""
     edge = opts.y_grid - 1
-    Y = _simplex_indices(m, edge).astype(float) / edge
+    Y = _direction_grid(m, edge)
     lp_budget = MAX_LP
     for start in range(0, len(Y), SCAN_CHUNK):
         chunk = Y[start:start + SCAN_CHUNK]
@@ -633,7 +655,7 @@ def _coarse_residual_scan(analysis, hull_list, m, duals
     solving stops once every unsolved bound exceeds the best residual by
     ``PRUNE_MARGIN``.
     """
-    Y = _simplex_indices(m, COARSE_EDGE).astype(float) / COARSE_EDGE
+    Y = _direction_grid(m, COARSE_EDGE)
     subdiffs = analysis.objective_subdiffs
     bound = np.zeros(len(Y))
     resid = np.full(len(Y), np.inf)

@@ -40,12 +40,26 @@ def _require(data: dict, key: str, kind, where: str):
     return value
 
 
+def _holds_bool(value) -> bool:
+    if isinstance(value, list):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool)
+
+
 def _numbers(data: dict, key: str, where: str) -> np.ndarray:
-    """A list field as a float array; ``json`` lets NaN and Infinity through."""
+    """A list field as a float array; ``json`` lets NaN and Infinity through.
+
+    ``true`` and ``false`` are refused at any depth: numpy would read them
+    as 1.0 and 0.0.
+    """
+    raw = _require(data, key, list, where)
+    bad = ProblemFormatError(f"'{key}' in {where} must hold numbers")
+    if _holds_bool(raw):
+        raise bad
     try:
-        values = np.asarray(_require(data, key, list, where), dtype=float)
+        values = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as err:
-        raise ProblemFormatError(f"'{key}' in {where} must hold numbers") from err
+        raise bad from err
     if not np.all(np.isfinite(values)):
         raise ProblemFormatError(f"'{key}' in {where} must be finite")
     return values

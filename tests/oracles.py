@@ -167,6 +167,42 @@ def per_point_worst_case(e, z, U, grid):
     return best
 
 
+def two_pass_refine_box_max(e, z, u0, U, passes=2):
+    """The per-axis polish with every line search of every pass run.
+
+    The library's ``_refine_box_max`` as it was before it skipped a line
+    search whose 1-D objective had not changed, kept word for word: the
+    same scipy calls on the same floats, so its (u, value) are comparable
+    bit for bit.
+    """
+    from scipy.optimize import minimize_scalar
+
+    from robustcert.constraints import REFINE_XATOL
+
+    u = np.asarray(u0, dtype=float).copy()
+    z = np.asarray(z, dtype=float)
+    best = evaluate(e, Point.of(z, u))
+    for _ in range(passes):
+        for j in range(len(u)):
+            lo, hi = U.lower[j], U.upper[j]
+            if hi <= lo:
+                continue
+
+            def neg(t, j=j):
+                trial = u.copy()
+                trial[j] = t
+                return -evaluate(e, Point.of(z, trial))
+
+            res = minimize_scalar(
+                neg, bounds=(lo, hi), method="bounded",
+                options={"xatol": REFINE_XATOL},
+            )
+            if -res.fun > best:
+                best = float(-res.fun)
+                u[j] = float(res.x)
+    return u, best
+
+
 def min_norm_in_sum(vertex_sets, starts=8, seed=0):
     """min |v|_2 over v in the Minkowski sum of convex hulls, by SLSQP.
 

@@ -228,7 +228,17 @@ class TestExitCodes:
                          "upper": [[1, 2]]}},
         {"uncertainty": {"type": "finite", "points": [[[0]], [[1]]]}},
         {"decision_dim": True},
-    ], ids=["box-bounds-not-flat", "finite-points-not-2d", "bool-dimension"])
+        # numpy reads true and false as 1.0 and 0.0
+        {"uncertainty": {"type": "box", "lower": [False], "upper": [1]}},
+        {"uncertainty": {"type": "box", "lower": [0], "upper": [True]}},
+        {"uncertainty": {"type": "finite", "points": [[0], [True]]}},
+        {"box": {"lower": [False], "upper": [1]}},
+        {"box": {"lower": [-1], "upper": [True]}},
+        {"cone": {"type": "generators", "rays": [[True]]}},
+    ], ids=["box-bounds-not-flat", "finite-points-not-2d", "bool-dimension",
+            "bool-uncertainty-lower", "bool-uncertainty-upper",
+            "bool-finite-point", "bool-box-lower", "bool-box-upper",
+            "bool-cone-ray"])
     def test_malformed_problem_is_usage_error(self, capsys, tmp_path, change):
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(dict(LINE_PROBLEM, **change)))

@@ -125,6 +125,24 @@ class TestDirectionGrid:
         with pytest.raises(LatticeTooLarge):
             _simplex_indices(3, 200000)
 
+    def test_scan_lattice_is_built_once_per_size(self, ex3_2, monkeypatch):
+        kkt._direction_grids.clear()
+        built = []
+        orig = kkt._simplex_indices
+
+        def counted(m, edge):
+            built.append((m, edge))
+            return orig(m, edge)
+
+        monkeypatch.setattr(kkt, "_simplex_indices", counted)
+        opts = KktOptions(y_grid=41)
+        first = find_kkt_certificate(ex3_2, Z_REF, opts).to_jsonable()
+        assert find_kkt_certificate(ex3_2, Z_REF, opts).to_jsonable() == first
+        assert built == [(3, 40)]
+        Y = kkt._direction_grid(3, 40)
+        assert not Y.flags.writeable
+        np.testing.assert_array_equal(Y, loop_simplex_indices(3, 40) / 40)
+
     def test_prefilter_blocks_small_first_weight(self, ex3_2):
         # with no weight on the second objective, the second coordinate of the
         # stationarity sum can only vanish when the first weight dominates the
