@@ -16,8 +16,10 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+# passed to lp.solve, so a wrapper installed on this binding sees every LP
 from scipy.optimize import linprog, minimize_scalar
 
+from . import lp
 from .expr import Expr, Point, eval_broadcast, evaluate
 from .polytope import (Polytope, PolytopeUnion, convex_hull_of, dedup_pieces,
                        dedup_rows)
@@ -180,12 +182,12 @@ class ConeSpec:
         # pointedness: K contains a line iff 0 is a nontrivial nonnegative
         # combination of the rays
         k = len(R)
-        res = linprog(
+        res = lp.solve(
+            linprog,
             np.zeros(k),
             A_eq=np.vstack([R.T, np.ones((1, k))]),
             b_eq=np.concatenate([np.zeros(R.shape[1]), [1.0]]),
             bounds=[(0, None)] * k,
-            method="highs",
         )
         if res.status == 0:
             raise ProblemFormatError("generator cone is not pointed")
@@ -213,12 +215,12 @@ class ConeSpec:
             ]
         )
         b_ub = np.concatenate([x, -x])
-        res = linprog(
+        res = lp.solve(
+            linprog,
             c,
             A_ub=A_ub,
             b_ub=b_ub,
             bounds=[(0, None)] * k + [(0, None)],
-            method="highs",
         )
         return bool(res.status == 0 and res.fun <= tol)
 

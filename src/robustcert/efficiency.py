@@ -31,8 +31,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
+# passed to lp.solve, so a wrapper installed on this binding sees every LP
 from scipy.optimize import linprog
 
+from . import lp
 from .constraints import FEAS_TOL, GRID_DEFAULT, Problem, worst_case_matrix
 from .convexity import TypeClassification
 from .kkt import KktCertificate, VerificationReport
@@ -234,9 +236,9 @@ def _proper_lp(D: np.ndarray, R: np.ndarray, eps: float):
     b_ub = np.concatenate([np.zeros(len(D)), -eps * np.ones(len(R))])
     A_eq = R.sum(axis=0)[None, :]
     b_eq = np.array([1.0])
-    return linprog(
-        np.zeros(m), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-        bounds=[(None, None)] * m, method="highs",
+    return lp.solve(
+        linprog, np.zeros(m), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+        bounds=[(None, None)] * m,
     )
 
 

@@ -34,8 +34,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+# passed to lp.solve, so a wrapper installed on this binding sees every LP
 from scipy.optimize import linprog
 
+from . import lp
 from .constraints import (
     ACTIVE_TOL,
     GRID_DEFAULT,
@@ -319,8 +321,7 @@ def _selection_lp(piece_sets, hulls: List[np.ndarray],
     b_eq = np.concatenate([np.zeros(d), np.ones(len(simplex))])
 
     if balance_target is None:
-        res = linprog(np.zeros(n_cols), A_eq=A_eq, b_eq=b_eq,
-                      bounds=(0, None), method="highs")
+        res = lp.solve(linprog, np.zeros(n_cols), A_eq=A_eq, b_eq=b_eq)
         if res.status != 0:
             return False, None, None
         return True, res.x, None
@@ -337,8 +338,7 @@ def _selection_lp(piece_sets, hulls: List[np.ndarray],
         ]
     )
     b_ub = np.array([balance_target, -balance_target])
-    res = linprog(c, A_eq=A_eq2, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub,
-                  bounds=(0, None), method="highs")
+    res = lp.solve(linprog, c, A_eq=A_eq2, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub)
     if res.status != 0:
         return False, None, None
     return True, res.x[:-1], float(res.fun)
@@ -364,9 +364,8 @@ def _slack_lp(piece_sets, hulls: List[np.ndarray], lifted: bool = False
         ]
     )
     A_eq = np.hstack([simplex, np.zeros((len(simplex), 1))])
-    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(2 * d), A_eq=A_eq,
-                  b_eq=np.ones(len(simplex)), bounds=(0, None),
-                  method="highs")
+    res = lp.solve(linprog, c, A_ub=A_ub, b_ub=np.zeros(2 * d), A_eq=A_eq,
+                   b_eq=np.ones(len(simplex)))
     if res.status != 0:
         return None
     marginals = res.ineqlin.marginals
@@ -580,8 +579,8 @@ def _fj_solve(hull_list, d) -> Optional[np.ndarray]:
         [np.hstack([v.T for v in hull_list]), np.ones((1, n_cols))]
     )
     b_eq = np.concatenate([np.zeros(d), [1.0]])
-    res = linprog(np.zeros(n_cols), A_eq=A_eq, b_eq=b_eq,
-                  bounds=[(0, None)] * n_cols, method="highs")
+    res = lp.solve(linprog, np.zeros(n_cols), A_eq=A_eq, b_eq=b_eq,
+                   bounds=[(0, None)] * n_cols)
     if res.status != 0:
         return None
     return res.x

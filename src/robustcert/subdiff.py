@@ -25,8 +25,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
+# passed to lp.solve, so a wrapper installed on this binding sees every LP
 from scipy.optimize import linprog
 
+from . import lp
 from .expr import (
     ActiveKinkError,
     BinOp,
@@ -240,7 +242,7 @@ def _attain_margin(gj: np.ndarray, others: List[np.ndarray], is_max: bool) -> fl
     A_ub = np.array(rows)
     b_ub = np.zeros(len(rows))
     bounds = [(-1.0, 1.0)] * dim + [(None, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    res = lp.solve(linprog, c, A_ub=A_ub, b_ub=b_ub, bounds=bounds)
     if not res.success:  # pragma: no cover - tiny LPs should always solve
         return 0.0
     return float(-res.fun)
