@@ -1,11 +1,14 @@
 """Worst-case (semi-infinite) constraint machinery.
 
-A robust constraint is ``max over u in U of g_i(z, u) <= 0``.  This module
-evaluates those worst-case values (dense grid plus bounded per-axis polish for
-box uncertainty, exact enumeration for finite uncertainty), locates the
-uncertainty realizations that attain them, and assembles the decision-space
-limiting subdifferentials of the attaining pieces.  It also defines ordering
-cones and the problem container loaded from JSON.
+A robust constraint is ``max over u in U of g_i(z, u) <= 0``.  A
+``WorstCase`` is that supremum at one decision point.  From one sweep of U's
+grid it finds the value (polished per axis on a box, exact on a finite set),
+the uncertainty realizations that attain it, and the decision-space limiting
+subdifferentials of the attaining pieces.  ``worst_case_value``,
+``active_uncertainty``, ``worst_case_subdiff`` and ``constraint_values``
+build the same from scratch, for checks that must not share work.  The
+module also defines ordering cones and the problem container loaded from
+JSON.
 """
 
 from __future__ import annotations
@@ -118,9 +121,12 @@ class UncertaintySet:
         return self.points.shape[1]
 
     def grid_points(self, n: int = GRID_DEFAULT) -> np.ndarray:
-        """(M, p) array of evaluation points."""
+        """(M, p) array of evaluation points; a finite set ignores ``n``."""
         if self.kind == "finite":
             return self.points
+        if n < 2:
+            raise ValueError(f"a box uncertainty grid needs at least 2 "
+                             f"points per axis, got {n}")
         return box_lattice(self.lower, self.upper, n)
 
     def contains(self, u, tol: float = 1e-9) -> bool:
@@ -328,14 +334,14 @@ class Problem:
 # ---------------------------------------------------------------------------
 
 
-def _refine_box_max(e: Expr, z, u0: np.ndarray, U: UncertaintySet,
-                    passes: int = 2) -> Tuple[np.ndarray, float]:
+def _refine_box_max(e: Expr, z, u0: np.ndarray,
+                    U: UncertaintySet) -> Tuple[np.ndarray, float]:
     """Per-axis bounded polish of a grid maximizer (box sets only).
 
-    Each pass runs a bounded Brent line search along every axis in turn and
-    keeps a move that raises the value.  An axis is skipped while no other
-    coordinate has moved since its last line search: its 1-D objective is
-    then the same function, and the deterministic search would return the
+    Each of two passes runs a bounded Brent line search along every axis in
+    turn and keeps a move that raises the value.  An axis is skipped while no
+    other coordinate has moved since its last line search: its 1-D objective
+    is then the same function, and the deterministic search would return the
     same point, which cannot raise the value again.  At p = 1 that drops the
     whole second pass.
     """
@@ -344,7 +350,7 @@ def _refine_box_max(e: Expr, z, u0: np.ndarray, U: UncertaintySet,
     best = evaluate(e, start)
     # axes whose 1-D objective may have changed since their last line search
     stale = [True] * len(u)
-    for _ in range(passes):
+    for _ in range(2):
         for j in range(len(u)):
             lo, hi = U.lower[j], U.upper[j]
             if hi <= lo or not stale[j]:
@@ -366,23 +372,6 @@ def _refine_box_max(e: Expr, z, u0: np.ndarray, U: UncertaintySet,
     return np.array(u), best
 
 
-def _polish(e: Expr, z, u0: np.ndarray, U: UncertaintySet,
-            polished: Optional[dict]) -> Tuple[np.ndarray, float]:
-    """``_refine_box_max`` from ``u0``, read from or stored in ``polished``.
-
-    ``polished`` holds the polishes of one expression at one decision point,
-    keyed by the start's bytes; each caller gets its own copy of the point.
-    Without it, the polish is run.
-    """
-    if polished is None:
-        return _refine_box_max(e, z, u0, U)
-    key = np.asarray(u0, dtype=float).tobytes()
-    if key not in polished:
-        polished[key] = _refine_box_max(e, z, u0, U)
-    u, value = polished[key]
-    return u.copy(), value
-
-
 def grid_sweep(e: Expr, z, U: UncertaintySet,
                grid: int = GRID_DEFAULT) -> Tuple[np.ndarray, np.ndarray]:
     """U's grid points and ``e(z, u)`` at each of them, for one decision point.
@@ -396,29 +385,6 @@ def grid_sweep(e: Expr, z, U: UncertaintySet,
     cols_u = [pts[:, k] for k in range(U.dim)]
     vals = np.broadcast_to(eval_broadcast(e, cols_z, cols_u), (len(pts),))
     return pts, vals
-
-
-def worst_case_value(e: Expr, z, U: UncertaintySet,
-                     grid: int = GRID_DEFAULT,
-                     polished: Optional[dict] = None) -> float:
-    """max over u in U of e(z, u), dense grid plus per-axis polish.
-
-    ``polished`` is a memo of polishes of ``e`` at ``z`` (see ``_polish``).
-    """
-    z = np.asarray(z, dtype=float)
-    if U.dim == 0:
-        return evaluate(e, Point.of(z, np.zeros(0)))
-    pts, vals = grid_sweep(e, z, U, grid)
-    best_idx = int(np.argmax(vals))
-    best = float(vals[best_idx])
-    if U.kind == "box":
-        _, refined = _polish(e, z, pts[best_idx], U, polished)
-        best = max(best, refined)
-    return best
-
-
-# keep the conventional short name used throughout the robust-optimization API
-psi = worst_case_value
 
 
 def worst_case_values_batch(e: Expr, Z: np.ndarray, U: UncertaintySet,
@@ -468,104 +434,147 @@ class AttainingRealization:
     upper: np.ndarray
 
 
-def active_uncertainty(e: Expr, z, U: UncertaintySet, tol: float = ACTIVE_TOL,
-                       grid: int = GRID_DEFAULT,
-                       polished: Optional[dict] = None
-                       ) -> List[AttainingRealization]:
-    """Clustered uncertainty realizations attaining the worst case at z.
+class WorstCase:
+    """max over u in U of e(z, u): one expression's worst case at one point.
 
-    Each cluster is polished from its best grid point; ``polished`` is a memo
-    of polishes of ``e`` at ``z`` (see ``_polish``).
+    U's grid is swept once, on construction (not at all when U has dimension
+    zero).  ``value``, ``realizations``, ``subdiff`` and ``hull`` are computed
+    on first use and then kept.  Each polish is made once per start and
+    handed out as a copy, so ``realizations`` reuses the polish ``value``
+    made from the same grid point.
     """
-    z = np.asarray(z, dtype=float)
-    if U.dim == 0:
-        v = evaluate(e, Point.of(z, np.zeros(0)))
-        zero = np.zeros(0)
-        return [AttainingRealization(zero, v, 0.0, zero, zero)]
-    pts, vals = grid_sweep(e, z, U, grid)
-    vmax = float(np.max(vals))
-    cand = np.flatnonzero(vals >= vmax - tol)
 
-    if U.kind == "finite":
-        reps = [
-            AttainingRealization(pts[i], float(vals[i]), 0.0, pts[i], pts[i])
-            for i in cand
-        ]
-        reps.sort(key=lambda r: tuple(r.point))
-        return reps
+    def __init__(self, e: Expr, z, U: UncertaintySet,
+                 grid: int = GRID_DEFAULT, tol: float = ACTIVE_TOL):
+        self.e = e
+        self.z = np.asarray(z, dtype=float)
+        self.U = U
+        self.grid = grid
+        self.tol = tol
+        self._polishes: Dict[bytes, Tuple[np.ndarray, float]] = {}
+        if U.dim > 0:
+            self.pts, self.vals = grid_sweep(e, self.z, U, grid)
 
-    # cluster grid candidates by adjacency (within 1.5 grid steps)
-    steps = np.array(
-        [
-            (hi - lo) / (grid - 1) if hi > lo else 1.0
-            for lo, hi in zip(U.lower, U.upper)
-        ]
-    )
-    cand_pts = pts[cand]
-    clusters: List[List[int]] = []
-    assigned = np.full(len(cand), -1)
-    for i in range(len(cand)):
-        if assigned[i] >= 0:
-            continue
-        queue = [i]
-        assigned[i] = len(clusters)
-        members = [i]
-        while queue:
-            a = queue.pop()
-            near = np.flatnonzero(
-                (assigned < 0)
-                & (np.max(np.abs(cand_pts - cand_pts[a]) / steps, axis=1) <= 1.5)
-            )
-            for b in near:
-                assigned[b] = len(clusters)
-                members.append(int(b))
-                queue.append(int(b))
-        clusters.append(members)
+    def _polish(self, u0: np.ndarray) -> Tuple[np.ndarray, float]:
+        key = np.asarray(u0, dtype=float).tobytes()
+        if key not in self._polishes:
+            self._polishes[key] = _refine_box_max(self.e, self.z, u0, self.U)
+        u, value = self._polishes[key]
+        return u.copy(), value
 
-    reps: List[AttainingRealization] = []
-    for members in clusters:
-        cluster_pts = cand_pts[members]
-        cluster_vals = vals[cand[members]]
-        best_local = int(np.argmax(cluster_vals))
-        u_ref, v_ref = _polish(e, z, cluster_pts[best_local], U, polished)
-        lower = np.minimum(cluster_pts.min(axis=0), u_ref)
-        upper = np.maximum(cluster_pts.max(axis=0), u_ref)
-        extent = float(np.max(np.linalg.norm(cluster_pts - u_ref, axis=1), initial=0.0))
-        reps.append(AttainingRealization(u_ref, v_ref, extent, lower, upper))
+    @cached_property
+    def value(self) -> float:
+        """The worst case: the grid maximum, polished on box sets."""
+        if self.U.dim == 0:
+            return evaluate(self.e, Point.of(self.z, np.zeros(0)))
+        best_idx = int(np.argmax(self.vals))
+        best = float(self.vals[best_idx])
+        if self.U.kind == "box":
+            best = max(best, self._polish(self.pts[best_idx])[1])
+        return best
 
-    # merge refined representatives that coincide
-    merged: List[AttainingRealization] = []
-    for rep in sorted(reps, key=lambda r: tuple(r.point)):
-        absorbed = False
-        for prior in merged:
-            if np.max(np.abs(prior.point - rep.point), initial=0.0) <= 1e-6:
-                prior.value = max(prior.value, rep.value)
-                prior.extent = max(prior.extent, rep.extent)
-                prior.lower = np.minimum(prior.lower, rep.lower)
-                prior.upper = np.maximum(prior.upper, rep.upper)
-                absorbed = True
-                break
-        if not absorbed:
-            merged.append(rep)
-    return merged
+    @cached_property
+    def realizations(self) -> List[AttainingRealization]:
+        """Clustered realizations within ``tol`` of the grid maximum."""
+        if self.U.dim == 0:
+            zero = np.zeros(0)
+            return [AttainingRealization(zero, self.value, 0.0, zero, zero)]
+        U, pts, vals = self.U, self.pts, self.vals
+        vmax = float(np.max(vals))
+        cand = np.flatnonzero(vals >= vmax - self.tol)
+
+        if U.kind == "finite":
+            reps = [
+                AttainingRealization(pts[i], float(vals[i]), 0.0, pts[i], pts[i])
+                for i in cand
+            ]
+            reps.sort(key=lambda r: tuple(r.point))
+            return reps
+
+        # cluster grid candidates by adjacency (within 1.5 grid steps) and
+        # polish each cluster from its best grid point
+        steps = np.where(U.upper > U.lower,
+                         (U.upper - U.lower) / (self.grid - 1), 1.0)
+        cand_pts = pts[cand]
+        assigned = np.zeros(len(cand), dtype=bool)
+        reps = []
+        for i in range(len(cand)):
+            if assigned[i]:
+                continue
+            assigned[i] = True
+            members, queue = [i], [i]
+            while queue:
+                a = queue.pop()
+                dist = np.max(np.abs(cand_pts - cand_pts[a]) / steps, axis=1)
+                near = np.flatnonzero(~assigned & (dist <= 1.5))
+                assigned[near] = True
+                members.extend(near.tolist())
+                queue.extend(near.tolist())
+            cluster_pts = cand_pts[members]
+            best_local = int(np.argmax(vals[cand[members]]))
+            u_ref, v_ref = self._polish(cluster_pts[best_local])
+            lower = np.minimum(cluster_pts.min(axis=0), u_ref)
+            upper = np.maximum(cluster_pts.max(axis=0), u_ref)
+            extent = float(np.max(np.linalg.norm(cluster_pts - u_ref, axis=1),
+                                  initial=0.0))
+            reps.append(AttainingRealization(u_ref, v_ref, extent, lower, upper))
+
+        # merge refined representatives that coincide
+        merged: List[AttainingRealization] = []
+        for rep in sorted(reps, key=lambda r: tuple(r.point)):
+            for prior in merged:
+                if np.max(np.abs(prior.point - rep.point), initial=0.0) <= 1e-6:
+                    prior.value = max(prior.value, rep.value)
+                    prior.extent = max(prior.extent, rep.extent)
+                    prior.lower = np.minimum(prior.lower, rep.lower)
+                    prior.upper = np.maximum(prior.upper, rep.upper)
+                    break
+            else:
+                merged.append(rep)
+        return merged
+
+    @cached_property
+    def subdiff(self) -> PolytopeUnion:
+        """Union of decision-space subdifferentials at ``realizations``."""
+        return _subdiff_at(self.e, self.z, self.realizations)
+
+    @cached_property
+    def hull(self) -> Polytope:
+        """Convex hull of ``subdiff``."""
+        return self.subdiff.hull()
+
+
+def worst_case_value(e: Expr, z, U: UncertaintySet,
+                     grid: int = GRID_DEFAULT) -> float:
+    """max over u in U of e(z, u): ``WorstCase(e, z, U, grid).value``."""
+    return WorstCase(e, z, U, grid).value
+
+
+# keep the conventional short name used throughout the robust-optimization API
+psi = worst_case_value
+
+
+def active_uncertainty(e: Expr, z, U: UncertaintySet, tol: float = ACTIVE_TOL,
+                       grid: int = GRID_DEFAULT) -> List[AttainingRealization]:
+    """Realizations attaining the worst case: ``WorstCase.realizations``."""
+    return WorstCase(e, z, U, grid, tol).realizations
 
 
 def worst_case_subdiff(e: Expr, z, U: UncertaintySet, tol: float = ACTIVE_TOL,
-                       grid: int = GRID_DEFAULT,
-                       realizations: Optional[List[AttainingRealization]] = None
-                       ) -> PolytopeUnion:
-    """Union of decision-space subdifferentials over attaining realizations.
+                       grid: int = GRID_DEFAULT) -> PolytopeUnion:
+    """Subdifferentials at ``active_uncertainty``: ``WorstCase.subdiff``."""
+    return _subdiff_at(e, np.asarray(z, dtype=float),
+                       active_uncertainty(e, z, U, tol=tol, grid=grid))
+
+
+def _subdiff_at(e: Expr, z: np.ndarray,
+                reps: Sequence[AttainingRealization]) -> PolytopeUnion:
+    """Union of the decision-space subdifferentials of ``e`` at ``reps``.
 
     Isolated maximizers give an exact union; plateau clusters (extent above
     ``EXTENT_TOL``) are hulled from sampled endpoint subdifferentials and
-    flagged as an outer estimate.  ``realizations`` are the ones
-    ``active_uncertainty`` returns at (z, tol, grid); they are computed when
-    not given.
+    flagged as an outer estimate.
     """
-    z = np.asarray(z, dtype=float)
-    reps = realizations
-    if reps is None:
-        reps = active_uncertainty(e, z, U, tol=tol, grid=grid)
     pieces: List[Polytope] = []
     outer = False
     notes: Tuple[str, ...] = ()
@@ -605,29 +614,21 @@ def _box_corners(lower: np.ndarray, upper: np.ndarray) -> List[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def constraint_values(P: Problem, z, grid: int = GRID_DEFAULT,
-                      polished: Optional[Sequence[dict]] = None
-                      ) -> np.ndarray:
-    """Worst-case value of every constraint at z.
-
-    ``polished[i]``, when given, is constraint i's polish memo at z.
-    """
-    memos = polished if polished is not None else [None] * P.n_constraints
-    return np.array(
-        [worst_case_value(g, z, P.uncertainty, grid, polished=memo)
-         for g, memo in zip(P.constraints, memos)]
-    )
+def constraint_values(P: Problem, z, grid: int = GRID_DEFAULT) -> np.ndarray:
+    """Worst-case value of every constraint at z."""
+    return np.array([worst_case_value(g, z, P.uncertainty, grid)
+                     for g in P.constraints])
 
 
 class PointAnalysis:
     """Worst-case and subdifferential data at one decision point.
 
-    ``psi`` (the worst-case constraint values) is computed on construction;
-    everything else on first use, memoized per constraint index, so every
-    consumer of one analysis shares one computation.  The per-axis polishes
-    of grid maximizers are shared too: each constraint keeps a memo of them
-    keyed by the start u, so ``realizations(i)`` reuses the polish that
-    ``psi`` made from the same grid point.  Nothing outlives the analysis.
+    The analysis holds one ``WorstCase`` per constraint, so each constraint's
+    uncertainty grid is swept once, on construction, and each polish of a
+    grid maximizer is made once: ``psi`` (the worst-case constraint values)
+    and ``realizations(i)`` share them.  ``psi`` is computed on construction;
+    everything else on first use and then kept, so every consumer of one
+    analysis shares one computation.  Nothing outlives the analysis.
     Activity is decided at ``ACTIVE_TOL``:
 
     * ``binding`` -- constraints whose worst case is within it of zero;
@@ -640,11 +641,9 @@ class PointAnalysis:
         self.z = np.asarray(z, dtype=float)
         self.grid = grid
         self.point = Point.of(self.z)
-        self._polished: List[dict] = [{} for _ in P.constraints]
-        self.psi = constraint_values(P, self.z, grid, self._polished)
-        self._realizations: Dict[int, List[AttainingRealization]] = {}
-        self._subdiffs: Dict[int, PolytopeUnion] = {}
-        self._hulls: Dict[int, Polytope] = {}
+        self.worst_cases = [WorstCase(g, self.z, P.uncertainty, grid)
+                            for g in P.constraints]
+        self.psi = np.array([w.value for w in self.worst_cases])
 
     def feasible(self, tol: float = FEAS_TOL) -> bool:
         return bool(np.all(self.psi <= tol))
@@ -669,27 +668,15 @@ class PointAnalysis:
 
     def realizations(self, i: int) -> List[AttainingRealization]:
         """Uncertainty realizations attaining constraint i's worst case."""
-        if i not in self._realizations:
-            self._realizations[i] = active_uncertainty(
-                self.problem.constraints[i], self.z, self.problem.uncertainty,
-                ACTIVE_TOL, self.grid, polished=self._polished[i],
-            )
-        return self._realizations[i]
+        return self.worst_cases[i].realizations
 
     def constraint_subdiff(self, i: int) -> PolytopeUnion:
         """Union of constraint i's subdifferentials at its realizations."""
-        if i not in self._subdiffs:
-            self._subdiffs[i] = worst_case_subdiff(
-                self.problem.constraints[i], self.z, self.problem.uncertainty,
-                ACTIVE_TOL, self.grid, realizations=self.realizations(i),
-            )
-        return self._subdiffs[i]
+        return self.worst_cases[i].subdiff
 
     def hull(self, i: int) -> Polytope:
         """Convex hull of ``constraint_subdiff(i)``."""
-        if i not in self._hulls:
-            self._hulls[i] = self.constraint_subdiff(i).hull()
-        return self._hulls[i]
+        return self.worst_cases[i].hull
 
 
 def analyze_point(P: Problem, z, grid: int = GRID_DEFAULT) -> PointAnalysis:

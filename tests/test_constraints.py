@@ -62,6 +62,20 @@ def test_oversized_box_lattice_is_refused_before_allocating():
     assert constraints.box_lattice_rows([0.0, 0.0], [0.0, 1.0], 10**5) == 10**5
 
 
+@pytest.mark.parametrize("grid", [0, 1])
+def test_box_grid_below_two_points_is_refused(grid):
+    # one point per axis has no grid step and no points cannot be maximized
+    P = load_problem("ex3_2")
+    g, z = P.constraints[0], np.array([0.0, 1.0])
+    for call in (lambda: worst_case_value(g, z, P.uncertainty, grid),
+                 lambda: active_uncertainty(g, z, P.uncertainty, grid=grid),
+                 lambda: worst_case_values_batch(g, z[None], P.uncertainty,
+                                                 grid),
+                 lambda: analyze_point(P, z, grid)):
+        with pytest.raises(ValueError, match="at least 2 points per axis"):
+            call()
+
+
 def test_box_contains_and_clip():
     assert UBOX.contains([0.3]) and not UBOX.contains([1.2])
     assert UBOX.clip([1.7])[0] == 1.0
@@ -72,6 +86,9 @@ def test_finite_set():
     assert U.dim == 1
     assert U.contains([0.0]) and not U.contains([0.5])
     assert np.allclose(U.clip([0.4]), [0.0])
+    # a finite set has no grid, so any grid size gives its points
+    for n in (0, 1, 1001):
+        np.testing.assert_array_equal(U.grid_points(n), U.points)
 
 
 def test_bad_uncertainty_bounds():

@@ -1,10 +1,11 @@
 """Shared point data: one analysis per point, the same answers as without it.
 
-The call counts below pin the sharing: a ``report`` computes the worst-case
-values at its point once for all sections (plus the independent recomputations
-of ``verify_certificate`` and the converse duality check) and builds the
-feasible decision grid once; the convexity scan evaluates each constraint once
-per sample chunk, and not again while the chunk is memoized.
+The call counts below pin the sharing: a ``report`` sweeps each constraint's
+uncertainty grid once for all sections, in the analysis's ``WorstCase`` (plus
+the independent recomputations of ``verify_certificate`` and the converse
+duality check), and builds the feasible decision grid once; the convexity scan
+evaluates each constraint once per sample chunk, and not again while the chunk
+is memoized.
 """
 
 import importlib
@@ -18,18 +19,23 @@ import robustcert
 from robustcert import constraints, convexity, duality, efficiency
 from robustcert.constraints import (
     PointAnalysis,
+    WorstCase,
     active_uncertainty,
     analyze_point,
+    constraint_values,
     worst_case_subdiff,
 )
 from robustcert.convexity import check_pseudo_convex, classify_type
 from robustcert.kkt import KktOptions, check_cq, find_kkt_certificate
-from robustcert.problem_io import load_problem
+from robustcert.problem_io import (BUNDLED_FIXTURES, load_problem,
+                                   problem_from_dict)
 from robustcert.report import build_report
+from test_polish import BOX_P2
 
 ANCHORS = {"ex2_2": [0.0, -2.0], "ex2_3": [0.0, -2.0],
            "ex3_2": [0.0, 1.0], "ex3_3": [0.0, 1.0]}
 COUNTED = (
+    (constraints, "grid_sweep"),
     (constraints, "constraint_values"),
     (constraints, "active_uncertainty"),
     (constraints, "worst_case_subdiff"),
@@ -77,32 +83,107 @@ def test_report_checks_dual_feasibility_once(calls):
 
 
 def test_report_without_certificate_computes_the_point_once(calls):
-    report = build_report(load_problem("ex2_2"), "report", [0.0, -2.0])
+    P = load_problem("ex2_2")
+    report = build_report(P, "report", [0.0, -2.0])
     assert not report["kkt"]["found"]
-    assert calls["constraint_values"] == 1
-    # one search for attaining realizations per constraint
-    assert calls["active_uncertainty"] == 2
+    # one sweep per constraint, shared by the values, the attaining
+    # realizations and the subdifferentials
+    assert calls["grid_sweep"] == P.n_constraints == 2
+    assert calls["constraint_values"] == calls["active_uncertainty"] == 0
 
 
 def test_check_computes_worst_cases_once(calls):
-    build_report(load_problem("ex3_2"), "check", [0.0, 1.0])
-    assert calls["constraint_values"] == 1
+    P = load_problem("ex3_2")
+    build_report(P, "check", [0.0, 1.0])
+    # the values and the realizations read one sweep per constraint
+    assert calls["grid_sweep"] == P.n_constraints == 2
+    assert calls["constraint_values"] == calls["active_uncertainty"] == 0
 
 
-@pytest.mark.parametrize("name", sorted(ANCHORS))
-def test_analysis_matches_direct_computation(name):
-    P = load_problem(name)
-    z = np.asarray(ANCHORS[name])
-    a = analyze_point(P, z)
+FINITE_U = problem_from_dict({
+    "decision_dim": 2, "uncertainty_dim": 2,
+    "objectives": ["z1 + abs(z2)", "z2 - z1"],
+    "constraints": ["u1*z1 + abs(u2 - z2) - 1", "max(u1*z2, u2) - abs(z1)"],
+    "uncertainty": {"type": "finite",
+                    "points": [[-1, 0], [1, 0], [0.5, 1], [1, 1]]},
+    "cone": {"type": "orthant"},
+    "box": {"lower": [-2, -2], "upper": [2, 2]},
+})
+NO_U = problem_from_dict({
+    "decision_dim": 2, "uncertainty_dim": 0,
+    "objectives": ["z1", "abs(z2) - z1"],
+    "constraints": ["abs(z1) + z2 - 1", "max(z1, -z2)"],
+    "uncertainty": {"type": "finite", "points": [[]]},
+    "cone": {"type": "orthant"},
+    "box": {"lower": [-2, -2], "upper": [2, 2]},
+})
+
+
+def _equivalence_cases():
+    """Every fixture at its anchor (id: the fixture) and two seeded points,
+    then a p = 2 box, a finite U and an empty U at the origin and three
+    seeded points, each as (problem, point, grid)."""
+    rng = np.random.default_rng(3)
+    cases = []
+    for name in BUNDLED_FIXTURES:
+        P = load_problem(name)
+        cases.append(pytest.param(P, np.asarray(ANCHORS[name]), 1001,
+                                  id=name))
+        for k, z in enumerate(rng.uniform(P.box_lower, P.box_upper,
+                                          size=(2, 2))):
+            cases.append(pytest.param(P, z, 1001, id=f"{name}-seeded{k}"))
+    for label, P, grid in (("box_p2", BOX_P2, 101), ("finite", FINITE_U, 0),
+                           ("no_u", NO_U, 1001)):
+        # at the origin two points of FINITE_U tie for each worst case
+        cases.append(pytest.param(P, np.zeros(2), grid, id=f"{label}-origin"))
+        for k, z in enumerate(rng.uniform(P.box_lower, P.box_upper,
+                                          size=(3, 2))):
+            cases.append(pytest.param(P, z, grid, id=f"{label}-seeded{k}"))
+    return cases
+
+
+@pytest.mark.parametrize("P, z, grid", _equivalence_cases())
+def test_analysis_matches_direct_computation(P, z, grid):
+    a = analyze_point(P, z, grid)
     assert isinstance(a, PointAnalysis)
+    U = P.uncertainty
+    np.testing.assert_array_equal(a.psi, constraint_values(P, z, grid))
     for i, g in enumerate(P.constraints):
-        reals = active_uncertainty(g, z, P.uncertainty)
-        assert [r.point.tolist() for r in a.realizations(i)] == \
-            [r.point.tolist() for r in reals]
-        assert a.constraint_subdiff(i).to_jsonable() == \
-            worst_case_subdiff(g, z, P.uncertainty).to_jsonable()
+        reals = active_uncertainty(g, z, U, grid=grid)
+        assert [(r.point.tolist(), r.value, r.extent, r.lower.tolist(),
+                 r.upper.tolist()) for r in a.realizations(i)] == \
+            [(r.point.tolist(), r.value, r.extent, r.lower.tolist(),
+              r.upper.tolist()) for r in reals]
+        direct = worst_case_subdiff(g, z, U, grid=grid)
+        assert a.constraint_subdiff(i).to_jsonable() == direct.to_jsonable()
+        assert a.hull(i).to_jsonable() == direct.hull().to_jsonable()
         assert a.hull(i) is a.hull(i)
     np.testing.assert_array_equal(a.objective_values, P.objective_values(z))
+
+
+def test_finite_and_empty_uncertainty_ignore_the_grid():
+    # a finite set has no grid; an empty one is not swept at all
+    z = np.array([0.5, -0.25])
+    for P in (FINITE_U, NO_U):
+        want = analyze_point(P, z)
+        for grid in (0, 1):
+            got = analyze_point(P, z, grid)
+            np.testing.assert_array_equal(got.psi, want.psi)
+            assert [r.point.tolist() for r in got.realizations(0)] == \
+                [r.point.tolist() for r in want.realizations(0)]
+
+
+def test_worst_case_sweeps_once_and_keeps_each_quantity(calls):
+    P = load_problem("ex3_2")
+    w = WorstCase(P.constraints[0], ANCHORS["ex3_2"], P.uncertainty)
+    assert calls["grid_sweep"] == 1
+    assert w.realizations is w.realizations
+    assert w.subdiff is w.subdiff and w.hull is w.hull
+    assert w.value == w.realizations[0].value
+    assert calls["grid_sweep"] == 1
+    # an empty uncertainty set is evaluated without a sweep
+    WorstCase(NO_U.constraints[0], [0.0, 0.0], NO_U.uncertainty).value
+    assert calls["grid_sweep"] == 1
 
 
 def test_passed_analysis_gives_the_same_answers():

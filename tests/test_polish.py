@@ -1,9 +1,10 @@
 """The per-axis polish runs each line search once and gives the same floats.
 
 ``_refine_box_max`` skips a line search when no other coordinate has moved
-since that axis was last searched, and a ``PointAnalysis`` shares polishes
-between ``psi`` and ``realizations``.  The reference in ``oracles`` runs every
-line search of both passes; every (u, value) must equal its own bit for bit.
+since that axis was last searched, and a ``WorstCase`` shares polishes
+between ``value`` and ``realizations``.  The reference in ``oracles`` runs
+every line search of both passes; every (u, value) must equal its own bit for
+bit.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from oracles import two_pass_refine_box_max
 from robustcert import constraints
 from robustcert.constraints import (
+    WorstCase,
     _refine_box_max,
     active_uncertainty,
     analyze_point,
@@ -152,10 +154,16 @@ def test_realizations_polish_a_cluster_that_starts_elsewhere(line_searches):
     assert len(reps) == 2
 
 
-def test_shared_polish_hands_out_copies():
+def test_shared_polish_hands_out_copies(line_searches):
     P = load_problem("ex3_2")
-    a = analyze_point(P, ANCHORS["ex3_2"])
-    a.realizations(0)[0].point[:] = 7.0
-    again = active_uncertainty(P.constraints[0], a.z, P.uncertainty,
-                               polished=a._polished[0])
-    assert np.all(again[0].point != 7.0)
+    w = WorstCase(P.constraints[0], ANCHORS["ex3_2"], P.uncertainty)
+    start = w.pts[int(np.argmax(w.vals))]
+    w.value
+    assert len(line_searches) == 1
+    # the cluster starts at the grid maximizer, so it reads value's polish
+    w.realizations[0].point[:] = 7.0
+    assert len(line_searches) == 1
+    u, _ = w._polish(start)
+    assert len(line_searches) == 1
+    assert np.all(u != 7.0)
+    assert w._polish(start)[0] is not u
