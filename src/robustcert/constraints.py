@@ -187,15 +187,7 @@ class ConeSpec:
             raise ProblemFormatError("generator cone has only zero rays")
         # pointedness: K contains a line iff 0 is a nontrivial nonnegative
         # combination of the rays
-        k = len(R)
-        res = lp.solve(
-            linprog,
-            np.zeros(k),
-            A_eq=np.vstack([R.T, np.ones((1, k))]),
-            b_eq=np.concatenate([np.zeros(R.shape[1]), [1.0]]),
-            bounds=[(0, None)] * k,
-        )
-        if res.status == 0:
+        if lp.zero_in_hull(linprog, R) is not None:
             raise ProblemFormatError("generator cone is not pointed")
         return ConeSpec("generators", R.shape[1], rays=R)
 

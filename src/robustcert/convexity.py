@@ -25,19 +25,18 @@ guarantees that structured rational points — where piecewise-linear ties
 typically live — are reached deterministically.
 
 The stream, its worst-case and objective values and the dual weight grid do
-not depend on the point, so each process keeps them per problem content,
-seed and ``ugrid`` (the stream's first ``STREAM_ROWS`` rows, evaluated a
-chunk at a time as scans first reach them) and per cone and resolution (the
-weight grid), read-only.  Only the point-dependent part of a scan — steps,
-value changes, support matrices, the first violation and its revalidation —
-runs at every call.
+not depend on the point, so each process keeps them, read-only: the stream a
+``CHUNK`` of rows at a time, each chunk per problem content, seed, ``ugrid``
+and place in the stream and evaluated when a scan first reaches it, and the
+weight grid per cone and resolution.  Only the point-dependent part of a
+scan — steps, value changes, support matrices, the first violation and its
+revalidation — runs at every call.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -74,12 +73,11 @@ CHUNK = 1000
 # caller whenever the host is busy
 PRODUCT_MACS = 2**18
 # per-process memos, the least recently used entry dropped first: sample
-# streams per (problem content, seed, ugrid) and weight grids per (cone, edge)
-STREAM_ENTRIES = 8
+# chunks per (problem content, seed, ugrid, first index, length), each about
+# 57 kB at d = 2 with three objectives and two constraints, and weight grids
+# per (cone, edge)
+CHUNK_ENTRIES = 32
 WEIGHT_GRID_ENTRIES = 8
-# leading stream rows a memo entry keeps (about 0.2 MB at d = 2 with three
-# objectives and two constraints); later rows are evaluated per scan
-STREAM_ROWS = 2 * DEFAULT_SAMPLES
 
 PSEUDO = "pseudo"
 STRICT = "strict"
@@ -205,82 +203,45 @@ class _Samples:
     feas: np.ndarray   # (n,) robust feasible
     F: np.ndarray      # (n, m) objective values, NaN at infeasible rows
 
-    def __getitem__(self, rows: slice) -> "_Samples":
-        return _Samples(self.Z[rows], self.psi[rows], self.feas[rows],
-                        self.F[rows])
 
-    def concat(self, other: "_Samples") -> "_Samples":
-        return _Samples(*(np.concatenate([a, b]) for a, b in (
-            (self.Z, other.Z), (self.psi, other.psi),
-            (self.feas, other.feas), (self.F, other.F))))
-
-
-def _evaluate_samples(P: Problem, stream: Iterator[np.ndarray], n: int,
-                      ugrid: int) -> _Samples:
-    """Draw the next ``n`` candidates of ``stream`` and evaluate them."""
-    Z = np.array([next(stream) for _ in range(n)])
+def _evaluate_samples(P: Problem, Z: np.ndarray, ugrid: int) -> _Samples:
+    """The candidates ``Z`` with their values, all four arrays read-only."""
     psi = worst_case_matrix(P, Z, ugrid)
     feas = np.all(psi <= FEAS_TOL, axis=1)
-    F = np.full((n, P.n_objectives), np.nan)
+    F = np.full((len(Z), P.n_objectives), np.nan)
     if np.any(feas):
         F[feas] = P.objective_values_batch(Z[feas])
+    for a in (Z, psi, feas, F):
+        a.setflags(write=False)
     return _Samples(Z, psi, feas, F)
 
 
-class _SharedStream:
-    """The leading rows of one candidate stream, evaluated once per process.
-
-    Rows are evaluated when a scan first reaches them and kept up to
-    ``STREAM_ROWS``.  Adding rows replaces the read-only arrays instead of
-    writing into them, so a scan's slices never change under it.
-    """
-
-    def __init__(self, P: Problem, seed: int, ugrid: int):
-        self._P, self._ugrid = P, ugrid
-        self._stream = _candidate_stream(P, seed)
-        self._lock = threading.Lock()
-        self._kept: Optional[_Samples] = None
-
-    def __len__(self) -> int:
-        return 0 if self._kept is None else len(self._kept.Z)
-
-    def first(self, stop: int) -> _Samples:
-        """At least the first ``stop`` rows."""
-        with self._lock:
-            have = len(self)
-            if stop > have:
-                new = _evaluate_samples(self._P, self._stream, stop - have,
-                                        self._ugrid)
-                kept = new if self._kept is None else self._kept.concat(new)
-                for a in (kept.Z, kept.psi, kept.feas, kept.F):
-                    a.setflags(write=False)
-                self._kept = kept
-            return self._kept
-
-
-_streams = LruMemo()
+_chunks = LruMemo()
 
 
 def _sample_chunks(P: Problem, seed: int, ugrid: int, samples: int
                    ) -> Iterator[Tuple[int, _Samples]]:
     """(first sample index, rows) of each ``CHUNK`` of the first ``samples``.
 
-    Chunks that end within ``STREAM_ROWS`` come from the memo of (P's
-    content, seed, ugrid); later ones are drawn and evaluated afresh and not
-    kept.  A chunk is evaluated only when the scan asks for it.
+    Each chunk is memoized on (P's content, seed, ugrid, first index, length)
+    and evaluated only when the scan first asks for it.  The chunks that miss
+    draw from one candidate stream, skipping the rows of those that hit.
     """
-    shared = _streams.get((content_key(P), seed, ugrid),
-                          lambda: _SharedStream(P, seed, ugrid),
-                          STREAM_ENTRIES)
-    tail: Optional[Iterator[np.ndarray]] = None
+    key = content_key(P)
+    stream = _candidate_stream(P, seed)
+    drawn = 0
     for start in range(0, samples, CHUNK):
-        stop = min(start + CHUNK, samples)
-        if stop <= STREAM_ROWS:
-            yield start, shared.first(stop)[start:stop]
-            continue
-        if tail is None:
-            tail = itertools.islice(_candidate_stream(P, seed), start, None)
-        yield start, _evaluate_samples(P, tail, stop - start, ugrid)
+        n = min(CHUNK, samples - start)
+
+        def build() -> _Samples:
+            nonlocal drawn
+            skip = start - drawn
+            Z = np.array(list(itertools.islice(stream, skip, skip + n)))
+            drawn = start + n
+            return _evaluate_samples(P, Z, ugrid)
+
+        yield start, _chunks.get((key, seed, ugrid, start, n), build,
+                                 CHUNK_ENTRIES)
 
 
 # ---------------------------------------------------------------------------

@@ -802,16 +802,18 @@ def collect_terms(terms):
     ]
 
 
+def scaled_term(c: float, t: Expr) -> Expr:
+    """``c * t``, written as ``t`` or ``-t`` when ``c`` is 1 or -1."""
+    if c == 1.0:
+        return t
+    if c == -1.0:
+        return Neg(t)
+    return BinOp("*", _lit(c), t)
+
+
 def rebuild_sum(terms, const: float) -> Expr:
     """Inverse of decompose_sum/collect_terms (up to literal placement)."""
-    parts = []
-    for c, t in terms:
-        if c == 1.0:
-            parts.append(t)
-        elif c == -1.0:
-            parts.append(Neg(t))
-        else:
-            parts.append(BinOp("*", _lit(c), t))
+    parts = [scaled_term(c, t) for c, t in terms]
     if abs(const) > COLLECT_DROP_TOL or not parts:
         parts.append(_lit(const))
     out = parts[0]

@@ -477,7 +477,7 @@ def find_kkt_certificate(P: Problem, z, options: Optional[KktOptions] = None,
             return _finalize(P, z, y, mu_hat, a, d, mode_used)
 
     # no weighted certificate: try the degenerate (zero-weight) form
-    fj = _fritz_john(a, hull_list, d, P.n_constraints)
+    fj = _fritz_john(a, hull_list, P.n_constraints)
     if fj is not None:
         return _finalize(P, z, np.zeros(m), fj, a, d, opts.mode,
                          fritz_john=True)
@@ -570,24 +570,15 @@ def _balance(y, feasible, hull_list, analysis, n_constraints):
     return best[1]
 
 
-def _fj_solve(hull_list, d) -> Optional[np.ndarray]:
+def _fj_solve(hull_list) -> Optional[np.ndarray]:
     """Zero in the multiplier combination alone, total weight pinned to one."""
     if not hull_list:
         return None
-    n_cols = sum(len(v) for v in hull_list)
-    A_eq = np.vstack(
-        [np.hstack([v.T for v in hull_list]), np.ones((1, n_cols))]
-    )
-    b_eq = np.concatenate([np.zeros(d), [1.0]])
-    res = lp.solve(linprog, np.zeros(n_cols), A_eq=A_eq, b_eq=b_eq,
-                   bounds=[(0, None)] * n_cols)
-    if res.status != 0:
-        return None
-    return res.x
+    return lp.zero_in_hull(linprog, np.vstack(hull_list))
 
 
-def _fritz_john(analysis, hull_list, d, n_constraints) -> Optional[np.ndarray]:
-    x = _fj_solve(hull_list, d)
+def _fritz_john(analysis, hull_list, n_constraints) -> Optional[np.ndarray]:
+    x = _fj_solve(hull_list)
     if x is None:
         return None
     return _extract_mu(x, [], hull_list, analysis.binding, n_constraints)
@@ -618,7 +609,7 @@ def _finalize(P, z, y_hat, mu_hat, analysis, d, mode_used,
         subdiffs = analysis.objective_subdiffs
         y_res = y_star
     residual = _residual(y_res, subdiffs, mu, hulls, d)
-    fj_also = _fj_solve([h.vertices for h in hulls.values()], d) is not None
+    fj_also = _fj_solve([h.vertices for h in hulls.values()]) is not None
     return KktCertificate(
         y_star=y_star,
         mu=mu,

@@ -21,6 +21,8 @@ The solver is HiGHS (Huangfu & Hall, Math. Prog. Comp. 10, 2018).
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 from scipy.optimize import OptimizeResult
 from scipy.optimize import linprog as _scipy_linprog
@@ -139,3 +141,12 @@ def solve(linprog, c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
         return _direct(c, A_ub, b_ub, A_eq, b_eq, bounds)
     return linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                    bounds=bounds, method="highs")
+
+
+def zero_in_hull(linprog, V: np.ndarray) -> Optional[np.ndarray]:
+    """Weights ``lam >= 0`` with ``V.T @ lam = 0`` and ``sum(lam) = 1``, or
+    None when zero is not in the convex hull of the rows of ``V``."""
+    k, d = V.shape
+    res = solve(linprog, np.zeros(k), A_eq=np.vstack([V.T, np.ones((1, k))]),
+                b_eq=np.concatenate([np.zeros(d), [1.0]]))
+    return res.x if res.status == 0 else None

@@ -1,6 +1,6 @@
 """Per-process memos of values that depend only on a problem's content.
 
-The feasible decision grid, the convexity scan's sample stream, the dual
+The feasible decision grid, the convexity scan's sample chunks, the dual
 weight grid and the certificate search's direction lattice are functions of
 the problem and the options alone, not of the point being checked.  Each is
 kept in an ``LruMemo`` keyed by the parts of the problem it depends on, so

@@ -79,19 +79,20 @@ def problem_from_dict(data: dict) -> Problem:
     if not con_src:
         raise ProblemFormatError("at least one constraint is required")
 
-    def parse_all(sources, role):
+    def parse_all(sources, role, n_u):
         out = []
         for i, src in enumerate(sources):
             if not isinstance(src, str):
                 raise ProblemFormatError(f"{role} {i + 1} must be a string")
             try:
-                out.append(parse_expr(src, d, p))
+                out.append(parse_expr(src, d, n_u))
             except ExprError as err:
                 raise ProblemFormatError(f"{role} {i + 1}: {err}") from err
         return tuple(out)
 
-    objectives = parse_all(obj_src, "objective")
-    constraints = parse_all(con_src, "constraint")
+    # objectives are certain: they may not reference u*
+    objectives = parse_all(obj_src, "objective", 0)
+    constraints = parse_all(con_src, "constraint", p)
 
     u_data = _require(data, "uncertainty", dict, "problem")
     u_type = _require(u_data, "type", str, "uncertainty")

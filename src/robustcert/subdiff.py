@@ -31,14 +31,11 @@ from scipy.optimize import linprog
 from . import lp
 from .expr import (
     ActiveKinkError,
-    BinOp,
     DomainError,
     Expr,
     KINK_ACTIVITY_TOL,
     MaxOp,
-    Neg,
     Point,
-    _lit,
     _wrt_info,
     canonical_key,
     collect_terms,
@@ -49,6 +46,7 @@ from .expr import (
     gradient_with_hole,
     grad_smooth,
     relevant_kink_atoms,
+    scaled_term,
     substitute_abs_class,
     to_source,
 )
@@ -145,7 +143,7 @@ def _sum_case(e, pt, wrt, tol) -> Optional[PolytopeUnion]:
     terms = collect_terms(terms)
     if not terms:
         return singleton(np.zeros(dim))
-    rebuilt = [_rebuild_term(c, t) for c, t in terms]
+    rebuilt = [scaled_term(c, t) for c, t in terms]
     if len(terms) == 1 and rebuilt[0] == e:
         return None  # no structural progress; let another case handle it
     return _fold(rebuilt, pt, wrt, tol,
@@ -248,14 +246,6 @@ def _attain_margin(gj: np.ndarray, others: List[np.ndarray], is_max: bool) -> fl
     return float(-res.fun)
 
 
-def _rebuild_term(c: float, t: Expr) -> Expr:
-    if c == 1.0:
-        return t
-    if c == -1.0:
-        return Neg(t)
-    return BinOp("*", _lit(c), t)
-
-
 def _is_nonsingleton(u: PolytopeUnion) -> bool:
     return len(u.pieces) > 1 or len(u.pieces[0].vertices) > 1
 
@@ -300,7 +290,7 @@ def scalarized_subdiff(weights, exprs: Sequence[Expr], pt: Point,
         raise ValueError("one weight per expression is required")
 
     # outer route: fold per-term subdifferentials of w_i * f_i
-    active = [_rebuild_term(w, f) for w, f in zip(weights, exprs) if w != 0.0]
+    active = [scaled_term(w, f) for w, f in zip(weights, exprs) if w != 0.0]
     if active:
         outer = _fold(active, pt, wrt, tol,
                       "per-objective fold over coupled nonsmooth terms")

@@ -300,7 +300,7 @@ def unpruned_kkt_search(P, z, options):
         budget -= 1
         if budget <= 0:
             break
-    fj = kkt._fritz_john(a, hull_list, d, P.n_constraints)
+    fj = kkt._fritz_john(a, hull_list, P.n_constraints)
     if fj is not None:
         return kkt._finalize(P, z, np.zeros(m), fj, a, d, options.mode,
                              fritz_john=True)

@@ -235,10 +235,11 @@ class TestExitCodes:
         {"box": {"lower": [False], "upper": [1]}},
         {"box": {"lower": [-1], "upper": [True]}},
         {"cone": {"type": "generators", "rays": [[True]]}},
+        {"objectives": ["z1 + u1"]},
     ], ids=["box-bounds-not-flat", "finite-points-not-2d", "bool-dimension",
             "bool-uncertainty-lower", "bool-uncertainty-upper",
             "bool-finite-point", "bool-box-lower", "bool-box-upper",
-            "bool-cone-ray"])
+            "bool-cone-ray", "objective-references-u"])
     def test_malformed_problem_is_usage_error(self, capsys, tmp_path, change):
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(dict(LINE_PROBLEM, **change)))

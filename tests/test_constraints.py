@@ -361,6 +361,9 @@ NAN, INF = float("nan"), float("inf")
     [
         (lambda d: d.pop("objectives"), "objectives"),
         (lambda d: d.update(objectives=["zz + 1"]), "objective 1"),
+        # objectives are certain, so u1 is unknown in them
+        (lambda d: d.update(objectives=["z1 + u1", "-z1"]),
+         "objective 1: unknown variable 'u1'"),
         (lambda d: d.update(constraints=["u2*z1"]), "constraint 1"),
         (lambda d: d["uncertainty"].update(type="ball"), "ball"),
         (lambda d: d["box"].update(lower=[0.0]), "length"),

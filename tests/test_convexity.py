@@ -26,6 +26,7 @@ from robustcert.convexity import (
     _sample_chunks,
 )
 from robustcert.expr import Point, parse_expr
+from robustcert.memo import content_key
 from robustcert.problem_io import load_problem, problem_from_dict
 from robustcert.subdiff import limiting_subdiff
 
@@ -245,10 +246,10 @@ UNION_KINK = {
 @pytest.fixture
 def empty_memo():
     """Start and leave both convexity memos empty, whatever ran before."""
-    convexity._streams.clear()
+    convexity._chunks.clear()
     convexity._weight_grids.clear()
     yield
-    convexity._streams.clear()
+    convexity._chunks.clear()
     convexity._weight_grids.clear()
 
 
@@ -271,8 +272,9 @@ def test_warm_classification_equals_cold(name, empty_memo):
     # another point fills the memo with the same stream
     classify_type(P, z + 0.5)
     warm = _text(classify_type(P, z))
-    assert len(convexity._streams) == 1
-    convexity._streams.clear()
+    # the default 2000 samples are two chunks
+    assert len(convexity._chunks) == 2
+    convexity._chunks.clear()
     convexity._weight_grids.clear()
     assert warm == _text(classify_type(P, z))
 
@@ -284,9 +286,9 @@ def test_other_seed_ugrid_or_content_is_computed_afresh(ex3_2, empty_memo):
     cases = [(ex3_2, {"seed": 1}), (ex3_2, {"grid": 101}), (changed, {})]
     warm = [_text(classify_type(P, Z32, samples=300, **kw))
             for P, kw in cases]
-    assert len(convexity._streams) == 4
+    assert len(convexity._chunks) == 4
     for (P, kw), text in zip(cases, warm):
-        convexity._streams.clear()
+        convexity._chunks.clear()
         assert _text(classify_type(P, Z32, samples=300, **kw)) == text
 
 
@@ -294,47 +296,43 @@ def test_budget_change_on_a_warm_stream_equals_cold(ex2_3, empty_memo):
     # nothing is refuted here, so every sample of the budget is scanned
     cold = {}
     for samples in (300, 2000):
-        convexity._streams.clear()
+        convexity._chunks.clear()
         cold[samples] = _text(classify_type(ex2_3, Z22, samples=samples))
-    convexity._streams.clear()
+    convexity._chunks.clear()
     for samples in (2000, 300, 2000):
         assert _text(classify_type(ex2_3, Z22, samples=samples)) == \
             cold[samples]
-    convexity._streams.clear()
+    convexity._chunks.clear()
     classify_type(ex2_3, Z22, samples=300)
     assert _text(classify_type(ex2_3, Z22, samples=2000)) == cold[2000]
 
 
 def test_memo_keeps_a_fixed_number_of_entries(ex2_2, empty_memo):
     # the seed and the edge are parts of the keys, so each call adds an entry
-    for seed in range(2 * convexity.STREAM_ENTRIES):
+    for seed in range(2 * convexity.CHUNK_ENTRIES):
         classify_type(ex2_2, Z22, samples=5, seed=seed)
-    assert len(convexity._streams) == convexity.STREAM_ENTRIES
+    assert len(convexity._chunks) == convexity.CHUNK_ENTRIES
     for edge in range(2, 2 + 2 * convexity.WEIGHT_GRID_ENTRIES):
         dual_weight_grid(ex2_2, edge)
     assert len(convexity._weight_grids) == convexity.WEIGHT_GRID_ENTRIES
 
 
-def test_rows_past_the_cap_are_not_kept(ex2_2, empty_memo, monkeypatch):
-    # the first bundle is not refuted here, so all 2600 samples are scanned
-    cold = _text(classify_type(ex2_2, Z22, samples=2600, grid=101))
-    convexity._streams.clear()
-    # a cap that is no multiple of the chunk: the second chunk crosses it
-    # and is evaluated afresh like the third
-    monkeypatch.setattr(convexity, "STREAM_ROWS", 1500)
+def test_a_miss_after_a_hit_skips_the_rows_it_did_not_draw(ex2_2,
+                                                           empty_memo):
+    list(_sample_chunks(ex2_2, 42, 101, 2000))
+    # chunk 0 is dropped, chunk 1 stays: chunk 0 is drawn and evaluated
+    # again, chunk 1 is read, and chunk 2 must skip chunk 1's rows
+    convexity._chunks._entries.pop((content_key(ex2_2), 42, 101, 0, 1000))
     stream = _candidate_stream(ex2_2, 42)
-    Z = np.array([next(stream) for _ in range(2600)])
-    for _ in range(2):
-        chunks = list(_sample_chunks(ex2_2, 42, 101, 2600))
-        assert [start for start, _ in chunks] == [0, 1000, 2000]
-        np.testing.assert_array_equal(
-            np.concatenate([rows.Z for _, rows in chunks]), Z)
-        np.testing.assert_array_equal(
-            np.concatenate([rows.psi for _, rows in chunks]),
-            worst_case_matrix(ex2_2, Z, 101))
-        (shared,) = convexity._streams._entries.values()
-        assert len(shared) == 1000
-    assert _text(classify_type(ex2_2, Z22, samples=2600, grid=101)) == cold
+    Z = np.array([next(stream) for _ in range(3000)])
+    chunks = list(_sample_chunks(ex2_2, 42, 101, 3000))
+    assert [start for start, _ in chunks] == [0, 1000, 2000]
+    np.testing.assert_array_equal(
+        np.concatenate([rows.Z for _, rows in chunks]), Z)
+    np.testing.assert_array_equal(
+        np.concatenate([rows.psi for _, rows in chunks]),
+        worst_case_matrix(ex2_2, Z, 101))
+    assert len(convexity._chunks) == 3
 
 
 @pytest.mark.parametrize("rows", [1, 3])
@@ -383,14 +381,14 @@ def test_shared_arrays_are_read_only(ex2_2, empty_memo):
 def test_concurrent_callers_get_correct_classifications(ex3_2, empty_memo,
                                                         monkeypatch):
     # more problems than entries, so threads evict while others scan
-    monkeypatch.setattr(convexity, "STREAM_ENTRIES", 2)
+    monkeypatch.setattr(convexity, "CHUNK_ENTRIES", 2)
     problems = [_with_constraint(ex3_2, 1, f"-3*abs(z1) + u1*z2 - {k}")
                 for k in range(4)]
     expected = []
     for P in problems:
-        convexity._streams.clear()
+        convexity._chunks.clear()
         expected.append(_text(classify_type(P, Z32, samples=300)))
-    convexity._streams.clear()
+    convexity._chunks.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -402,4 +400,4 @@ def test_concurrent_callers_get_correct_classifications(ex3_2, empty_memo,
         sys.setswitchinterval(interval)
     for k, cls in enumerate(results):
         assert _text(cls) == expected[k % 4]
-    assert len(convexity._streams) <= 2
+    assert len(convexity._chunks) <= 2

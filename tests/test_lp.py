@@ -85,7 +85,11 @@ def recorded():
 
     def recording(linprog, c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
                   bounds=(0, None)):
-        caller = sys._getframe(1).f_globals["__name__"].rsplit(".", 1)[-1]
+        # an LP built by a helper in lp (zero_in_hull) counts for its caller
+        frame = sys._getframe(1)
+        while frame.f_globals["__name__"] == lp.__name__:
+            frame = frame.f_back
+        caller = frame.f_globals["__name__"].rsplit(".", 1)[-1]
         args = (c, A_ub, b_ub, A_eq, b_eq, bounds)
         calls[caller].append(tuple(
             np.array(a, copy=True) if isinstance(a, np.ndarray) else a

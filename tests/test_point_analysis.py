@@ -203,7 +203,7 @@ def test_passed_analysis_gives_the_same_answers():
 def test_convexity_scan_evaluates_each_constraint_once_per_chunk(calls):
     # two constraints x two chunks of 1000 samples; the quasi-convexity
     # premise reads the feasibility pass's values for the binding constraint
-    convexity._streams.clear()
+    convexity._chunks.clear()
     classify_type(load_problem("ex3_2"), [0.0, 1.0])
     assert calls["worst_case_values_batch"] == 4
     # a second call reads the memoized sample stream
@@ -214,7 +214,7 @@ def test_convexity_scan_evaluates_each_constraint_once_per_chunk(calls):
 def test_convexity_scan_stops_after_the_chunk_that_refutes_every_kind(calls):
     # pseudo-convexity fails at the first sample, so only the first chunk of
     # the 2000-sample budget is evaluated, once per constraint
-    convexity._streams.clear()
+    convexity._chunks.clear()
     verdict = check_pseudo_convex(load_problem("ex3_2"), [0.0, 1.0])
     assert verdict.samples_used == 1
     assert calls["worst_case_values_batch"] == 2
