@@ -11,7 +11,9 @@ always means "no counterexample at this resolution", not a continuum proof.
 The feasible grid (``grid_context``) depends only on the problem's content
 and the two grid sizes, so each process builds it once per such combination
 and shares it, read-only, with every later efficiency, duality and report
-call on that problem.
+call on that problem.  Each certifier refuses a point that is not robust
+feasible on the uncertainty grid; inside ``shared_guard()`` the certifiers
+at one point share that check.
 
 ``certify_proper`` solves its LP in two stages.  An LP on a few candidate
 grid rows, chosen from the vertices of the weight polytope, is a relaxation:
@@ -27,6 +29,8 @@ concepts follow from the supported sufficiency rules.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -116,10 +120,44 @@ class EfficiencyReport:
         return out
 
 
+# inside ``shared_guard()``: (problem id, point bytes, ugrid) -> (problem,
+# feasible)
+_guards: ContextVar[Optional[dict]] = ContextVar("_guards", default=None)
+
+
+@contextmanager
+def shared_guard():
+    """Certifier calls in this block share one feasibility guard per point.
+
+    Each certifier first sweeps the uncertainty grid at its point to refuse
+    points that are not robust feasible.  Inside the block that sweep runs
+    once per (problem object, point, ugrid), and later calls reuse its
+    verdict, so a problem must not be changed in place inside the block.
+    """
+    token = _guards.set({})
+    try:
+        yield
+    finally:
+        _guards.reset(token)
+
+
+def _robust_feasible(P: Problem, z, ugrid: int) -> bool:
+    z = np.asarray(z, dtype=float)
+    guards = _guards.get()
+    key = (id(P), z.tobytes(), ugrid)
+    if guards is not None and key in guards:
+        return guards[key][1]
+    psi = worst_case_matrix(P, z[None, :], ugrid)
+    feasible = bool(np.max(psi, initial=-np.inf) <= FEAS_TOL)
+    if guards is not None:
+        # holding P keeps its id from passing to another problem in the block
+        guards[key] = (P, feasible)
+    return feasible
+
+
 def _feasibility_guard(P: Problem, z, concept: str, grid: int,
                        ugrid: int) -> Optional[EfficiencyReport]:
-    psi = worst_case_matrix(P, np.asarray(z, dtype=float)[None, :], ugrid)
-    if np.max(psi, initial=-np.inf) > FEAS_TOL:
+    if not _robust_feasible(P, z, ugrid):
         return EfficiencyReport(
             concept, False, grid, 0,
             notes=("point is not robust feasible",),

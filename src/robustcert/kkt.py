@@ -24,6 +24,14 @@ lowest bound first and stops when no unsolved direction can reach the best
 residual.  Certificates and the ``best_*`` diagnostics stay defined by the
 lattice: the first passing direction in scan order, and the first strictly
 smallest coarse residual in scan order.
+
+The direction scan prefilters the lattice in chunks of ``SCAN_CHUNK`` rows.
+Its interval test is linear in the direction, and each chunk lies in a slab
+of the simplex bounded by the range of its first scan key, so the test's
+bounds at the slab's corners (memoized per lattice) decide which chunks can
+hold a survivor.  Only those chunks are prefiltered row by row, with the
+per-selection terms computed once per scan; the survivors, and so every LP
+solved, are the same as when every chunk is prefiltered.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 # passed to lp.solve, so a wrapper installed on this binding sees every LP
@@ -245,8 +253,23 @@ def _piece_ranges(union: PolytopeUnion) -> Tuple[np.ndarray, np.ndarray]:
     return mins, maxs
 
 
-def _prefilter(Y: np.ndarray, analysis: PointAnalysis, d: int) -> np.ndarray:
-    """Keep directions where some piece selection can reach zero coordinatewise."""
+class _Filter(NamedTuple):
+    """The prefilter's terms at one point.
+
+    ``Pmin[s]`` and ``Pmax[s]`` (m x d) hold the coordinatewise minima and
+    maxima of the objective pieces in selection s; ``cons_lo``/``cons_hi``
+    are -inf/+inf where a binding constraint's hull reaches below/above zero
+    in that coordinate, and 0 elsewhere.
+    """
+
+    Pmin: np.ndarray
+    Pmax: np.ndarray
+    cons_lo: np.ndarray
+    cons_hi: np.ndarray
+
+
+def _filter_terms(analysis: PointAnalysis, d: int) -> _Filter:
+    """The ``_Filter`` of a point: one (Pmin, Pmax) per piece selection."""
     ranges = [_piece_ranges(s) for s in analysis.objective_subdiffs]
     cons_lo = np.zeros(d)
     cons_hi = np.zeros(d)
@@ -256,9 +279,7 @@ def _prefilter(Y: np.ndarray, analysis: PointAnalysis, d: int) -> np.ndarray:
         cons_lo += np.where(a < -FILTER_TOL, -np.inf, 0.0)
         cons_hi += np.where(b > FILTER_TOL, np.inf, 0.0)
     counts = [len(mins) for mins, _ in ranges]
-    survivors = np.zeros(len(Y), dtype=bool)
-    total = int(np.prod(counts))
-    if total > 64:
+    if int(np.prod(counts)) > 64:
         # too many piece combinations: fall back to union-wide ranges (coarser
         # but still a sound necessary condition)
         selections = [tuple(0 for _ in counts)]
@@ -268,16 +289,84 @@ def _prefilter(Y: np.ndarray, analysis: PointAnalysis, d: int) -> np.ndarray:
         ]
     else:
         selections = list(itertools.product(*(range(c) for c in counts)))
-    for sel in selections:
-        Pmin = np.array([ranges[j][0][k] for j, k in enumerate(sel)])
-        Pmax = np.array([ranges[j][1][k] for j, k in enumerate(sel)])
-        lo = Y @ Pmin + cons_lo
-        hi = Y @ Pmax + cons_hi
+    Pmin = np.array([[ranges[j][0][k] for j, k in enumerate(sel)]
+                     for sel in selections])
+    Pmax = np.array([[ranges[j][1][k] for j, k in enumerate(sel)]
+                     for sel in selections])
+    return _Filter(Pmin, Pmax, cons_lo, cons_hi)
+
+
+def _prefilter(Y: np.ndarray, terms: _Filter) -> np.ndarray:
+    """Keep directions where some piece selection can reach zero coordinatewise."""
+    survivors = np.zeros(len(Y), dtype=bool)
+    for Pmin, Pmax in zip(terms.Pmin, terms.Pmax):
+        lo = Y @ Pmin + terms.cons_lo
+        hi = Y @ Pmax + terms.cons_hi
         ok = np.all(lo <= FILTER_TOL, axis=1) & np.all(hi >= -FILTER_TOL, axis=1)
         survivors |= ok
         if survivors.all():
             break
     return survivors
+
+
+def _build_chunk_corners(m: int, edge: int) -> np.ndarray:
+    Y = _direction_grid(m, edge)
+    if m == 1:  # one direction, one chunk
+        return Y.reshape(1, 1, 1)
+    key = 1 if m >= 3 else 0  # the first scan key: y_2, or y_1 when m = 2
+    starts = np.arange(0, len(Y), SCAN_CHUNK)
+    ends = np.minimum(starts + SCAN_CHUNK, len(Y)) - 1
+    t = np.column_stack([Y[starts, key], Y[ends, key]])[:, :, None]
+    others = [j for j in range(m) if j != key]
+    corners = np.zeros((len(starts), 2, m - 1, m))
+    corners[:, :, :, key] = t
+    corners[:, :, range(m - 1), others] = 1.0 - t
+    corners = corners.reshape(len(starts), 2 * (m - 1), m)
+    corners.setflags(write=False)
+    return corners
+
+
+_chunk_corners_memo = LruMemo()
+
+
+def _chunk_corners(m: int, edge: int) -> np.ndarray:
+    """(chunks, 2(m-1), m): the corners of each scan chunk's slab.
+
+    The rows of a ``SCAN_CHUNK`` chunk of ``_direction_grid(m, edge)`` share
+    the range [a, b] of the first scan key y_k, so they lie in the slab
+    {y in the simplex : a <= y_k <= b}, whose corners are t e_k + (1 - t) e_j
+    for t in {a, b} and j != k.  Memoized like ``_direction_grid``.
+    """
+    return _chunk_corners_memo.get((m, edge),
+                                   lambda: _build_chunk_corners(m, edge),
+                                   DIRECTION_GRID_ENTRIES)
+
+
+def _chunk_may_pass(corners: np.ndarray, terms: _Filter) -> np.ndarray:
+    """Chunks in which some row may pass ``_prefilter``.
+
+    A linear form's minimum and maximum over a slab are attained at its
+    corners, so a chunk is skipped only when, for every selection, some
+    coordinate's corner bound misses ``FILTER_TOL`` by more than the
+    rounding margin 2 (m + 3) eps s, where s is the largest |coefficient|:
+    a row's computed value and a corner's each carry at most m + 3
+    roundings of at most eps s.
+    """
+    m = corners.shape[2]
+    scale = max(np.abs(terms.Pmin).max(), np.abs(terms.Pmax).max())
+    tol = FILTER_TOL + 2 * (m + 3) * np.finfo(float).eps * scale
+
+    def corner_values(P):
+        # (chunks, corners, selections, d), elementwise: no BLAS call
+        out = corners[:, :, :1, None] * P[:, 0]
+        for j in range(1, m):
+            out = out + corners[:, :, j:j + 1, None] * P[:, j]
+        return out
+
+    lo = corner_values(terms.Pmin).min(axis=1) + terms.cons_lo
+    hi = corner_values(terms.Pmax).max(axis=1) + terms.cons_hi
+    ok = np.all(lo <= tol, axis=2) & np.all(hi >= -tol, axis=2)
+    return ok.any(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +603,13 @@ def _scan(P, analysis, hull_list, d, m, opts):
     """First lattice direction that passes, in scan order: (y, mu, mode)."""
     edge = opts.y_grid - 1
     Y = _direction_grid(m, edge)
+    terms = _filter_terms(analysis, d)
     lp_budget = MAX_LP
-    for start in range(0, len(Y), SCAN_CHUNK):
+    for chunk_no in np.flatnonzero(
+            _chunk_may_pass(_chunk_corners(m, edge), terms)):
+        start = chunk_no * SCAN_CHUNK
         chunk = Y[start:start + SCAN_CHUNK]
-        for y in chunk[_prefilter(chunk, analysis, d)]:
+        for y in chunk[_prefilter(chunk, terms)]:
             found = _try_direction(P, y, analysis, hull_list, opts)
             if found is not None:
                 return (y, *found)

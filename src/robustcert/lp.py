@@ -6,10 +6,22 @@ private HiGHS names below import, the LP goes to HiGHS directly, doing what
 ``scipy.optimize._linprog_highs`` does for ``method="highs"`` with SciPy's
 default options, minus the per-call option validation, the ``scipy.sparse``
 conversion and the bound marginals that no caller reads.  Results are
-bit-identical to ``linprog(..., method="highs")``: the same cleaned inputs,
-the same CSC matrix, the same five HiGHS options, one fresh solver per LP
-as linprog makes (so no state of one LP can reach the next), and the same
-status mapping and result check at linprog's tolerance.
+bit-identical to ``linprog(..., method="highs")``: the same row and column
+bounds, the same CSC matrix, the same five HiGHS options, one fresh solver
+per LP as linprog makes (so no state of one LP can reach the next), and the
+same status and result check at linprog's tolerance.  The message, built
+once per HiGHS model status, names that status as linprog's does, without
+linprog's note on the primal solution status.
+
+The direct path checks only the inputs its callers pass: dense arrays, and
+bounds given as one ``(lo, hi)`` pair for every variable or as one pair per
+variable, with None for "unbounded".  A NaN or an infinity in ``c``,
+``A_ub``, ``b_ub``, ``A_eq`` or ``b_eq`` raises ``ValueError``, and so does
+a shape mismatch, as in ``linprog``.  An optimal solution's bounds, slacks
+and equality residuals are tested here at linprog's tolerance
+``sqrt(1e-9) * 10``; only a solution that fails this test goes through
+SciPy's own ``_check_result``, so the status and message it gets are
+linprog's.
 
 Any other binding (a counting or timing wrapper installed on a module's
 ``linprog``) is called as ``linprog(..., method="highs")``, so
@@ -29,23 +41,20 @@ from scipy.optimize import linprog as _scipy_linprog
 
 try:
     from scipy.optimize._highspy import _core as _h
-    from scipy.optimize._linprog_highs import (
-        _highs_to_scipy_status_message,
-        _replace_inf,
-    )
-    from scipy.optimize._linprog_util import (
-        _check_result,
-        _clean_inputs,
-        _LPProblem,
-    )
+    from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
+    from scipy.optimize._linprog_util import _check_result
 except ImportError:  # pragma: no cover - private names moved
     DIRECT = False
 else:
-    DIRECT = True
+    # infinite bounds go to HiGHS as they are, which is what linprog's
+    # replacement by ``kHighsInf`` amounts to when that is IEEE infinity
+    DIRECT = _h.kHighsInf == np.inf
 
 TOL = 1e-9  # linprog's default ``tol``, used by its result check
+CHECK_TOL = np.sqrt(TOL) * 10  # the tolerance ``_check_result`` applies
 
 _options = None
+_statuses = {}
 
 
 def _highs_options():
@@ -61,6 +70,50 @@ def _highs_options():
             _h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
         _options = opts
     return _options
+
+
+def _status(highs, model_status):
+    """SciPy's (status, message) for a HiGHS model status, built once each."""
+    out = _statuses.get(model_status)
+    if out is None:
+        out = _statuses[model_status] = _highs_to_scipy_status_message(
+            model_status, highs.modelStatusToString(model_status))
+    return out
+
+
+def _finite(name: str, a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError(f"Invalid input for linprog: {name} must not "
+                         "contain values inf, nan, or None")
+
+
+def _constraints(A_name, b_name, A, b, n):
+    """(A, b) as float arrays of shapes (k, n) and (k,); None means k = 0."""
+    A = np.zeros((0, n)) if A is None else np.asarray(A, dtype=float)
+    b = np.zeros(0) if b is None else np.asarray(b, dtype=float)
+    if A.ndim != 2 or A.shape[1] != n or b.shape != (len(A),):
+        raise ValueError(
+            f"Invalid input for linprog: {A_name} must have shape (k, {n}) "
+            f"and {b_name} shape (k,), not {A.shape} and {b.shape}")
+    _finite(A_name, A)
+    _finite(b_name, b)
+    return A, b
+
+
+def _column_bounds(bounds, n):
+    """(lb, ub) of n variables, with None as an infinite bound."""
+    pairs = np.array(bounds, dtype=float)  # None becomes NaN
+    if pairs.shape == (2,):
+        lo, hi = pairs.tolist()
+        return (np.full(n, -np.inf if lo != lo else lo),
+                np.full(n, np.inf if hi != hi else hi))
+    if pairs.shape != (n, 2):
+        raise ValueError(
+            "Invalid input for linprog: bounds must be one (lo, hi) pair or "
+            f"{n} pairs, not an array of shape {pairs.shape}")
+    lb, ub = pairs.T
+    return (np.where(np.isnan(lb), -np.inf, lb),
+            np.where(np.isnan(ub), np.inf, ub))
 
 
 def _csc(A: np.ndarray):
@@ -80,13 +133,19 @@ def _result(x, fun, status, message, ineq, eq) -> OptimizeResult:
 
 
 def _direct(c, A_ub, b_ub, A_eq, b_eq, bounds) -> OptimizeResult:
-    problem = _clean_inputs(_LPProblem(c, A_ub, b_ub, A_eq, b_eq, bounds))
-    c, A_ub, b_ub, A_eq, b_eq, bounds = problem[:6]
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 1 or not len(c):
+        raise ValueError("Invalid input for linprog: c must be a non-empty "
+                         f"1-D array, not an array of shape {c.shape}")
+    _finite("c", c)
+    n = len(c)
+    A_ub, b_ub = _constraints("A_ub", "b_ub", A_ub, b_ub, n)
+    A_eq, b_eq = _constraints("A_eq", "b_eq", A_eq, b_eq, n)
+    lb, ub = _column_bounds(bounds, n)
     n_ub = len(b_ub)
-    n, m = len(c), n_ub + len(b_eq)
-    lhs = _replace_inf(np.concatenate((np.full(n_ub, -np.inf), b_eq)))
-    rhs = _replace_inf(np.concatenate((b_ub, b_eq)))
-    lb, ub = bounds.T.copy()
+    m = n_ub + len(b_eq)
+    lhs = np.concatenate((np.full(n_ub, -np.inf), b_eq))
+    rhs = np.concatenate((b_ub, b_eq))
     indptr, indices, data = _csc(np.vstack((A_ub, A_eq)))
 
     model = _h.HighsLp()
@@ -96,8 +155,8 @@ def _direct(c, A_ub, b_ub, A_eq, b_eq, bounds) -> OptimizeResult:
     model.a_matrix_.num_row_ = m
     model.a_matrix_.format_ = _h.MatrixFormat.kColwise
     model.col_cost_ = c
-    model.col_lower_ = _replace_inf(lb)
-    model.col_upper_ = _replace_inf(ub)
+    model.col_lower_ = lb
+    model.col_upper_ = ub
     model.row_lower_ = lhs
     model.row_upper_ = rhs
     model.a_matrix_.start_ = indptr
@@ -114,17 +173,22 @@ def _direct(c, A_ub, b_ub, A_eq, b_eq, bounds) -> OptimizeResult:
     else:
         solved = highs.run() != error
         model_status = highs.getModelStatus()
-    status, message = _highs_to_scipy_status_message(
-        model_status, highs.modelStatusToString(model_status))
+    status, message = _status(highs, model_status)
     if not solved or model_status != _h.HighsModelStatus.kOptimal:
         return _result(None, None, status, message, None, None)
 
     solution = highs.getSolution()
     x = np.array(solution.col_value)
-    fun = highs.getInfo().objective_function_value
+    fun = highs.getObjectiveValue()
     slack = rhs - solution.row_value
-    status, message = _check_result(x, fun, status, slack[:n_ub],
-                                    slack[n_ub:], bounds, TOL, message, None)
+    # ``_check_result``'s test of an optimal solution; NaNs fail it too
+    if not (fun == fun
+            and (x >= lb - CHECK_TOL).all() and (x <= ub + CHECK_TOL).all()
+            and (slack[:n_ub] >= -CHECK_TOL).all()
+            and (np.abs(slack[n_ub:]) <= CHECK_TOL).all()):
+        status, message = _check_result(
+            x, fun, status, slack[:n_ub], slack[n_ub:],
+            np.column_stack((lb, ub)), TOL, message, None)
     duals = np.array(solution.row_dual)
     return _result(x, fun, status, message, duals[:n_ub], duals[n_ub:])
 

@@ -19,7 +19,7 @@ from .convexity import DEFAULT_SAMPLES, DEFAULT_Y_EDGE, classify_type
 from .duality import (DualTriple, converse_duality_check, is_dual_feasible,
                       strong_duality_construct, weak_duality_test)
 from .efficiency import (EFFICIENCY_GRID, PROPER_EPS, certify_efficient,
-                         certify_proper, certify_weak)
+                         certify_proper, certify_weak, shared_guard)
 from .kkt import (RESIDUAL_TOL, KktCertificate, KktOptions,
                   NotFoundAtResolution, check_cq, find_kkt_certificate,
                   verify_certificate)
@@ -117,16 +117,17 @@ def convexity_section(P: Problem, z, samples: int = DEFAULT_SAMPLES,
 def efficiency_section(P: Problem, z, grid: int = EFFICIENCY_GRID,
                        ugrid: int = GRID_DEFAULT,
                        eps: float = PROPER_EPS) -> dict:
-    return {
-        "grid": int(grid),
-        "box": {
-            "lower": [float(v) for v in P.box_lower],
-            "upper": [float(v) for v in P.box_upper],
-        },
-        "weak": certify_weak(P, z, grid, ugrid).to_jsonable(),
-        "efficient": certify_efficient(P, z, grid, ugrid).to_jsonable(),
-        "proper": certify_proper(P, z, grid, eps, ugrid).to_jsonable(),
-    }
+    with shared_guard():
+        return {
+            "grid": int(grid),
+            "box": {
+                "lower": [float(v) for v in P.box_lower],
+                "upper": [float(v) for v in P.box_upper],
+            },
+            "weak": certify_weak(P, z, grid, ugrid).to_jsonable(),
+            "efficient": certify_efficient(P, z, grid, ugrid).to_jsonable(),
+            "proper": certify_proper(P, z, grid, eps, ugrid).to_jsonable(),
+        }
 
 
 def duality_section(P: Problem, z=None, triple: Optional[DualTriple] = None,

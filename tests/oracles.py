@@ -293,7 +293,7 @@ def unpruned_kkt_search(P, z, options):
     edge = options.y_grid - 1
     Y = loop_simplex_indices(m, edge).astype(float) / edge
     budget = kkt.MAX_LP
-    for y in Y[kkt._prefilter(Y, a, d)]:
+    for y in Y[kkt._prefilter(Y, kkt._filter_terms(a, d))]:
         found = kkt._try_direction(P, y, a, hull_list, options)
         if found is not None:
             return kkt._finalize(P, z, y, found[0], a, d, found[1])

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -25,7 +26,7 @@ from robustcert.problem_io import (
     load_problem,
     problem_from_dict,
 )
-from robustcert.report import build_report, render_json
+from robustcert.report import build_report, efficiency_section, render_json
 
 from oracles import proper_lp_reference
 
@@ -265,6 +266,44 @@ def test_certified_point_solves_the_full_lp_second(ex3_2, ctx32, monkeypatch):
     assert len(calls) == 2
     assert calls[0] - m <= m + 1
     assert calls[1] == len(ctx32.Z) + m
+
+
+@pytest.mark.parametrize("name,z", [("ex3_2", Z32), ("ex2_2", Z22),
+                                    ("ex3_2", [0.5, 3.5])])
+def test_efficiency_section_guards_each_point_once(name, z, monkeypatch):
+    P = load_problem(name)
+    grid_context(P)  # the grid's own sweeps are not guards
+    apart = {concept: certify(P, z).to_jsonable() for concept, certify in (
+        ("weak", certify_weak), ("efficient", certify_efficient),
+        ("proper", certify_proper))}
+    sweeps = []
+    real = efficiency.worst_case_matrix
+
+    def counting(P, Z, grid):
+        sweeps.append(len(Z))
+        return real(P, Z, grid)
+
+    monkeypatch.setattr(efficiency, "worst_case_matrix", counting)
+    section = efficiency_section(P, z)
+    assert sweeps == [1]
+    assert {k: section[k] for k in apart} == apart
+    certify_weak(P, z)  # outside the section every call guards afresh
+    assert sweeps == [1, 1]
+
+
+def test_shared_guard_tells_problems_apart():
+    # each problem is dropped before the next is built, as in a loop over
+    # problem files; the block keeps every problem it checked alive, so no
+    # later problem can take over its id and its verdict
+    verdicts, refs = [], []
+    with efficiency.shared_guard():
+        for bound in (2.0, 0.5):
+            P = _line_problem(f"z1 - {bound}", {"type": "orthant"})
+            verdicts.append(certify_weak(P, [1.0], grid=11).notes)
+            refs.append(weakref.ref(P))
+            del P
+        assert all(ref() is not None for ref in refs)
+    assert verdicts == [(), ("point is not robust feasible",)]
 
 
 def test_orthant_weight_vertices():

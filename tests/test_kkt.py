@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -150,7 +151,7 @@ class TestDirectionGrid:
         analysis = analyze_point(ex3_2, Z_REF)
         indices = _simplex_indices(3, 720)
         Y = indices.astype(float) / 720
-        keep = _prefilter(Y, analysis, 2)
+        keep = _prefilter(Y, kkt._filter_terms(analysis, 2))
         assert not keep[:360].any()
         assert keep[360]
 
@@ -318,6 +319,88 @@ def test_dual_bounds_hold_on_every_direction(name, z):
         bound = kkt._dual_bound(w, Y, subdiffs, hull_list)
         assert bound is not None
         assert np.all(bound <= resid + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# chunk skipping of the direction scan
+# ---------------------------------------------------------------------------
+
+
+# each fixture at its anchor, a kink and a uniform point, and the union kink
+SKIP_POINTS = [
+    ("ex2_2", [0.0, -2.0]), ("ex2_2", [0.0, -3.0]),
+    ("ex2_2", [1.031818, -2.476571]),
+    ("ex2_3", [0.0, -2.0]), ("ex2_3", [0.0, -3.5]),
+    ("ex2_3", [1.86186, -2.084434]),
+    ("ex3_2", [0.0, 1.0]), ("ex3_2", [-1.0, 1.0]),
+    ("ex3_2", [0.913927, 3.102172]),
+    ("ex3_3", [0.0, 1.0]), ("ex3_3", [-2.0, 1.0]), ("ex3_3", [0.0, 0.5]),
+    ("ex3_3", [-0.908155, -2.494937]),
+    ("union_kink", [0.0, 0.0]), ("union_kink", [0.0, 1.0]),
+    ("union_kink", [0.7, -1.3]),
+]
+
+
+def _survivors_both_ways(terms, m, edge):
+    """Prefilter survivors of the whole lattice: chunk by chunk, and only in
+    the chunks that ``_chunk_may_pass`` keeps."""
+    Y = kkt._direction_grid(m, edge)
+    every = np.zeros(len(Y), dtype=bool)
+    skipping = np.zeros(len(Y), dtype=bool)
+    may = kkt._chunk_may_pass(kkt._chunk_corners(m, edge), terms)
+    assert len(may) == -(-len(Y) // kkt.SCAN_CHUNK)
+    for chunk_no, keep in enumerate(may):
+        rows = slice(chunk_no * kkt.SCAN_CHUNK,
+                     (chunk_no + 1) * kkt.SCAN_CHUNK)
+        every[rows] = kkt._prefilter(Y[rows], terms)
+        if keep:
+            skipping[rows] = kkt._prefilter(Y[rows], terms)
+    return every, skipping, may
+
+
+@pytest.mark.parametrize("y_grid", [41, 721])
+@pytest.mark.parametrize("name,z", SKIP_POINTS)
+def test_chunk_skipping_keeps_every_survivor(name, z, y_grid):
+    P = (problem_from_dict(UNION_KINK) if name == "union_kink"
+         else load_problem(name))
+    terms = kkt._filter_terms(analyze_point(P, z), P.decision_dim)
+    every, skipping, _ = _survivors_both_ways(terms, P.n_objectives,
+                                              y_grid - 1)
+    np.testing.assert_array_equal(skipping, every)
+
+
+def test_chunk_skipping_skips_at_a_kink():
+    # ex3_3 at (0, 0.5): the one direction tried sits in the last chunk
+    P = load_problem("ex3_3")
+    terms = kkt._filter_terms(analyze_point(P, [0.0, 0.5]), 2)
+    every, skipping, may = _survivors_both_ways(terms, 3, 720)
+    np.testing.assert_array_equal(skipping, every)
+    assert every.any() and may.sum() < len(may) // 2
+
+
+def _one_survivor_analysis(t_star):
+    """Two objectives in the plane whose only prefilter survivor is the
+    direction (t*, 1 - t*), where both coordinate tests hold within 1e-15
+    of ``FILTER_TOL``: at y = (t, 1 - t) the first coordinate's lower bound
+    is c + t* - t and the second's upper bound is -c + t* - t."""
+    c = kkt.FILTER_TOL - 1e-15
+    first = Polytope([[c - (1 - t_star), -1.0], [1.0, -c - (1 - t_star)]])
+    second = Polytope([[c + t_star, -1.0], [1.0, -c + t_star]])
+    return SimpleNamespace(
+        objective_subdiffs=[PolytopeUnion([first]), PolytopeUnion([second])],
+        binding=[])
+
+
+@pytest.mark.parametrize("row", [0, 4095, 4096, 8191])
+def test_chunk_skipping_keeps_a_survivor_at_a_chunk_edge(row):
+    # the survivor is the first or last row of a chunk, so it lies on a
+    # corner of its chunk's slab, within the rounding margin of the bound
+    edge = 2 * kkt.SCAN_CHUNK
+    terms = kkt._filter_terms(_one_survivor_analysis(row / edge), 2)
+    every, skipping, may = _survivors_both_ways(terms, 2, edge)
+    assert np.flatnonzero(every).tolist() == [row]
+    np.testing.assert_array_equal(skipping, every)
+    assert may.sum() == 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ over a set of full reports is recorded and replayed twice, through
 ``linprog(..., method="highs")``; ``x``, ``fun``, ``status`` and both
 marginal arrays must agree bit for bit.  Instrumentation installed on a
 module's ``linprog`` binding must still see that module's LPs, and the
-fallback path must render the same report bytes as the direct one.
+fallback path must render the same report bytes as the direct one.  The
+direct path's own input check refuses what ``linprog`` refuses, and any
+RuntimeWarning (a ``0 * inf`` in the bounds, say) fails the module.
 """
 
 import re
@@ -20,6 +22,8 @@ from scipy.optimize import linprog
 from robustcert import constraints, lp, subdiff
 from robustcert.problem_io import load_problem, problem_from_dict
 from robustcert.report import build_report, render_json
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # min(z1, -z1) at z1 = 0 is a union-type kink, the only kind that reaches
 # ``subdiff``'s attainment LP
@@ -148,6 +152,98 @@ def test_unbounded_lp_replays_bit_identically():
     status = _replay((np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]),
                       np.array([1.0]), None, None, [(None, None)] * 2))
     assert status == 3
+
+
+# min -x1 - x2 subject to x1 + x2 <= 1, x1 - 2 x2 = 0.5: bounded below
+# for every bounds form tested here
+SMALL = (np.array([-1.0, -1.0]), np.array([[1.0, 1.0]]), np.array([1.0]),
+         np.array([[1.0, -2.0]]), np.array([0.5]))
+ARGS = ("c", "A_ub", "b_ub", "A_eq", "b_eq")
+
+
+@pytest.mark.skipif(not lp.DIRECT, reason="direct HiGHS path unavailable")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("arg", range(len(ARGS)))
+def test_nonfinite_input_raises_like_linprog(arg, bad):
+    args = [a.copy() for a in SMALL]
+    args[arg].flat[0] = bad
+    c, A_ub, b_ub, A_eq, b_eq = args
+    with pytest.raises(ValueError, match=f"{ARGS[arg]} must not contain"):
+        lp.solve(linprog, *args)
+    with pytest.raises(ValueError):
+        linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                method="highs")
+
+
+@pytest.mark.skipif(not lp.DIRECT, reason="direct HiGHS path unavailable")
+@pytest.mark.parametrize("args,bounds", [
+    ((np.ones(3),) + SMALL[1:], (0, None)),          # c longer than A's rows
+    ((SMALL[0], np.ones((1, 3))) + SMALL[2:], (0, None)),
+    (SMALL[:2] + (np.ones(2),) + SMALL[3:], (0, None)),
+    (SMALL[:3] + (np.ones((1, 3)), SMALL[4]), (0, None)),
+    (SMALL[:4] + (np.ones(2),), (0, None)),
+    ((SMALL[0], SMALL[1], None, None, None), (0, None)),  # A_ub without b_ub
+    ((np.ones((2, 2)),) + SMALL[1:], (0, None)),     # c not 1-D
+    (SMALL, [(0, None)] * 3),                        # a bound per variable + 1
+    (SMALL, [(0, 1, 2)] * 2),
+])
+def test_shape_mismatch_raises_like_linprog(args, bounds):
+    c, A_ub, b_ub, A_eq, b_eq = args
+    with pytest.raises(ValueError):
+        lp.solve(linprog, *args, bounds=bounds)
+    with pytest.raises(ValueError):
+        linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
+                method="highs")
+
+
+@pytest.mark.skipif(not lp.DIRECT, reason="direct HiGHS path unavailable")
+@pytest.mark.parametrize("bounds", [
+    (0, None), (None, None), (-1, 1), (-np.inf, np.inf), (None, 0.25),
+    [(None, None)] * 2, [(-1, 1), (None, None)], [(0, np.inf), (None, 2)],
+])
+def test_bounds_forms_replay_bit_identically(bounds):
+    assert _replay(SMALL + (bounds,)) == 0
+
+
+@pytest.mark.skipif(not lp.DIRECT, reason="direct HiGHS path unavailable")
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_call_site_bounds_replay_bit_identically(n):
+    # the free weights of ``efficiency._proper_lp`` and the unit box plus a
+    # free margin of ``subdiff._attain_margin``
+    rng = np.random.default_rng(n)
+    D = rng.normal(size=(6, n))
+    assert _replay((np.zeros(n), -D, np.zeros(6), np.ones((1, n)),
+                    np.array([1.0]), [(None, None)] * n)) in (0, 2)
+    G = rng.normal(size=(4, n))
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    assert _replay((c, np.hstack([-G, np.ones((4, 1))]), np.zeros(4), None,
+                    None, [(-1, 1)] * n + [(None, None)])) == 0
+
+
+@pytest.mark.skipif(not lp.DIRECT, reason="direct HiGHS path unavailable")
+def test_failed_result_check_defers_to_scipy(monkeypatch):
+    # a solution outside the inline tolerance goes through ``_check_result``,
+    # which decides the status and message as it does inside linprog
+    checked = []
+    real = lp._check_result
+
+    def recording(*args):
+        checked.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lp, "_check_result", recording)
+    c, A_ub, b_ub, A_eq, b_eq = SMALL
+    want = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                   method="highs")
+    got = lp.solve(linprog, *SMALL)
+    assert not checked
+    monkeypatch.setattr(lp, "CHECK_TOL", -1.0)  # every inline test fails
+    forced = lp.solve(linprog, *SMALL)
+    assert len(checked) == 1
+    for res in (got, forced):
+        assert (res.status, res.message) == (want.status, want.message)
+        assert res.x.tobytes() == want.x.tobytes()
 
 
 @pytest.mark.skipif(scipy.__version__ != "1.17.1",
