@@ -20,7 +20,7 @@ from .convexity import DEFAULT_SAMPLES
 from .duality import DualTriple
 from .efficiency import EFFICIENCY_GRID
 from .kkt import RESIDUAL_TOL, simplex_rows
-from .problem_io import load_problem
+from .problem_io import _numbers, load_problem
 from .report import build_report, render_json, render_text
 
 COMMANDS = ("check", "cq", "kkt", "efficiency", "convexity", "dual", "report")
@@ -101,17 +101,18 @@ def _parse_triple(text: str, P: Problem) -> DualTriple:
             raise UsageError(f"could not read triple file: {exc}")
     try:
         data = json.loads(raw)
-        triple = DualTriple.from_jsonable(data)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        if not isinstance(data, dict):
+            raise ProblemFormatError("a dual triple is a JSON object")
+        # finite numbers, no booleans, as in a problem file
+        y, y_star, mu = (_numbers(data, key, "--triple")
+                         for key in ("y", "y_star", "mu"))
+    except (json.JSONDecodeError, ProblemFormatError) as exc:
         raise UsageError(f"could not parse dual triple: {exc}")
-    if (len(triple.point) != P.decision_dim
-            or len(triple.weights) != P.n_objectives
-            or len(triple.multipliers) != P.n_constraints):
-        raise UsageError("dual triple dimensions do not match the problem")
-    if not all(np.all(np.isfinite(v)) for v in
-               (triple.point, triple.weights, triple.multipliers)):
-        raise UsageError("--triple must hold finite numbers")
-    return triple
+    if ((y.ndim, y_star.ndim, mu.ndim) != (1, 1, 1)
+            or (len(y), len(y_star), len(mu))
+            != (P.decision_dim, P.n_objectives, P.n_constraints)):
+        raise UsageError("--triple dimensions do not match the problem")
+    return DualTriple(y, y_star, mu)
 
 
 def _load(path: str) -> Problem:
@@ -134,11 +135,12 @@ def _validate_numbers(args) -> None:
 
 
 def _validate_lattices(args, P: Problem) -> None:
-    """Refuse a grid size whose lattice would exceed MAX_LATTICE_ROWS."""
-    rows = {
-        "grid": box_lattice_rows(P.box_lower, P.box_upper, args.grid),
-        "ygrid": simplex_rows(P.n_objectives, args.ygrid - 1),
-    }
+    """Refuse each lattice the command builds beyond MAX_LATTICE_ROWS rows."""
+    rows = {}
+    if args.command in ("efficiency", "dual", "report"):
+        rows["grid"] = box_lattice_rows(P.box_lower, P.box_upper, args.grid)
+    if args.command in ("kkt", "dual", "report"):
+        rows["ygrid"] = simplex_rows(P.n_objectives, args.ygrid - 1)
     U = P.uncertainty
     if U.kind == "box":
         rows["ugrid"] = box_lattice_rows(U.lower, U.upper, args.ugrid)

@@ -24,6 +24,7 @@ from scipy.optimize import linprog, minimize_scalar
 
 from . import lp
 from .expr import Expr, Point, eval_broadcast, evaluate
+from .memo import shared
 from .polytope import (Polytope, PolytopeUnion, convex_hull_of, dedup_pieces,
                        dedup_rows)
 from .subdiff import limiting_subdiff
@@ -672,5 +673,8 @@ class PointAnalysis:
 
 
 def analyze_point(P: Problem, z, grid: int = GRID_DEFAULT) -> PointAnalysis:
-    """The shared point data of ``P`` at ``z`` (see ``PointAnalysis``)."""
-    return PointAnalysis(P, z, grid)
+    """The point data of ``P`` at ``z``, one per (P, z, grid) inside
+    ``memo.shared_points()`` and a new one at every call outside it."""
+    z = np.asarray(z, dtype=float)
+    return shared("analysis", P, (z.tobytes(), grid),
+                  lambda: PointAnalysis(P, z, grid))

@@ -301,10 +301,10 @@ def _objective_stacks(analysis: PointAnalysis) -> List[np.ndarray]:
 
 
 def _scan(P: Problem, z, kinds: Sequence[str], samples: int, seed: int,
-          y_edge: int, grid: int, analysis: Optional[PointAnalysis] = None
+          y_edge: int, grid: int
           ) -> Tuple[Dict[str, Optional[ConvexityWitness]], Dict[str, int]]:
     z = np.asarray(z, dtype=float)
-    a = analysis if analysis is not None else analyze_point(P, z, grid)
+    a = analyze_point(P, z, grid)
     obj_stacks = _objective_stacks(a)
     Y = dual_weight_grid(P, y_edge)
     Yp = np.maximum(Y, 0.0)
@@ -411,12 +411,13 @@ def revalidate_witness(P: Problem, z, witness: ConvexityWitness, kind: str,
 
     Accepts externally constructed witnesses (the ``delta``/``support``
     fields are recomputed, not trusted).  Raises RuntimeError when the
-    witness does not refute ``kind`` at the reference point ``z``.
+    witness does not refute ``kind`` at the reference point ``z``.  The
+    point data is built here, never shared from ``memo.shared_points()``.
     """
     if kind not in (PSEUDO, STRICT, QUASI):
         raise ValueError(f"unknown convexity kind {kind!r}")
     z = np.asarray(z, dtype=float)
-    _revalidate(P, z, analyze_point(P, z, grid), kind, witness, grid)
+    _revalidate(P, z, PointAnalysis(P, z, grid), kind, witness, grid)
 
 
 def _verdict(found: Optional[ConvexityWitness], used: int,
@@ -459,19 +460,17 @@ def check_generalized_quasi_convex(P: Problem, z,
 
 def classify_type(P: Problem, z, samples: int = DEFAULT_SAMPLES,
                   seed: int = 0, y_edge: int = DEFAULT_Y_EDGE,
-                  grid: int = GRID_DEFAULT,
-                  analysis: Optional[PointAnalysis] = None
-                  ) -> TypeClassification:
+                  grid: int = GRID_DEFAULT) -> TypeClassification:
     """Joint classification consumed by the sufficiency rules.
 
     The first premise bundle pairs pseudo-convex weighted objectives with
     quasi-convex binding constraints; the second strengthens the objective
     side to the strict variant.  One shared sample stream feeds all three
-    underlying scans.  ``analysis`` is the point data of (P, z, grid); built
-    when not given.
+    underlying scans, which read ``analyze_point(P, z, grid)``, shared
+    inside ``memo.shared_points()``.
     """
     found, used = _scan(P, z, [PSEUDO, STRICT, QUASI], samples, seed,
-                        y_edge, grid, analysis)
+                        y_edge, grid)
     pseudo = _verdict(found[PSEUDO], used[PSEUDO], y_edge)
     strict = _verdict(found[STRICT], used[STRICT], y_edge)
     quasi = _verdict(found[QUASI], used[QUASI], y_edge)

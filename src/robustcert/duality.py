@@ -38,6 +38,7 @@ from .constraints import (
 from .efficiency import EFFICIENCY_GRID, certify_weak, first_dominator
 from .kkt import (MU_ZERO_TOL, RESIDUAL_TOL, KktCertificate,
                   stationarity_distance)
+from .memo import shared
 
 
 @dataclass
@@ -83,8 +84,18 @@ class DualFeasibilityReport:
 def is_dual_feasible(P: Problem, triple: DualTriple, mode: str = "default",
                      tol: float = RESIDUAL_TOL,
                      grid: int = GRID_DEFAULT) -> DualFeasibilityReport:
+    """A triple's stationarity, sign and cone checks, computed from scratch
+    (inside ``memo.shared_points()``, once per problem, triple and options)."""
     if mode not in ("default", "strict"):
         raise ValueError("mode must be 'default' or 'strict'")
+    key = tuple(np.asarray(v, dtype=float).tobytes() for v in
+                (triple.point, triple.weights, triple.multipliers))
+    return shared("dual", P, (key, grid, mode, tol),
+                  lambda: _dual_feasibility(P, triple, mode, tol, grid))
+
+
+def _dual_feasibility(P: Problem, triple: DualTriple, mode: str, tol: float,
+                      grid: int) -> DualFeasibilityReport:
     w = np.asarray(triple.point, dtype=float)
     y = np.asarray(triple.weights, dtype=float)
     mu = np.asarray(triple.multipliers, dtype=float)
@@ -202,16 +213,14 @@ class ConverseDualityReport:
 
 def converse_duality_check(P: Problem, triple: DualTriple,
                            grid: int = EFFICIENCY_GRID,
-                           ugrid: int = GRID_DEFAULT,
-                           feasibility: Optional[DualFeasibilityReport] = None
-                           ) -> ConverseDualityReport:
+                           ugrid: int = GRID_DEFAULT) -> ConverseDualityReport:
     """Brute-force weak efficiency at a dual feasible triple's point.
 
-    ``feasibility`` is the triple's default-mode ``is_dual_feasible`` report
-    at ``RESIDUAL_TOL`` and ``ugrid``; computed when not given.
+    Reads the triple's default-mode ``is_dual_feasible`` at ``RESIDUAL_TOL``,
+    the point analysis and the weak certifier's guard, which a report's
+    other sections share with it inside ``memo.shared_points()``.
     """
-    rep = (feasibility if feasibility is not None
-           else is_dual_feasible(P, triple, mode="default", grid=ugrid))
+    rep = is_dual_feasible(P, triple, mode="default", grid=ugrid)
     applicable = rep.feasible and analyze_point(
         P, triple.point, ugrid
     ).feasible(FEAS_TOL)

@@ -12,8 +12,8 @@ The feasible grid (``grid_context``) depends only on the problem's content
 and the two grid sizes, so each process builds it once per such combination
 and shares it, read-only, with every later efficiency, duality and report
 call on that problem.  Each certifier refuses a point that is not robust
-feasible on the uncertainty grid; inside ``shared_guard()`` the certifiers
-at one point share that check.
+feasible on the uncertainty grid; inside ``memo.shared_points()`` the
+certifiers at one point share that check.
 
 ``certify_proper`` solves its LP in two stages.  An LP on a few candidate
 grid rows, chosen from the vertices of the weight polytope, is a relaxation:
@@ -29,8 +29,6 @@ concepts follow from the supported sufficiency rules.
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -42,7 +40,7 @@ from . import lp
 from .constraints import FEAS_TOL, GRID_DEFAULT, Problem, worst_case_matrix
 from .convexity import TypeClassification
 from .kkt import KktCertificate, VerificationReport
-from .memo import LruMemo, content_key
+from .memo import LruMemo, content_key, shared
 
 # strict componentwise improvement must clear this margin
 DOMINANCE_TOL = 1e-9
@@ -120,49 +118,16 @@ class EfficiencyReport:
         return out
 
 
-# inside ``shared_guard()``: (problem id, point bytes, ugrid) -> (problem,
-# feasible)
-_guards: ContextVar[Optional[dict]] = ContextVar("_guards", default=None)
-
-
-@contextmanager
-def shared_guard():
-    """Certifier calls in this block share one feasibility guard per point.
-
-    Each certifier first sweeps the uncertainty grid at its point to refuse
-    points that are not robust feasible.  Inside the block that sweep runs
-    once per (problem object, point, ugrid), and later calls reuse its
-    verdict, so a problem must not be changed in place inside the block.
-    """
-    token = _guards.set({})
-    try:
-        yield
-    finally:
-        _guards.reset(token)
-
-
-def _robust_feasible(P: Problem, z, ugrid: int) -> bool:
-    z = np.asarray(z, dtype=float)
-    guards = _guards.get()
-    key = (id(P), z.tobytes(), ugrid)
-    if guards is not None and key in guards:
-        return guards[key][1]
-    psi = worst_case_matrix(P, z[None, :], ugrid)
-    feasible = bool(np.max(psi, initial=-np.inf) <= FEAS_TOL)
-    if guards is not None:
-        # holding P keeps its id from passing to another problem in the block
-        guards[key] = (P, feasible)
-    return feasible
-
-
 def _feasibility_guard(P: Problem, z, concept: str, grid: int,
                        ugrid: int) -> Optional[EfficiencyReport]:
-    if not _robust_feasible(P, z, ugrid):
-        return EfficiencyReport(
-            concept, False, grid, 0,
-            notes=("point is not robust feasible",),
-        )
-    return None
+    """A refusal when the grid-only sweep at z exceeds FEAS_TOL, else None."""
+    z = np.asarray(z, dtype=float)
+    psi = shared("guard", P, (z.tobytes(), ugrid),
+                 lambda: worst_case_matrix(P, z[None, :], ugrid))
+    if np.max(psi, initial=-np.inf) <= FEAS_TOL:
+        return None
+    return EfficiencyReport(concept, False, grid, 0,
+                            notes=("point is not robust feasible",))
 
 
 def _dominators_orthant(D: np.ndarray, strict: bool) -> np.ndarray:

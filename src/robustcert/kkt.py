@@ -175,13 +175,13 @@ class CqReport:
         }
 
 
-def check_cq(P: Problem, z, grid: int = GRID_DEFAULT,
-             analysis: Optional[PointAnalysis] = None) -> CqReport:
+def check_cq(P: Problem, z, grid: int = GRID_DEFAULT) -> CqReport:
     """Qualification: zero avoids the hull of binding-constraint subdifferentials.
 
-    ``analysis`` is the point data of (P, z, grid); built when not given.
+    Reads ``analyze_point(P, z, grid)``, shared inside
+    ``memo.shared_points()``.
     """
-    a = analysis if analysis is not None else analyze_point(P, z, grid)
+    a = analyze_point(P, z, grid)
     if not a.binding:
         return CqReport(True, np.inf, [], True)
     pieces: List[Polytope] = []
@@ -536,13 +536,12 @@ def stationarity_distance(P: Problem, z, y, mu, grid: int,
 # ---------------------------------------------------------------------------
 
 
-def find_kkt_certificate(P: Problem, z, options: Optional[KktOptions] = None,
-                         analysis: Optional[PointAnalysis] = None
+def find_kkt_certificate(P: Problem, z, options: Optional[KktOptions] = None
                          ) -> KktCertificate:
     """First certificate on the direction grid (see the module docstring).
 
-    ``analysis`` is the point data of (P, z, options.grid); built when not
-    given.
+    Reads ``analyze_point(P, z, options.grid)``, shared inside
+    ``memo.shared_points()``.
     """
     opts = options or KktOptions()
     if opts.y_grid < 2:
@@ -552,7 +551,7 @@ def find_kkt_certificate(P: Problem, z, options: Optional[KktOptions] = None,
     z = np.asarray(z, dtype=float)
     d = P.decision_dim
     m = P.n_objectives
-    a = analysis if analysis is not None else analyze_point(P, z, opts.grid)
+    a = analyze_point(P, z, opts.grid)
     hull_list = [a.hull(i).vertices for i in a.binding]
 
     # the exact-scalarization subdifferential depends on y: that mode keeps
@@ -686,13 +685,10 @@ def _finalize(P, z, y_hat, mu_hat, analysis, d, mode_used,
     y_star = kappa * y_hat
     mu = kappa * mu_hat
     hulls = {i: analysis.hull(i) for i in analysis.binding}
-    witnesses: List[List[np.ndarray]] = []
-    for i in range(P.n_constraints):
-        if i in analysis.binding and mu[i] > MU_ZERO_TOL:
-            witnesses.append([np.array(r.point, dtype=float)
-                              for r in analysis.realizations(i)])
-        else:
-            witnesses.append([])
+    witnesses = [[np.array(r.point, dtype=float)
+                  for r in analysis.realizations(i)]
+                 if i in analysis.binding and mu[i] > MU_ZERO_TOL else []
+                 for i in range(P.n_constraints)]
     if mode_used == "exact":
         sc = scalarized_subdiff(y_star, P.objectives, Point.of(z))
         subdiffs = [sc.best]
@@ -702,15 +698,9 @@ def _finalize(P, z, y_hat, mu_hat, analysis, d, mode_used,
         y_res = y_star
     residual = _residual(y_res, subdiffs, mu, hulls, d)
     fj_also = _fj_solve([h.vertices for h in hulls.values()]) is not None
-    return KktCertificate(
-        y_star=y_star,
-        mu=mu,
-        witnesses=witnesses,
-        residual=residual,
-        mode=mode_used,
-        fritz_john=fritz_john,
-        fritz_john_also=fj_also,
-    )
+    return KktCertificate(y_star=y_star, mu=mu, witnesses=witnesses,
+                          residual=residual, mode=mode_used,
+                          fritz_john=fritz_john, fritz_john_also=fj_also)
 
 
 def _dual_bound(w, Y, subdiffs, hull_list) -> Optional[np.ndarray]:

@@ -6,17 +6,23 @@ the problem and the options alone, not of the point being checked.  Each is
 kept in an ``LruMemo`` keyed by the parts of the problem it depends on, so
 repeated calls in one process share one copy.  Shared arrays are made
 read-only by the functions that build them.
+
+Point data (the ``PointAnalysis``, the efficiency guard, a triple's dual
+feasibility) is shared only inside one ``shared_points()`` block.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Hashable, TypeVar
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import TYPE_CHECKING, Callable, Hashable, Optional, TypeVar
 
 import numpy as np
 
-from .constraints import ConeSpec, Problem
+if TYPE_CHECKING:
+    from .constraints import ConeSpec, Problem
 
 V = TypeVar("V")
 
@@ -80,3 +86,33 @@ class LruMemo:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+# inside ``shared_points()``: (kind, problem id, key) -> (problem, value)
+_points: ContextVar[Optional[dict]] = ContextVar("_points", default=None)
+
+
+@contextmanager
+def shared_points():
+    """Calls of ``shared`` in this block build one value per key."""
+    token = _points.set({})
+    try:
+        yield
+    finally:
+        _points.reset(token)
+
+
+def shared(kind: str, P: Problem, key: Hashable, build: Callable[[], V]) -> V:
+    """``build()``, once per (kind, problem object, key) in a block.
+
+    The block holds on to ``P``, so its id cannot pass to a later problem;
+    a problem must not be changed in place inside it.  Outside a block
+    every call builds afresh.
+    """
+    entries = _points.get()
+    if entries is None:
+        return build()
+    full = (kind, id(P), key)
+    if full not in entries:
+        entries[full] = (P, build())
+    return entries[full][1]

@@ -13,16 +13,17 @@ from datetime import datetime, timezone
 from typing import Optional
 
 from . import __version__
-from .constraints import (ACTIVE_TOL, FEAS_TOL, GRID_DEFAULT, PointAnalysis,
-                          Problem, analyze_point)
+from .constraints import (ACTIVE_TOL, FEAS_TOL, GRID_DEFAULT, Problem,
+                          analyze_point)
 from .convexity import DEFAULT_SAMPLES, DEFAULT_Y_EDGE, classify_type
 from .duality import (DualTriple, converse_duality_check, is_dual_feasible,
                       strong_duality_construct, weak_duality_test)
 from .efficiency import (EFFICIENCY_GRID, PROPER_EPS, certify_efficient,
-                         certify_proper, certify_weak, shared_guard)
+                         certify_proper, certify_weak)
 from .kkt import (RESIDUAL_TOL, KktCertificate, KktOptions,
                   NotFoundAtResolution, check_cq, find_kkt_certificate,
                   verify_certificate)
+from .memo import shared_points
 
 SCHEMA_VERSION = 1
 
@@ -30,14 +31,13 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 # per-check sections
 # ---------------------------------------------------------------------------
-# Sections that read point data take ``analysis``, the point data of
-# (P, z, ugrid), and build it when not given.
+# Sections that read point data call ``analyze_point(P, z, ugrid)``; inside
+# ``build_report`` they share one analysis (``memo.shared_points``).
 
 
 def feasibility_section(P: Problem, z, tol: float = FEAS_TOL,
-                        ugrid: int = GRID_DEFAULT,
-                        analysis: Optional[PointAnalysis] = None) -> dict:
-    a = analysis if analysis is not None else analyze_point(P, z, ugrid)
+                        ugrid: int = GRID_DEFAULT) -> dict:
+    a = analyze_point(P, z, ugrid)
     maximizers = [
         [
             {
@@ -61,9 +61,8 @@ def feasibility_section(P: Problem, z, tol: float = FEAS_TOL,
     }
 
 
-def subdiff_section(P: Problem, z, ugrid: int = GRID_DEFAULT,
-                    analysis: Optional[PointAnalysis] = None) -> dict:
-    a = analysis if analysis is not None else analyze_point(P, z, ugrid)
+def subdiff_section(P: Problem, z, ugrid: int = GRID_DEFAULT) -> dict:
+    a = analyze_point(P, z, ugrid)
     return {
         "objectives": [s.to_jsonable() for s in a.objective_subdiffs],
         "worst_case_constraints": [
@@ -73,20 +72,18 @@ def subdiff_section(P: Problem, z, ugrid: int = GRID_DEFAULT,
     }
 
 
-def cq_section(P: Problem, z, ugrid: int = GRID_DEFAULT,
-               analysis: Optional[PointAnalysis] = None) -> dict:
-    out = check_cq(P, z, ugrid, analysis).to_jsonable()
+def cq_section(P: Problem, z, ugrid: int = GRID_DEFAULT) -> dict:
+    out = check_cq(P, z, ugrid).to_jsonable()
     out["tol"] = float(ACTIVE_TOL)
     return out
 
 
-def kkt_section(P: Problem, z, options: Optional[KktOptions] = None,
-                analysis: Optional[PointAnalysis] = None) -> dict:
+def kkt_section(P: Problem, z, options: Optional[KktOptions] = None) -> dict:
     opts = options or KktOptions()
     out: dict = {"y_grid": int(opts.y_grid), "tol": float(opts.tol),
                  "mode": opts.mode}
     try:
-        cert = find_kkt_certificate(P, z, opts, analysis)
+        cert = find_kkt_certificate(P, z, opts)
     except NotFoundAtResolution as exc:
         out["found"] = False
         out["message"] = str(exc)
@@ -104,9 +101,8 @@ def kkt_section(P: Problem, z, options: Optional[KktOptions] = None,
 
 def convexity_section(P: Problem, z, samples: int = DEFAULT_SAMPLES,
                       seed: int = 0, y_edge: int = DEFAULT_Y_EDGE,
-                      ugrid: int = GRID_DEFAULT,
-                      analysis: Optional[PointAnalysis] = None) -> dict:
-    cls = classify_type(P, z, samples, seed, y_edge, ugrid, analysis)
+                      ugrid: int = GRID_DEFAULT) -> dict:
+    cls = classify_type(P, z, samples, seed, y_edge, ugrid)
     out = cls.to_jsonable()
     out["samples"] = int(samples)
     out["seed"] = int(seed)
@@ -117,17 +113,16 @@ def convexity_section(P: Problem, z, samples: int = DEFAULT_SAMPLES,
 def efficiency_section(P: Problem, z, grid: int = EFFICIENCY_GRID,
                        ugrid: int = GRID_DEFAULT,
                        eps: float = PROPER_EPS) -> dict:
-    with shared_guard():
-        return {
-            "grid": int(grid),
-            "box": {
-                "lower": [float(v) for v in P.box_lower],
-                "upper": [float(v) for v in P.box_upper],
-            },
-            "weak": certify_weak(P, z, grid, ugrid).to_jsonable(),
-            "efficient": certify_efficient(P, z, grid, ugrid).to_jsonable(),
-            "proper": certify_proper(P, z, grid, eps, ugrid).to_jsonable(),
-        }
+    return {
+        "grid": int(grid),
+        "box": {
+            "lower": [float(v) for v in P.box_lower],
+            "upper": [float(v) for v in P.box_upper],
+        },
+        "weak": certify_weak(P, z, grid, ugrid).to_jsonable(),
+        "efficient": certify_efficient(P, z, grid, ugrid).to_jsonable(),
+        "proper": certify_proper(P, z, grid, eps, ugrid).to_jsonable(),
+    }
 
 
 def duality_section(P: Problem, z=None, triple: Optional[DualTriple] = None,
@@ -146,23 +141,19 @@ def duality_section(P: Problem, z=None, triple: Optional[DualTriple] = None,
                                "(no certificate found at this point)"}
         triple = strong_duality_construct(P, z, cert)
     mode = "strict" if strict else "default"
-    feas = is_dual_feasible(P, triple, mode, tol, ugrid)
-    out = {
+    return {
         "triple": triple.to_jsonable(),
         "mode": mode,
         "tol": float(tol),
-        "feasibility": feas.to_jsonable(),
+        "feasibility": is_dual_feasible(P, triple, mode, tol,
+                                        ugrid).to_jsonable(),
         "weak_typeI": weak_duality_test(P, triple, "typeI", grid,
                                         ugrid).to_jsonable(),
         "weak_typeII": weak_duality_test(P, triple, "typeII", grid,
                                          ugrid).to_jsonable(),
-        # the converse check reads the default-mode report at RESIDUAL_TOL
-        "converse": converse_duality_check(
-            P, triple, grid, ugrid,
-            feas if mode == "default" and tol == RESIDUAL_TOL else None,
-        ).to_jsonable(),
+        "converse": converse_duality_check(P, triple, grid,
+                                           ugrid).to_jsonable(),
     }
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +170,10 @@ def build_report(P: Problem, command: str, z, *, tol: float = RESIDUAL_TOL,
                  point_text: str = "") -> dict:
     """Run the checks requested by ``command`` and assemble one report dict.
 
-    ``report`` computes the point data at z once and shares it between its
-    sections; the feasible grid is memoized per process (``grid_context``).
+    Every command runs in one ``memo.shared_points()`` block, so its
+    sections share the point analysis at z, the efficiency guard and the
+    dual feasibility report; the feasible grid is memoized per process
+    (``grid_context``).
     """
     opts = KktOptions(y_grid=ygrid, tol=tol,
                       mode="exact" if exact_scalarization else "outer",
@@ -207,45 +200,45 @@ def build_report(P: Problem, command: str, z, *, tol: float = RESIDUAL_TOL,
             "generated_at": datetime.now(timezone.utc).isoformat(),
         },
     }
-    if command == "check":
-        report["feasibility"] = feasibility_section(P, z, tol, ugrid)
-    elif command == "cq":
-        report["cq"] = cq_section(P, z, ugrid=ugrid)
-    elif command == "kkt":
-        report["kkt"] = kkt_section(P, z, opts)
-    elif command == "efficiency":
-        report["efficiency"] = efficiency_section(P, z, grid, ugrid)
-    elif command == "convexity":
-        report["convexity"] = convexity_section(P, z, samples, seed,
-                                                ugrid=ugrid)
-    elif command == "dual":
-        cert = None
-        if triple is None:
-            kkt = kkt_section(P, z, opts)
-            if kkt["found"]:
-                cert = KktCertificate.from_jsonable(kkt["certificate"])
-            report["kkt"] = kkt
-        report["duality"] = duality_section(P, z, triple, cert, strict_dual,
-                                            tol, grid, ugrid)
-    elif command == "report":
-        analysis = analyze_point(P, z, ugrid)
-        # efficiency first: building the feasible grid after the point
-        # sections raised the peak memory of a CLI report
-        report["efficiency"] = efficiency_section(P, z, grid, ugrid)
-        report["feasibility"] = feasibility_section(P, z, tol, ugrid,
-                                                    analysis)
-        report["subdifferentials"] = subdiff_section(P, z, ugrid, analysis)
-        report["cq"] = cq_section(P, z, ugrid, analysis)
-        report["kkt"] = kkt_section(P, z, opts, analysis)
-        report["convexity"] = convexity_section(P, z, samples, seed,
-                                                ugrid=ugrid, analysis=analysis)
-        cert = None
-        if report["kkt"]["found"]:
-            cert = KktCertificate.from_jsonable(report["kkt"]["certificate"])
-        report["duality"] = duality_section(P, z, triple, cert, strict_dual,
-                                            tol, grid, ugrid)
-    else:
-        raise ValueError(f"unknown command {command!r}")
+    with shared_points():
+        if command == "check":
+            report["feasibility"] = feasibility_section(P, z, tol, ugrid)
+        elif command == "cq":
+            report["cq"] = cq_section(P, z, ugrid=ugrid)
+        elif command == "kkt":
+            report["kkt"] = kkt_section(P, z, opts)
+        elif command == "efficiency":
+            report["efficiency"] = efficiency_section(P, z, grid, ugrid)
+        elif command == "convexity":
+            report["convexity"] = convexity_section(P, z, samples, seed,
+                                                    ugrid=ugrid)
+        elif command == "dual":
+            cert = None
+            if triple is None:
+                kkt = kkt_section(P, z, opts)
+                if kkt["found"]:
+                    cert = KktCertificate.from_jsonable(kkt["certificate"])
+                report["kkt"] = kkt
+            report["duality"] = duality_section(P, z, triple, cert,
+                                                strict_dual, tol, grid, ugrid)
+        elif command == "report":
+            # efficiency first: building the feasible grid after the point
+            # sections raised the peak memory of a CLI report
+            report["efficiency"] = efficiency_section(P, z, grid, ugrid)
+            report["feasibility"] = feasibility_section(P, z, tol, ugrid)
+            report["subdifferentials"] = subdiff_section(P, z, ugrid)
+            report["cq"] = cq_section(P, z, ugrid)
+            report["kkt"] = kkt_section(P, z, opts)
+            report["convexity"] = convexity_section(P, z, samples, seed,
+                                                    ugrid=ugrid)
+            cert = None
+            if report["kkt"]["found"]:
+                cert = KktCertificate.from_jsonable(
+                    report["kkt"]["certificate"])
+            report["duality"] = duality_section(P, z, triple, cert,
+                                                strict_dual, tol, grid, ugrid)
+        else:
+            raise ValueError(f"unknown command {command!r}")
     return report
 
 
@@ -266,9 +259,7 @@ def _flatten(prefix: str, obj, lines: list) -> None:
         for idx, item in enumerate(obj):
             _flatten(f"{prefix}[{idx}]", item, lines)
     else:
-        if isinstance(obj, bool):
-            text = "true" if obj else "false"
-        elif isinstance(obj, list):
+        if isinstance(obj, list):
             text = "[" + ", ".join(_scalar(v) for v in obj) + "]"
         else:
             text = _scalar(obj)

@@ -193,6 +193,13 @@ class TestExitCodes:
         (["convexity", "--point", "0,1", "--samples", "10", "--seed", "-1"],
          "--seed"),
         (["check", "--point", "0.5,0", "--tol", "inf"], "--tol"),
+        # a nested list, and a boolean that numpy would read as 1.0
+        (["dual", "--triple",
+          '{"y": [[0], [1]], "y_star": [0.35, 0, 0.35], "mu": [0.5, 0]}'],
+         "--triple"),
+        (["dual", "--triple",
+          '{"y": [0, true], "y_star": [0.35, 0, 0.35], "mu": [0.5, 0]}'],
+         "--triple"),
     ])
     def test_bad_number_is_usage_error(self, capsys, argv, name):
         assert main(argv[:1] + ["--problem", "ex3_2"] + argv[1:]) == 1
@@ -210,6 +217,20 @@ class TestExitCodes:
                     + argv[1:]) == 1
         err = capsys.readouterr().err
         assert name in err and "limit" in err
+
+    # with four objectives the default --ygrid gives a 62,727,721-row weight
+    # lattice, which only the certificate search builds
+    @pytest.mark.parametrize("command,code", [("check", 0), ("cq", 0),
+                                              ("kkt", 1)])
+    def test_only_built_lattices_are_checked(self, capsys, tmp_path,
+                                             command, code):
+        path = tmp_path / "four.json"
+        path.write_text(json.dumps(dict(
+            LINE_PROBLEM, objectives=["z1", "-z1", "z1^2", "abs(z1)"])))
+        assert main([command, "--problem", str(path), "--point", "0.5"]) \
+            == code
+        err = capsys.readouterr().err
+        assert ("--ygrid 721" in err) == (code == 1)
 
     def test_non_finite_problem_number_is_usage_error(self, capsys,
                                                       tmp_path):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from robustcert import efficiency
+from robustcert.constraints import analyze_point
 from robustcert.convexity import classify_type
 from robustcert.efficiency import (
     certify_efficient,
@@ -21,6 +22,7 @@ from robustcert.efficiency import (
 )
 from robustcert.expr import BinOp, Lit, parse_expr
 from robustcert.kkt import KktOptions, find_kkt_certificate, verify_certificate
+from robustcert.memo import shared_points
 from robustcert.problem_io import (
     BUNDLED_FIXTURES,
     load_problem,
@@ -284,26 +286,33 @@ def test_efficiency_section_guards_each_point_once(name, z, monkeypatch):
         return real(P, Z, grid)
 
     monkeypatch.setattr(efficiency, "worst_case_matrix", counting)
-    section = efficiency_section(P, z)
-    assert sweeps == [1]
+    with shared_points():
+        section = efficiency_section(P, z)
+        assert sweeps == [1]
+        certify_weak(P, z)  # the block's later certifiers reuse the guard
+        assert sweeps == [1]
     assert {k: section[k] for k in apart} == apart
-    certify_weak(P, z)  # outside the section every call guards afresh
-    assert sweeps == [1, 1]
+    certify_weak(P, z)  # outside a block every call guards afresh
+    certify_weak(P, z)
+    assert sweeps == [1, 1, 1]
 
 
 def test_shared_guard_tells_problems_apart():
     # each problem is dropped before the next is built, as in a loop over
     # problem files; the block keeps every problem it checked alive, so no
-    # later problem can take over its id and its verdict
+    # later problem can take over its id and its verdict or analysis
     verdicts, refs = [], []
-    with efficiency.shared_guard():
+    with shared_points():
         for bound in (2.0, 0.5):
             P = _line_problem(f"z1 - {bound}", {"type": "orthant"})
-            verdicts.append(certify_weak(P, [1.0], grid=11).notes)
+            verdicts.append((certify_weak(P, [1.0], grid=11).notes,
+                             analyze_point(P, [1.0], 11).feasible()))
             refs.append(weakref.ref(P))
             del P
         assert all(ref() is not None for ref in refs)
-    assert verdicts == [(), ("point is not robust feasible",)]
+    assert verdicts == [((), True), (("point is not robust feasible",), False)]
+    # nothing the block held outlives it
+    assert all(ref() is None for ref in refs)
 
 
 def test_orthant_weight_vertices():

@@ -1,11 +1,13 @@
 """Shared point data: one analysis per point, the same answers as without it.
 
-The call counts below pin the sharing: a ``report`` sweeps each constraint's
-uncertainty grid once for all sections, in the analysis's ``WorstCase`` (plus
-the independent recomputations of ``verify_certificate`` and the converse
-duality check), and builds the feasible decision grid once; the convexity scan
-evaluates each constraint once per sample chunk, and not again while the chunk
-is memoized.
+The call counts below pin the sharing: a ``report`` runs in one
+``memo.shared_points()`` block, so it builds one ``PointAnalysis``, sweeps
+each constraint's uncertainty grid once for all sections in the analysis's
+``WorstCase`` (plus the independent recomputations of ``verify_certificate``
+and ``is_dual_feasible``), runs the efficiency guard and the dual feasibility
+check once, and builds the feasible decision grid once; outside a block every
+call computes afresh.  The convexity scan evaluates each constraint once per
+sample chunk, and not again while the chunk is memoized.
 """
 
 import importlib
@@ -25,13 +27,19 @@ from robustcert.constraints import (
     constraint_values,
     worst_case_subdiff,
 )
-from robustcert.convexity import check_pseudo_convex, classify_type
+from robustcert.convexity import (STRICT, ConvexityWitness,
+                                  check_pseudo_convex, classify_type,
+                                  revalidate_witness)
+from robustcert.duality import DualTriple, is_dual_feasible
+from robustcert.efficiency import certify_weak
 from robustcert.kkt import KktOptions, check_cq, find_kkt_certificate
+from robustcert.memo import shared_points
 from robustcert.problem_io import (BUNDLED_FIXTURES, load_problem,
                                    problem_from_dict)
 from robustcert.report import build_report
 from test_polish import BOX_P2
 
+SQ2_4 = float(np.sqrt(2) / 4)
 ANCHORS = {"ex2_2": [0.0, -2.0], "ex2_3": [0.0, -2.0],
            "ex3_2": [0.0, 1.0], "ex3_3": [0.0, 1.0]}
 COUNTED = (
@@ -41,14 +49,22 @@ COUNTED = (
     (constraints, "worst_case_subdiff"),
     (constraints, "worst_case_values_batch"),
     (efficiency, "_build_grid_context"),
-    (duality, "is_dual_feasible"),
+    (duality, "_dual_feasibility"),
 )
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count calls of the COUNTED functions through every module binding them."""
+    """Count calls of the COUNTED functions through every module binding them,
+    and ``PointAnalysis`` constructions."""
     counts: Counter = Counter()
+    init = PointAnalysis.__init__
+
+    def counted_init(self, *args, **kwargs):
+        counts["PointAnalysis"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PointAnalysis, "__init__", counted_init)
     modules = [importlib.import_module(f"robustcert.{info.name}")
                for info in pkgutil.iter_modules(robustcert.__path__)]
     for home, name in COUNTED:
@@ -68,18 +84,77 @@ def calls(monkeypatch):
 def test_report_with_certificate_computes_the_point_once(calls):
     efficiency._contexts.clear()
     build_report(load_problem("ex3_2"), "report", [0.0, 1.0])
-    # the analysis, verify_certificate and the converse duality check
-    assert calls["constraint_values"] <= 3
+    # only verify_certificate recomputes the worst-case values
+    assert calls["constraint_values"] == 1
     assert calls["_build_grid_context"] == 1
 
 
 def test_report_checks_dual_feasibility_once(calls):
-    # the converse duality check reads the duality section's default-mode
-    # feasibility report instead of recomputing it
+    # the converse duality check asks for the duality section's default-mode
+    # feasibility report, and the report's block hands it the same one
     report = build_report(load_problem("ex3_2"), "report", [0.0, 1.0])
     assert report["duality"]["converse"]["feasibility"] == \
         report["duality"]["feasibility"]
-    assert calls["is_dual_feasible"] == 1
+    assert calls["_dual_feasibility"] == 1
+
+
+@pytest.mark.parametrize("name, sweeps, duals", [("ex3_2", 7, 1),
+                                                 ("ex2_2", 2, 0)])
+def test_warm_report_shares_one_scope(calls, name, sweeps, duals):
+    P = load_problem(name)
+    z = ANCHORS[name]
+    build_report(P, "report", z)  # fills the per-process memos
+    calls.clear()
+    report = build_report(P, "report", z)
+    assert report["kkt"]["found"] == bool(duals)
+    assert calls["PointAnalysis"] == 1
+    # the analysis's sweep per constraint, and at ex3_2, whose certificate
+    # has one positive multiplier, verify_certificate's three and
+    # is_dual_feasible's two from-scratch sweeps
+    assert calls["grid_sweep"] == sweeps
+    # the one-row efficiency guard at z, shared by the efficiency section
+    # and the converse duality check
+    assert calls["worst_case_values_batch"] == P.n_constraints
+    assert calls["_dual_feasibility"] == duals
+
+
+def test_every_call_outside_a_block_computes_afresh(calls):
+    P = load_problem("ex3_2")
+    z = ANCHORS["ex3_2"]
+    triple = DualTriple(np.asarray(z), np.array([SQ2_4, 0.0, SQ2_4]),
+                        np.array([0.5, 0.0]))
+
+    def call_twice():
+        first = (analyze_point(P, z), certify_weak(P, z).to_jsonable(),
+                 is_dual_feasible(P, triple).to_jsonable())
+        second = (analyze_point(P, z), certify_weak(P, z).to_jsonable(),
+                  is_dual_feasible(P, triple).to_jsonable())
+        assert first[1:] == second[1:]
+        return first[0] is second[0]
+
+    certify_weak(P, z)  # builds the feasible grid before counting
+    calls.clear()
+    assert not call_twice()
+    assert calls["PointAnalysis"] == 2 and calls["_dual_feasibility"] == 2
+    assert calls["worst_case_values_batch"] == 2 * P.n_constraints
+    calls.clear()
+    with shared_points():
+        assert call_twice()
+    assert calls["PointAnalysis"] == 1 and calls["_dual_feasibility"] == 1
+    assert calls["worst_case_values_batch"] == P.n_constraints
+
+
+def test_revalidation_builds_its_own_analysis_inside_a_block(calls):
+    P = load_problem("ex2_2")
+    z = ANCHORS["ex2_2"]
+    witness = ConvexityWitness(
+        z=np.array([1.0, -3.0]), y=np.array([0.0, 1.4, 1.0]),
+        part="objectives", delta=0.0, support=0.0, sample_index=-1,
+    )
+    with shared_points():
+        assert analyze_point(P, z) is analyze_point(P, z)
+        revalidate_witness(P, z, witness, STRICT)
+    assert calls["PointAnalysis"] == 2
 
 
 def test_report_without_certificate_computes_the_point_once(calls):
@@ -186,18 +261,21 @@ def test_worst_case_sweeps_once_and_keeps_each_quantity(calls):
     assert calls["grid_sweep"] == 1
 
 
-def test_passed_analysis_gives_the_same_answers():
+def test_shared_analysis_gives_the_same_answers(calls):
     P = load_problem("ex3_2")
     z = ANCHORS["ex3_2"]
-    a = analyze_point(P, z)
-    assert check_cq(P, z, analysis=a).to_jsonable() == \
-        check_cq(P, z).to_jsonable()
-    for mode in ("outer", "exact"):
-        opts = KktOptions(mode=mode)
-        assert find_kkt_certificate(P, z, opts, analysis=a).to_jsonable() == \
-            find_kkt_certificate(P, z, opts).to_jsonable()
-    assert classify_type(P, z, samples=300, analysis=a).to_jsonable() == \
-        classify_type(P, z, samples=300).to_jsonable()
+
+    def answers():
+        return [check_cq(P, z).to_jsonable(),
+                *(find_kkt_certificate(P, z, KktOptions(mode=mode))
+                  .to_jsonable() for mode in ("outer", "exact")),
+                classify_type(P, z, samples=300).to_jsonable()]
+
+    apart = answers()
+    assert calls["PointAnalysis"] == 4
+    with shared_points():
+        assert answers() == apart
+    assert calls["PointAnalysis"] == 5
 
 
 def test_convexity_scan_evaluates_each_constraint_once_per_chunk(calls):
