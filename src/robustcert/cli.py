@@ -20,7 +20,7 @@ from .convexity import DEFAULT_SAMPLES
 from .duality import DualTriple
 from .efficiency import EFFICIENCY_GRID
 from .kkt import RESIDUAL_TOL, simplex_rows
-from .problem_io import _numbers, load_problem
+from .problem_io import load_problem
 from .report import build_report, render_json, render_text
 
 COMMANDS = ("check", "cq", "kkt", "efficiency", "convexity", "dual", "report")
@@ -100,19 +100,13 @@ def _parse_triple(text: str, P: Problem) -> DualTriple:
         except OSError as exc:
             raise UsageError(f"could not read triple file: {exc}")
     try:
-        data = json.loads(raw)
-        if not isinstance(data, dict):
-            raise ProblemFormatError("a dual triple is a JSON object")
-        # finite numbers, no booleans, as in a problem file
-        y, y_star, mu = (_numbers(data, key, "--triple")
-                         for key in ("y", "y_star", "mu"))
+        triple = DualTriple.from_jsonable(json.loads(raw))
     except (json.JSONDecodeError, ProblemFormatError) as exc:
-        raise UsageError(f"could not parse dual triple: {exc}")
-    if ((y.ndim, y_star.ndim, mu.ndim) != (1, 1, 1)
-            or (len(y), len(y_star), len(mu))
+        raise UsageError(f"could not parse --triple: {exc}")
+    if ((len(triple.point), len(triple.weights), len(triple.multipliers))
             != (P.decision_dim, P.n_objectives, P.n_constraints)):
         raise UsageError("--triple dimensions do not match the problem")
-    return DualTriple(y, y_star, mu)
+    return triple
 
 
 def _load(path: str) -> Problem:

@@ -438,12 +438,11 @@ class WorstCase:
     """
 
     def __init__(self, e: Expr, z, U: UncertaintySet,
-                 grid: int = GRID_DEFAULT, tol: float = ACTIVE_TOL):
+                 grid: int = GRID_DEFAULT):
         self.e = e
         self.z = np.asarray(z, dtype=float)
         self.U = U
         self.grid = grid
-        self.tol = tol
         self._polishes: Dict[bytes, Tuple[np.ndarray, float]] = {}
         if U.dim > 0:
             self.pts, self.vals = grid_sweep(e, self.z, U, grid)
@@ -468,13 +467,13 @@ class WorstCase:
 
     @cached_property
     def realizations(self) -> List[AttainingRealization]:
-        """Clustered realizations within ``tol`` of the grid maximum."""
+        """Clustered realizations within ``ACTIVE_TOL`` of the grid maximum."""
         if self.U.dim == 0:
             zero = np.zeros(0)
             return [AttainingRealization(zero, self.value, 0.0, zero, zero)]
         U, pts, vals = self.U, self.pts, self.vals
         vmax = float(np.max(vals))
-        cand = np.flatnonzero(vals >= vmax - self.tol)
+        cand = np.flatnonzero(vals >= vmax - ACTIVE_TOL)
 
         if U.kind == "finite":
             reps = [
@@ -547,17 +546,17 @@ def worst_case_value(e: Expr, z, U: UncertaintySet,
 psi = worst_case_value
 
 
-def active_uncertainty(e: Expr, z, U: UncertaintySet, tol: float = ACTIVE_TOL,
+def active_uncertainty(e: Expr, z, U: UncertaintySet,
                        grid: int = GRID_DEFAULT) -> List[AttainingRealization]:
     """Realizations attaining the worst case: ``WorstCase.realizations``."""
-    return WorstCase(e, z, U, grid, tol).realizations
+    return WorstCase(e, z, U, grid).realizations
 
 
-def worst_case_subdiff(e: Expr, z, U: UncertaintySet, tol: float = ACTIVE_TOL,
+def worst_case_subdiff(e: Expr, z, U: UncertaintySet,
                        grid: int = GRID_DEFAULT) -> PolytopeUnion:
     """Subdifferentials at ``active_uncertainty``: ``WorstCase.subdiff``."""
     return _subdiff_at(e, np.asarray(z, dtype=float),
-                       active_uncertainty(e, z, U, tol=tol, grid=grid))
+                       active_uncertainty(e, z, U, grid))
 
 
 def _subdiff_at(e: Expr, z: np.ndarray,
@@ -572,17 +571,14 @@ def _subdiff_at(e: Expr, z: np.ndarray,
     outer = False
     notes: Tuple[str, ...] = ()
     for rep in reps:
-        s = limiting_subdiff(e, Point.of(z, rep.point), wrt="decision")
+        s = limiting_subdiff(e, Point.of(z, rep.point))
         local = list(s.pieces)
         if rep.extent > EXTENT_TOL:
             corners = _box_corners(rep.lower, rep.upper)
             for corner in corners:
                 if np.max(np.abs(corner - rep.point), initial=0.0) <= 1e-12:
                     continue
-                s_corner = limiting_subdiff(
-                    e, Point.of(z, corner), wrt="decision"
-                )
-                local.extend(s_corner.pieces)
+                local.extend(limiting_subdiff(e, Point.of(z, corner)).pieces)
             local = [convex_hull_of(local)]
             outer = True
             notes = notes + (
@@ -656,7 +652,7 @@ class PointAnalysis:
 
     @cached_property
     def objective_subdiffs(self) -> List[PolytopeUnion]:
-        return [limiting_subdiff(f, self.point, wrt="decision")
+        return [limiting_subdiff(f, self.point)
                 for f in self.problem.objectives]
 
     def realizations(self, i: int) -> List[AttainingRealization]:

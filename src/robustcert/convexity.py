@@ -28,9 +28,9 @@ The stream, its worst-case and objective values and the dual weight grid do
 not depend on the point, so each process keeps them, read-only: the stream a
 ``CHUNK`` of rows at a time, each chunk per problem content, seed, ``ugrid``
 and place in the stream and evaluated when a scan first reaches it, and the
-weight grid per cone and resolution.  Only the point-dependent part of a
-scan — steps, value changes, support matrices, the first violation and its
-revalidation — runs at every call.
+weight grid per cone.  Only the point-dependent part of a scan — steps,
+value changes, support matrices, the first violation and its revalidation —
+runs at every call.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ QUASI_SUPPORT_TOL = 1e-9
 SAME_POINT_TOL = 1e-12
 
 DEFAULT_SAMPLES = 2000
+# the dual weight grid's steps per simplex edge (a verdict's ``resolution``)
 DEFAULT_Y_EDGE = 24
 CHUNK = 1000
 # multiply-adds in one weighted product (sample rows x weight grid): OpenBLAS
@@ -75,7 +76,7 @@ PRODUCT_MACS = 2**18
 # per-process memos, the least recently used entry dropped first: sample
 # chunks per (problem content, seed, ugrid, first index, length), each about
 # 57 kB at d = 2 with three objectives and two constraints, and weight grids
-# per (cone, edge)
+# per cone
 CHUNK_ENTRIES = 32
 WEIGHT_GRID_ENTRIES = 8
 
@@ -249,9 +250,10 @@ def _sample_chunks(P: Problem, seed: int, ugrid: int, samples: int
 # ---------------------------------------------------------------------------
 
 
-def _build_weight_grid(P: Problem, edge: int) -> np.ndarray:
+def _build_weight_grid(P: Problem) -> np.ndarray:
     rays = P.cone.dual_rays()
-    lam = _simplex_indices(len(rays), edge).astype(float) / edge
+    lam = (_simplex_indices(len(rays), DEFAULT_Y_EDGE).astype(float)
+           / DEFAULT_Y_EDGE)
     Y = dedup_rows(lam @ rays, 1e-12)
     Y.setflags(write=False)
     return Y
@@ -260,13 +262,13 @@ def _build_weight_grid(P: Problem, edge: int) -> np.ndarray:
 _weight_grids = LruMemo()
 
 
-def dual_weight_grid(P: Problem, edge: int = DEFAULT_Y_EDGE) -> np.ndarray:
-    """Simplex mixtures of the dual cone's extreme rays, in scan order.
+def dual_weight_grid(P: Problem) -> np.ndarray:
+    """Simplex mixtures of the dual cone's extreme rays, in scan order, in
+    steps of ``1 / DEFAULT_Y_EDGE``.
 
-    Memoized per process on the cone and ``edge``; the array is read-only.
+    Memoized per process on the cone; the array is read-only.
     """
-    return _weight_grids.get((cone_key(P.cone), edge),
-                             lambda: _build_weight_grid(P, edge),
+    return _weight_grids.get(cone_key(P.cone), lambda: _build_weight_grid(P),
                              WEIGHT_GRID_ENTRIES)
 
 
@@ -301,12 +303,12 @@ def _objective_stacks(analysis: PointAnalysis) -> List[np.ndarray]:
 
 
 def _scan(P: Problem, z, kinds: Sequence[str], samples: int, seed: int,
-          y_edge: int, grid: int
+          grid: int
           ) -> Tuple[Dict[str, Optional[ConvexityWitness]], Dict[str, int]]:
     z = np.asarray(z, dtype=float)
     a = analyze_point(P, z, grid)
     obj_stacks = _objective_stacks(a)
-    Y = dual_weight_grid(P, y_edge)
+    Y = dual_weight_grid(P)
     Yp = np.maximum(Y, 0.0)
     Ym = np.minimum(Y, 0.0)
     block = max(1, PRODUCT_MACS // Y.size)
@@ -420,11 +422,10 @@ def revalidate_witness(P: Problem, z, witness: ConvexityWitness, kind: str,
     _revalidate(P, z, PointAnalysis(P, z, grid), kind, witness, grid)
 
 
-def _verdict(found: Optional[ConvexityWitness], used: int,
-             y_edge: int) -> Verdict:
+def _verdict(found: Optional[ConvexityWitness], used: int) -> Verdict:
     if found is None:
-        return Verdict("not-refuted", None, used, y_edge)
-    return Verdict("refuted", found, used, y_edge)
+        return Verdict("not-refuted", None, used, DEFAULT_Y_EDGE)
+    return Verdict("refuted", found, used, DEFAULT_Y_EDGE)
 
 
 # ---------------------------------------------------------------------------
@@ -433,33 +434,31 @@ def _verdict(found: Optional[ConvexityWitness], used: int,
 
 
 def check_pseudo_convex(P: Problem, z, samples: int = DEFAULT_SAMPLES,
-                        seed: int = 0, y_edge: int = DEFAULT_Y_EDGE,
-                        grid: int = GRID_DEFAULT) -> Verdict:
+                        seed: int = 0, grid: int = GRID_DEFAULT) -> Verdict:
     """Search for a weighted value drop with non-negative subgradient support."""
-    found, used = _scan(P, z, [PSEUDO], samples, seed, y_edge, grid)
-    return _verdict(found[PSEUDO], used[PSEUDO], y_edge)
+    found, used = _scan(P, z, [PSEUDO], samples, seed, grid)
+    return _verdict(found[PSEUDO], used[PSEUDO])
 
 
 def check_strictly_pseudo_convex(P: Problem, z, samples: int = DEFAULT_SAMPLES,
-                                 seed: int = 0, y_edge: int = DEFAULT_Y_EDGE,
+                                 seed: int = 0,
                                  grid: int = GRID_DEFAULT) -> Verdict:
     """Like the pseudo check, but a weighted tie at a distinct point also counts."""
-    found, used = _scan(P, z, [STRICT], samples, seed, y_edge, grid)
-    return _verdict(found[STRICT], used[STRICT], y_edge)
+    found, used = _scan(P, z, [STRICT], samples, seed, grid)
+    return _verdict(found[STRICT], used[STRICT])
 
 
 def check_generalized_quasi_convex(P: Problem, z,
                                    samples: int = DEFAULT_SAMPLES,
                                    seed: int = 0,
-                                   y_edge: int = DEFAULT_Y_EDGE,
                                    grid: int = GRID_DEFAULT) -> Verdict:
     """Search binding constraints for non-increasing samples with positive support."""
-    found, used = _scan(P, z, [QUASI], samples, seed, y_edge, grid)
-    return _verdict(found[QUASI], used[QUASI], y_edge)
+    found, used = _scan(P, z, [QUASI], samples, seed, grid)
+    return _verdict(found[QUASI], used[QUASI])
 
 
 def classify_type(P: Problem, z, samples: int = DEFAULT_SAMPLES,
-                  seed: int = 0, y_edge: int = DEFAULT_Y_EDGE,
+                  seed: int = 0,
                   grid: int = GRID_DEFAULT) -> TypeClassification:
     """Joint classification consumed by the sufficiency rules.
 
@@ -469,20 +468,15 @@ def classify_type(P: Problem, z, samples: int = DEFAULT_SAMPLES,
     underlying scans, which read ``analyze_point(P, z, grid)``, shared
     inside ``memo.shared_points()``.
     """
-    found, used = _scan(P, z, [PSEUDO, STRICT, QUASI], samples, seed,
-                        y_edge, grid)
-    pseudo = _verdict(found[PSEUDO], used[PSEUDO], y_edge)
-    strict = _verdict(found[STRICT], used[STRICT], y_edge)
-    quasi = _verdict(found[QUASI], used[QUASI], y_edge)
+    found, used = _scan(P, z, [PSEUDO, STRICT, QUASI], samples, seed, grid)
+    pseudo, strict, quasi = (_verdict(found[k], used[k])
+                             for k in (PSEUDO, STRICT, QUASI))
 
     def combine(obj: Verdict, con: Verdict) -> Verdict:
         candidates = [v for v in (obj, con) if v.refuted]
         if not candidates:
-            return Verdict(
-                "not-refuted", None, max(obj.samples_used, con.samples_used),
-                y_edge,
-            )
+            return _verdict(None, max(obj.samples_used, con.samples_used))
         best = min(candidates, key=lambda v: v.witness.sample_index)
-        return Verdict("refuted", best.witness, best.samples_used, y_edge)
+        return _verdict(best.witness, best.samples_used)
 
     return TypeClassification(combine(pseudo, quasi), combine(strict, quasi))

@@ -31,6 +31,7 @@ from .constraints import (
     FEAS_TOL,
     GRID_DEFAULT,
     Problem,
+    ProblemFormatError,
     analyze_point,
     grid_sweep,
     worst_case_value,
@@ -39,6 +40,7 @@ from .efficiency import EFFICIENCY_GRID, certify_weak, first_dominator
 from .kkt import (MU_ZERO_TOL, RESIDUAL_TOL, KktCertificate,
                   stationarity_distance)
 from .memo import shared
+from .problem_io import _numbers
 
 
 @dataclass
@@ -56,11 +58,19 @@ class DualTriple:
 
     @staticmethod
     def from_jsonable(data: dict) -> "DualTriple":
-        return DualTriple(
-            point=np.asarray(data["y"], dtype=float),
-            weights=np.asarray(data["y_star"], dtype=float),
-            multipliers=np.asarray(data["mu"], dtype=float),
-        )
+        """The triple ``{"y": [...], "y_star": [...], "mu": [...]}``.
+
+        Raises ProblemFormatError unless each field is a flat list of finite
+        numbers; ``true`` and ``false`` are refused, as in a problem file.
+        """
+        if not isinstance(data, dict):
+            raise ProblemFormatError("a dual triple is a JSON object")
+        y, y_star, mu = (_numbers(data, key, "the dual triple")
+                         for key in ("y", "y_star", "mu"))
+        if (y.ndim, y_star.ndim, mu.ndim) != (1, 1, 1):
+            raise ProblemFormatError("the dual triple's fields must be flat "
+                                     "lists of numbers")
+        return DualTriple(point=y, weights=y_star, multipliers=mu)
 
 
 @dataclass
@@ -213,14 +223,15 @@ class ConverseDualityReport:
 
 def converse_duality_check(P: Problem, triple: DualTriple,
                            grid: int = EFFICIENCY_GRID,
-                           ugrid: int = GRID_DEFAULT) -> ConverseDualityReport:
+                           ugrid: int = GRID_DEFAULT,
+                           tol: float = RESIDUAL_TOL) -> ConverseDualityReport:
     """Brute-force weak efficiency at a dual feasible triple's point.
 
-    Reads the triple's default-mode ``is_dual_feasible`` at ``RESIDUAL_TOL``,
-    the point analysis and the weak certifier's guard, which a report's
-    other sections share with it inside ``memo.shared_points()``.
+    Reads the triple's default-mode ``is_dual_feasible`` at ``tol``, the
+    point analysis and the weak certifier's guard, which a report's other
+    sections share with it inside ``memo.shared_points()``.
     """
-    rep = is_dual_feasible(P, triple, mode="default", grid=ugrid)
+    rep = is_dual_feasible(P, triple, "default", tol, ugrid)
     applicable = rep.feasible and analyze_point(
         P, triple.point, ugrid
     ).feasible(FEAS_TOL)

@@ -263,12 +263,11 @@ def _proper_weights(D: np.ndarray, R: np.ndarray,
 
 
 def certify_proper(P: Problem, z, grid: int = EFFICIENCY_GRID,
-                   eps: float = PROPER_EPS,
                    ugrid: int = GRID_DEFAULT) -> EfficiencyReport:
     """A uniformly interior dual weight makes the point a grid minimizer.
 
-    Searches by linear programming for weights with margin ``eps`` against
-    every cone generator such that the weighted objective change is
+    Searches by linear programming for weights with margin ``PROPER_EPS``
+    against every cone generator such that the weighted objective change is
     nonnegative at every feasible grid point.  A first LP keeps only a few
     candidate grid rows (one per vertex of the weight polytope, plus one);
     when it is infeasible the point is refuted.  Otherwise the LP over every
@@ -279,12 +278,12 @@ def certify_proper(P: Problem, z, grid: int = EFFICIENCY_GRID,
         return guard
     ctx = grid_context(P, grid, ugrid)
     D = ctx.F - P.objective_values(z)[None, :]
-    y = _proper_weights(D, P.cone.generating_rays(), eps)
+    y = _proper_weights(D, P.cone.generating_rays(), PROPER_EPS)
     if y is None:
         return EfficiencyReport(
             "proper", False, grid, len(ctx.Z),
             notes=("no interior weight vector supports the point "
-                   f"at margin {eps}",),
+                   f"at margin {PROPER_EPS}",),
         )
     return EfficiencyReport("proper", True, grid, len(ctx.Z), witness_y=y)
 

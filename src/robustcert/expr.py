@@ -4,8 +4,9 @@ Expressions are finite immutable trees over decision variables ``z1..zd`` and
 uncertainty variables ``u1..up`` with arithmetic (+, -, *, /, integer ^),
 ``abs``, ``sqrt``, and n-ary ``max``/``min``.  This module provides the parser,
 a round-tripping printer, double-precision evaluation (scalar and broadcast),
-forward-mode gradients at smooth points, and detection of active nonsmooth
-atoms (kinks) at a point.
+forward-mode gradients in the decision variables z at smooth points, and
+detection of active nonsmooth atoms (kinks) at a point, all at one kink
+tolerance, ``KINK_ACTIVITY_TOL``.
 """
 
 from __future__ import annotations
@@ -555,20 +556,21 @@ class KinkAtom:
     active_branches: tuple = ()
 
 
-def kink_atoms(e: Expr, pt: Point, tol: float = KINK_ACTIVITY_TOL):
+def kink_atoms(e: Expr, pt: Point):
     """All active nonsmooth atoms of ``e`` at ``pt``, in preorder."""
     atoms = []
 
     def visit(node: Expr):
         if isinstance(node, Abs):
             val = evaluate(node.arg, pt)
-            if abs(val) <= tol:
+            if abs(val) <= KINK_ACTIVITY_TOL:
                 atoms.append(KinkAtom(node, "abs", abs(val)))
         elif isinstance(node, (MaxOp, MinOp)):
             vals = [evaluate(a, pt) for a in node.args]
             attained = max(vals) if isinstance(node, MaxOp) else min(vals)
             active = tuple(
-                i for i, v in enumerate(vals) if abs(v - attained) <= tol
+                i for i, v in enumerate(vals)
+                if abs(v - attained) <= KINK_ACTIVITY_TOL
             )
             if len(active) >= 2:
                 kind = "max" if isinstance(node, MaxOp) else "min"
@@ -581,11 +583,12 @@ def kink_atoms(e: Expr, pt: Point, tol: float = KINK_ACTIVITY_TOL):
     return atoms
 
 
-def relevant_kink_atoms(e: Expr, pt: Point, wrt: str, tol: float = KINK_ACTIVITY_TOL):
-    """Active atoms whose argument depends on the differentiation variables."""
+def relevant_kink_atoms(e: Expr, pt: Point, wrt: str):
+    """Active atoms whose argument depends on the ``wrt`` variables
+    (``"decision"`` for z, anything else for u)."""
     kind = "z" if wrt == "decision" else "u"
     out = []
-    for atom in kink_atoms(e, pt, tol):
+    for atom in kink_atoms(e, pt):
         if isinstance(atom.node, Abs):
             dependent = references_kind(atom.node.arg, kind)
         else:
@@ -603,24 +606,16 @@ def relevant_kink_atoms(e: Expr, pt: Point, wrt: str, tol: float = KINK_ACTIVITY
 # ---------------------------------------------------------------------------
 
 
-def _wrt_info(pt: Point, wrt: str):
-    if wrt == "decision":
-        return "z", len(pt.z)
-    if wrt == "uncertainty":
-        return "u", 0 if pt.u is None else len(pt.u)
-    raise ValueError(f"wrt must be 'decision' or 'uncertainty', got {wrt!r}")
-
-
-def _forward(e: Expr, pt: Point, kind: str, dim: int, tol: float, hole=None,
-             hole_value: float = 0.0):
+def _forward(e: Expr, pt: Point, hole=None, hole_value: float = 0.0):
     """Returns (value, gradient, hole_coefficient).
 
-    The gradient is with respect to the ``kind`` variables.  If ``hole`` is an
+    The gradient is with respect to the decision variables z.  If ``hole`` is an
     AST node (matched by identity), it is treated as an independent scalar with
     value ``hole_value``; the third return slot is the partial derivative of
     the expression with respect to that scalar.  Raises ActiveKinkError if an
     abs/max/min atom is active with genuinely different one-sided derivatives.
     """
+    dim = len(pt.z)
 
     def rec(node: Expr):
         if node is hole:
@@ -634,7 +629,7 @@ def _forward(e: Expr, pt: Point, kind: str, dim: int, tol: float, hole=None,
                     f"variable {node.kind}{node.index} has no value at this point"
                 )
             g = np.zeros(dim)
-            if node.kind == kind:
+            if node.kind == "z":
                 g[node.index - 1] = 1.0
             return float(values[node.index - 1]), g, 0.0
         if isinstance(node, BinOp):
@@ -668,11 +663,11 @@ def _forward(e: Expr, pt: Point, kind: str, dim: int, tol: float, hole=None,
             return -v, -g, -t
         if isinstance(node, Abs):
             v, g, t = rec(node.arg)
-            if abs(v) <= tol:
+            if abs(v) <= KINK_ACTIVITY_TOL:
                 if np.max(np.abs(g), initial=0.0) <= GRADIENT_TIE_TOL and \
                         abs(t) <= GRADIENT_TIE_TOL:
                     return abs(v), np.zeros(dim), 0.0
-                raise ActiveKinkError(kink_atoms(e, pt, tol))
+                raise ActiveKinkError(kink_atoms(e, pt))
             s = 1.0 if v > 0 else -1.0
             return abs(v), s * g, s * t
         if isinstance(node, Sqrt):
@@ -692,7 +687,8 @@ def _forward(e: Expr, pt: Point, kind: str, dim: int, tol: float, hole=None,
             triples = [rec(a) for a in node.args]
             vals = [tr[0] for tr in triples]
             attained = max(vals) if isinstance(node, MaxOp) else min(vals)
-            active = [i for i, v in enumerate(vals) if abs(v - attained) <= tol]
+            active = [i for i, v in enumerate(vals)
+                      if abs(v - attained) <= KINK_ACTIVITY_TOL]
             first = triples[active[0]]
             for i in active[1:]:
                 if (
@@ -700,32 +696,27 @@ def _forward(e: Expr, pt: Point, kind: str, dim: int, tol: float, hole=None,
                     > GRADIENT_TIE_TOL
                     or abs(triples[i][2] - first[2]) > GRADIENT_TIE_TOL
                 ):
-                    raise ActiveKinkError(kink_atoms(e, pt, tol))
+                    raise ActiveKinkError(kink_atoms(e, pt))
             return attained, first[1], first[2]
         raise TypeError(f"unknown node {node!r}")  # pragma: no cover
 
     return rec(e)
 
 
-def grad_smooth(e: Expr, pt: Point, wrt: str = "decision",
-                tol: float = KINK_ACTIVITY_TOL) -> np.ndarray:
-    """Exact gradient at a point where no relevant kink atom is active.
+def grad_smooth(e: Expr, pt: Point) -> np.ndarray:
+    """Exact gradient in z at a point where no relevant kink atom is active.
 
-    Kinks transverse to the differentiation variables (e.g. an active
-    ``abs(u1)`` when differentiating in z) or with coinciding one-sided
-    derivatives (e.g. ``max(z1, z1)``) do not block the derivative.  Raises
-    ActiveKinkError listing the active atoms otherwise.
+    Kinks transverse to z (e.g. an active ``abs(u1)``) or with coinciding
+    one-sided derivatives (e.g. ``max(z1, z1)``) do not block the derivative.
+    Raises ActiveKinkError listing the active atoms otherwise.
     """
-    kind, dim = _wrt_info(pt, wrt)
-    _, g, _ = _forward(e, pt, kind, dim, tol)
+    _, g, _ = _forward(e, pt)
     return g
 
 
-def gradient_with_hole(e: Expr, pt: Point, wrt: str, hole, hole_value: float,
-                       tol: float = KINK_ACTIVITY_TOL):
-    """(base gradient, chain coefficient) of e with ``hole`` held constant."""
-    kind, dim = _wrt_info(pt, wrt)
-    _, g, t = _forward(e, pt, kind, dim, tol, hole=hole, hole_value=hole_value)
+def gradient_with_hole(e: Expr, pt: Point, hole, hole_value: float):
+    """(base gradient in z, chain coefficient) of e with ``hole`` held constant."""
+    _, g, t = _forward(e, pt, hole=hole, hole_value=hole_value)
     return g, t
 
 

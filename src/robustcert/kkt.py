@@ -93,7 +93,6 @@ class KktOptions:
     """Search options: ``y_grid`` is points per simplex edge (>= 2)."""
 
     y_grid: int = 721
-    tol: float = RESIDUAL_TOL
     mode: str = "outer"  # 'outer' per-objective fold | 'exact' scalarized
     grid: int = GRID_DEFAULT
 
@@ -518,16 +517,14 @@ def stationarity_distance(P: Problem, z, y, mu, grid: int,
     """
     pt = Point.of(z)
     hulls = {
-        i: worst_case_subdiff(P.constraints[i], z, P.uncertainty, ACTIVE_TOL,
-                              grid).hull()
+        i: worst_case_subdiff(P.constraints[i], z, P.uncertainty, grid).hull()
         for i in range(P.n_constraints) if mu[i] > MU_ZERO_TOL
     }
     if exact:
         subdiffs = [scalarized_subdiff(y, P.objectives, pt).best]
         y = np.ones(1)
     else:
-        subdiffs = [limiting_subdiff(f, pt, wrt="decision")
-                    for f in P.objectives]
+        subdiffs = [limiting_subdiff(f, pt) for f in P.objectives]
     return _residual(y, subdiffs, mu, hulls, P.decision_dim)
 
 

@@ -21,6 +21,11 @@ CONTAINS_TOL = 1e-8
 RANK_REL_TOL = 1e-9
 # vertices closer than this are merged during deduplication
 DEDUP_TOL = 1e-12
+# Wolfe's min-norm point stops when no vertex improves on the current point
+# by more than this (relative to 1 + |x|^2), or after this many major cycles
+# (and as many minor cycles in each)
+WOLFE_TOL = 1e-12
+WOLFE_MAX_ITER = 1000
 
 
 def dedup_rows(rows, tol: float = DEDUP_TOL) -> np.ndarray:
@@ -41,8 +46,7 @@ def dedup_rows(rows, tol: float = DEDUP_TOL) -> np.ndarray:
     return kept[:n_kept]
 
 
-def min_norm_point(vertices: np.ndarray, tol: float = 1e-12,
-                   max_iter: int = 1000) -> np.ndarray:
+def min_norm_point(vertices: np.ndarray) -> np.ndarray:
     """Point of minimum Euclidean norm in conv(vertices) (Wolfe's algorithm)."""
     V = np.asarray(vertices, dtype=float)
     if V.ndim == 1:
@@ -53,19 +57,19 @@ def min_norm_point(vertices: np.ndarray, tol: float = 1e-12,
     norms2 = np.einsum("ij,ij->i", V, V)
     S = [int(np.argmin(norms2))]
     w = np.array([1.0])
-    for _ in range(max_iter):
+    for _ in range(WOLFE_MAX_ITER):
         x = w @ V[S]
         xx = float(x @ x)
         scores = V @ x
         j = int(np.argmin(scores))
-        if scores[j] >= xx - tol * (1.0 + xx):
+        if scores[j] >= xx - WOLFE_TOL * (1.0 + xx):
             break
         if j in S:
             break
         S.append(j)
         w = np.append(w, 0.0)
         # minor cycle: restrict to the affine minimizer over the current corral
-        for _ in range(max_iter):
+        for _ in range(WOLFE_MAX_ITER):
             VS = V[S]
             k = len(S)
             G = VS @ VS.T

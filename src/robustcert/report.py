@@ -18,8 +18,8 @@ from .constraints import (ACTIVE_TOL, FEAS_TOL, GRID_DEFAULT, Problem,
 from .convexity import DEFAULT_SAMPLES, DEFAULT_Y_EDGE, classify_type
 from .duality import (DualTriple, converse_duality_check, is_dual_feasible,
                       strong_duality_construct, weak_duality_test)
-from .efficiency import (EFFICIENCY_GRID, PROPER_EPS, certify_efficient,
-                         certify_proper, certify_weak)
+from .efficiency import (EFFICIENCY_GRID, certify_efficient, certify_proper,
+                         certify_weak)
 from .kkt import (RESIDUAL_TOL, KktCertificate, KktOptions,
                   NotFoundAtResolution, check_cq, find_kkt_certificate,
                   verify_certificate)
@@ -78,9 +78,11 @@ def cq_section(P: Problem, z, ugrid: int = GRID_DEFAULT) -> dict:
     return out
 
 
-def kkt_section(P: Problem, z, options: Optional[KktOptions] = None) -> dict:
+def kkt_section(P: Problem, z, options: Optional[KktOptions] = None,
+                tol: float = RESIDUAL_TOL) -> dict:
+    """The certificate search at z, and ``verify_certificate`` at ``tol``."""
     opts = options or KktOptions()
-    out: dict = {"y_grid": int(opts.y_grid), "tol": float(opts.tol),
+    out: dict = {"y_grid": int(opts.y_grid), "tol": float(tol),
                  "mode": opts.mode}
     try:
         cert = find_kkt_certificate(P, z, opts)
@@ -94,25 +96,23 @@ def kkt_section(P: Problem, z, options: Optional[KktOptions] = None) -> dict:
         return out
     out["found"] = True
     out["certificate"] = cert.to_jsonable()
-    out["verification"] = verify_certificate(P, z, cert, opts.tol,
+    out["verification"] = verify_certificate(P, z, cert, tol,
                                              opts.grid).to_jsonable()
     return out
 
 
 def convexity_section(P: Problem, z, samples: int = DEFAULT_SAMPLES,
-                      seed: int = 0, y_edge: int = DEFAULT_Y_EDGE,
-                      ugrid: int = GRID_DEFAULT) -> dict:
-    cls = classify_type(P, z, samples, seed, y_edge, ugrid)
+                      seed: int = 0, ugrid: int = GRID_DEFAULT) -> dict:
+    cls = classify_type(P, z, samples, seed, ugrid)
     out = cls.to_jsonable()
     out["samples"] = int(samples)
     out["seed"] = int(seed)
-    out["y_edge"] = int(y_edge)
+    out["y_edge"] = DEFAULT_Y_EDGE
     return out
 
 
 def efficiency_section(P: Problem, z, grid: int = EFFICIENCY_GRID,
-                       ugrid: int = GRID_DEFAULT,
-                       eps: float = PROPER_EPS) -> dict:
+                       ugrid: int = GRID_DEFAULT) -> dict:
     return {
         "grid": int(grid),
         "box": {
@@ -121,7 +121,7 @@ def efficiency_section(P: Problem, z, grid: int = EFFICIENCY_GRID,
         },
         "weak": certify_weak(P, z, grid, ugrid).to_jsonable(),
         "efficient": certify_efficient(P, z, grid, ugrid).to_jsonable(),
-        "proper": certify_proper(P, z, grid, eps, ugrid).to_jsonable(),
+        "proper": certify_proper(P, z, grid, ugrid).to_jsonable(),
     }
 
 
@@ -151,8 +151,8 @@ def duality_section(P: Problem, z=None, triple: Optional[DualTriple] = None,
                                         ugrid).to_jsonable(),
         "weak_typeII": weak_duality_test(P, triple, "typeII", grid,
                                          ugrid).to_jsonable(),
-        "converse": converse_duality_check(P, triple, grid,
-                                           ugrid).to_jsonable(),
+        "converse": converse_duality_check(P, triple, grid, ugrid,
+                                           tol).to_jsonable(),
     }
 
 
@@ -175,7 +175,7 @@ def build_report(P: Problem, command: str, z, *, tol: float = RESIDUAL_TOL,
     dual feasibility report; the feasible grid is memoized per process
     (``grid_context``).
     """
-    opts = KktOptions(y_grid=ygrid, tol=tol,
+    opts = KktOptions(y_grid=ygrid,
                       mode="exact" if exact_scalarization else "outer",
                       grid=ugrid)
     report: dict = {
@@ -206,7 +206,7 @@ def build_report(P: Problem, command: str, z, *, tol: float = RESIDUAL_TOL,
         elif command == "cq":
             report["cq"] = cq_section(P, z, ugrid=ugrid)
         elif command == "kkt":
-            report["kkt"] = kkt_section(P, z, opts)
+            report["kkt"] = kkt_section(P, z, opts, tol)
         elif command == "efficiency":
             report["efficiency"] = efficiency_section(P, z, grid, ugrid)
         elif command == "convexity":
@@ -215,7 +215,7 @@ def build_report(P: Problem, command: str, z, *, tol: float = RESIDUAL_TOL,
         elif command == "dual":
             cert = None
             if triple is None:
-                kkt = kkt_section(P, z, opts)
+                kkt = kkt_section(P, z, opts, tol)
                 if kkt["found"]:
                     cert = KktCertificate.from_jsonable(kkt["certificate"])
                 report["kkt"] = kkt
@@ -228,7 +228,7 @@ def build_report(P: Problem, command: str, z, *, tol: float = RESIDUAL_TOL,
             report["feasibility"] = feasibility_section(P, z, tol, ugrid)
             report["subdifferentials"] = subdiff_section(P, z, ugrid)
             report["cq"] = cq_section(P, z, ugrid)
-            report["kkt"] = kkt_section(P, z, opts)
+            report["kkt"] = kkt_section(P, z, opts, tol)
             report["convexity"] = convexity_section(P, z, samples, seed,
                                                     ugrid=ugrid)
             cert = None

@@ -1,10 +1,11 @@
-"""Limiting subdifferentials of piecewise-smooth expressions.
+"""Limiting subdifferentials of piecewise-smooth expressions in z.
 
-``limiting_subdiff`` returns the set of limits of nearby gradients as a finite
-union of polytopes.  The engine dispatches on the structure of the active
-nonsmooth atoms at the point:
+``limiting_subdiff`` returns the set of limits of nearby gradients in the
+decision variables z as a finite union of polytopes, with kinks detected at
+``expr.KINK_ACTIVITY_TOL``.  The engine dispatches on the structure of the
+active nonsmooth atoms at the point:
 
-* no active atom in the differentiation variables: gradient singleton;
+* no active atom in z: gradient singleton;
 * all active atoms are ``abs`` nodes sharing one argument: one-sided
   substitution gives the two boundary gradients; the kink is a convex corner
   (segment), a concave corner (two-point union), or degenerate (flagged hull);
@@ -33,10 +34,8 @@ from .expr import (
     ActiveKinkError,
     DomainError,
     Expr,
-    KINK_ACTIVITY_TOL,
     MaxOp,
     Point,
-    _wrt_info,
     canonical_key,
     collect_terms,
     combine_weighted,
@@ -68,15 +67,14 @@ class UnsupportedComposition(Exception):
         self.parts = tuple(parts)
 
 
-def limiting_subdiff(e: Expr, pt: Point, wrt: str = "decision",
-                     tol: float = KINK_ACTIVITY_TOL) -> PolytopeUnion:
-    """Limiting subdifferential of ``e`` at ``pt`` as a union of polytopes."""
-    atoms = relevant_kink_atoms(e, pt, wrt, tol)
+def limiting_subdiff(e: Expr, pt: Point) -> PolytopeUnion:
+    """Limiting subdifferential in z of ``e`` at ``pt``, a union of polytopes."""
+    atoms = relevant_kink_atoms(e, pt, "decision")
 
-    # Case 1: smooth in the differentiation variables.
+    # Case 1: smooth in z.
     if not atoms:
         try:
-            return singleton(grad_smooth(e, pt, wrt, tol))
+            return singleton(grad_smooth(e, pt))
         except ActiveKinkError:
             # an atom with formally tied branches whose gradients differ is
             # possible when branch values tie without being reported relevant;
@@ -87,37 +85,37 @@ def limiting_subdiff(e: Expr, pt: Point, wrt: str = "decision",
     if atoms and all(a.kind == "abs" for a in atoms):
         keys = {canonical_key(a.node.arg) for a in atoms}
         if len(keys) == 1:
-            result = _abs_class_case(e, pt, wrt, tol, next(iter(keys)),
+            result = _abs_class_case(e, pt, next(iter(keys)),
                                      atoms[0].node.arg)
             if result is not None:
                 return result
 
     # Case 3: additive split with per-term recursion.
-    result = _sum_case(e, pt, wrt, tol)
+    result = _sum_case(e, pt)
     if result is not None:
         return result
 
     # Case 4: a single max/min atom inside a smooth frame.
     if len(atoms) == 1 and atoms[0].kind in ("max", "min"):
-        result = _branch_case(e, pt, wrt, tol, atoms[0])
+        result = _branch_case(e, pt, atoms[0])
         if result is not None:
             return result
 
     raise UnsupportedComposition([a.node for a in atoms] or [e])
 
 
-def _grad_or_none(e: Expr, pt: Point, wrt: str, tol: float):
+def _grad_or_none(e: Expr, pt: Point):
     try:
-        return grad_smooth(e, pt, wrt, tol)
+        return grad_smooth(e, pt)
     except (ActiveKinkError, DomainError):
         return None
 
 
-def _abs_class_case(e, pt, wrt, tol, key, arg) -> Optional[PolytopeUnion]:
+def _abs_class_case(e, pt, key, arg) -> Optional[PolytopeUnion]:
     """One-sided substitution for a single shared abs argument class."""
-    g_right = _grad_or_none(substitute_abs_class(e, key, +1), pt, wrt, tol)
-    g_left = _grad_or_none(substitute_abs_class(e, key, -1), pt, wrt, tol)
-    grad_arg = _grad_or_none(arg, pt, wrt, tol)
+    g_right = _grad_or_none(substitute_abs_class(e, key, +1), pt)
+    g_left = _grad_or_none(substitute_abs_class(e, key, -1), pt)
+    grad_arg = _grad_or_none(arg, pt)
     if g_right is None or g_left is None or grad_arg is None:
         return None
     if np.max(np.abs(g_right - g_left), initial=0.0) <= GRAD_EQ_TOL:
@@ -137,29 +135,27 @@ def _abs_class_case(e, pt, wrt, tol, key, arg) -> Optional[PolytopeUnion]:
     )
 
 
-def _sum_case(e, pt, wrt, tol) -> Optional[PolytopeUnion]:
-    _, dim = _wrt_info(pt, wrt)
+def _sum_case(e, pt) -> Optional[PolytopeUnion]:
     terms, _const = decompose_sum(e)
     terms = collect_terms(terms)
     if not terms:
-        return singleton(np.zeros(dim))
+        return singleton(np.zeros(len(pt.z)))
     rebuilt = [scaled_term(c, t) for c, t in terms]
     if len(terms) == 1 and rebuilt[0] == e:
         return None  # no structural progress; let another case handle it
-    return _fold(rebuilt, pt, wrt, tol,
+    return _fold(rebuilt, pt,
                  "sum rule over coupled nonsmooth terms: outer estimate")
 
 
-def _fold(terms, pt, wrt, tol, note: str) -> PolytopeUnion:
+def _fold(terms, pt, note: str) -> PolytopeUnion:
     """Minkowski sum of the terms' subdifferentials.
 
     Exact when the nonsmooth terms touch pairwise disjoint variables;
     otherwise flagged as an outer estimate with ``note`` appended.
     """
-    kind, _ = _wrt_info(pt, wrt)
-    parts = [limiting_subdiff(t, pt, wrt, tol) for t in terms]
+    parts = [limiting_subdiff(t, pt) for t in terms]
     nonsmooth_vars = [
-        free_var_indices(t, kind)
+        free_var_indices(t, "z")
         for t, part in zip(terms, parts)
         if _is_nonsingleton(part)
     ]
@@ -172,16 +168,16 @@ def _fold(terms, pt, wrt, tol, note: str) -> PolytopeUnion:
     return out
 
 
-def _branch_case(e, pt, wrt, tol, atom) -> Optional[PolytopeUnion]:
+def _branch_case(e, pt, atom) -> Optional[PolytopeUnion]:
     node = atom.node
     hole_value = evaluate(node, pt)
     try:
-        base, chain = gradient_with_hole(e, pt, wrt, node, hole_value, tol)
+        base, chain = gradient_with_hole(e, pt, node, hole_value)
     except (ActiveKinkError, DomainError):
         return None
     branch_grads = []
     for i in atom.active_branches:
-        g = _grad_or_none(node.args[i], pt, wrt, tol)
+        g = _grad_or_none(node.args[i], pt)
         if g is None:
             return None
         branch_grads.append(g)
@@ -282,9 +278,8 @@ class ScalarizedSubdiff:
         return self.exact if self.exact is not None else self.outer
 
 
-def scalarized_subdiff(weights, exprs: Sequence[Expr], pt: Point,
-                       wrt: str = "decision",
-                       tol: float = KINK_ACTIVITY_TOL) -> ScalarizedSubdiff:
+def scalarized_subdiff(weights, exprs: Sequence[Expr],
+                       pt: Point) -> ScalarizedSubdiff:
     weights = [float(w) for w in weights]
     if len(weights) != len(exprs):
         raise ValueError("one weight per expression is required")
@@ -292,17 +287,15 @@ def scalarized_subdiff(weights, exprs: Sequence[Expr], pt: Point,
     # outer route: fold per-term subdifferentials of w_i * f_i
     active = [scaled_term(w, f) for w, f in zip(weights, exprs) if w != 0.0]
     if active:
-        outer = _fold(active, pt, wrt, tol,
+        outer = _fold(active, pt,
                       "per-objective fold over coupled nonsmooth terms")
     else:
-        outer = singleton(np.zeros(_wrt_info(pt, wrt)[1]))
+        outer = singleton(np.zeros(len(pt.z)))
 
     # exact route: symbolic combination first, so identical kinks cancel
     exact: Optional[PolytopeUnion]
     try:
-        combined = limiting_subdiff(
-            combine_weighted(weights, exprs), pt, wrt, tol
-        )
+        combined = limiting_subdiff(combine_weighted(weights, exprs), pt)
         exact = None if combined.outer_estimate else combined
     except UnsupportedComposition:
         exact = None

@@ -316,24 +316,16 @@ def unpruned_kkt_search(P, z, options):
     )
 
 
-def proper_lp_reference(P, z, grid=101, eps=1e-3, ugrid=1001):
-    """``certify_proper`` as one LP over every feasible grid row.
+def proper_weights_reference(D, R, eps):
+    """Weights y with ``D y >= 0``, ``R y >= eps`` and ``(sum R) . y = 1``
+    from one LP over every row of ``D``, or None when there are none.
 
     The interior-weight LP by its definition, with no relaxation first;
-    the inputs and options are the library's, so its floats are
-    comparable bit for bit.
+    its inputs are the library's, so its floats are comparable bit for bit.
     """
     from scipy.optimize import linprog
 
-    from robustcert import efficiency
-
-    guard = efficiency._feasibility_guard(P, z, "proper", grid, ugrid)
-    if guard is not None:
-        return guard
-    ctx = efficiency.grid_context(P, grid, ugrid)
-    D = ctx.F - P.objective_values(z)[None, :]
-    R = P.cone.generating_rays()
-    m = P.n_objectives
+    m = R.shape[1]
     res = linprog(
         np.zeros(m),
         A_ub=np.vstack([-D, -R]),
@@ -341,12 +333,26 @@ def proper_lp_reference(P, z, grid=101, eps=1e-3, ugrid=1001):
         A_eq=R.sum(axis=0)[None, :], b_eq=np.array([1.0]),
         bounds=[(None, None)] * m, method="highs",
     )
-    if res.status != 0:
+    return res.x if res.status == 0 else None
+
+
+def proper_lp_reference(P, z, grid=101, ugrid=1001):
+    """``certify_proper`` with ``proper_weights_reference`` as its LP."""
+    from robustcert import efficiency
+
+    guard = efficiency._feasibility_guard(P, z, "proper", grid, ugrid)
+    if guard is not None:
+        return guard
+    ctx = efficiency.grid_context(P, grid, ugrid)
+    D = ctx.F - P.objective_values(z)[None, :]
+    eps = efficiency.PROPER_EPS
+    y = proper_weights_reference(D, P.cone.generating_rays(), eps)
+    if y is None:
         return efficiency.EfficiencyReport(
             "proper", False, grid, len(ctx.Z),
             notes=("no interior weight vector supports the point "
                    f"at margin {eps}",),
         )
     return efficiency.EfficiencyReport(
-        "proper", True, grid, len(ctx.Z), witness_y=res.x,
+        "proper", True, grid, len(ctx.Z), witness_y=y,
     )

@@ -158,7 +158,7 @@ def test_criterion_3_second_worked_example(problems):
     assert necessary.interior_margin > 0
     assert necessary.min_value == pytest.approx(0.0, abs=1e-9)
 
-    proper = certify_proper(P, z, grid=101, eps=1e-3)
+    proper = certify_proper(P, z, grid=101)
     assert proper.certified
     assert np.min(proper.witness_y) >= 1e-3 - 1e-12
 
@@ -255,7 +255,7 @@ def test_criterion_7_subdifferential_properties(problems):
     checked = 0
     for expr, P, u in _all_fixture_exprs(problems):
         z = ANCHORS[P.label]
-        union = limiting_subdiff(expr, Point.of(z, u), wrt="decision")
+        union = limiting_subdiff(expr, Point.of(z, u))
         for g in limit_gradients(expr, z, u):
             assert union.contains(g, 5e-3), (P.label, g)
             checked += 1
@@ -270,10 +270,10 @@ def test_criterion_7_subdifferential_properties(problems):
             z = rng.uniform(P.box_lower, P.box_upper)
             pt = Point.of(z, u)
             try:
-                grad = grad_smooth(expr, pt, wrt="decision")
+                grad = grad_smooth(expr, pt)
             except ActiveKinkError:
                 continue
-            union = limiting_subdiff(expr, pt, wrt="decision")
+            union = limiting_subdiff(expr, pt)
             assert len(union.pieces) == 1
             assert len(union.pieces[0].vertices) == 1
             assert not union.outer_estimate
@@ -292,7 +292,7 @@ def test_criterion_7_subdifferential_properties(problems):
     ]
     for P, expr in convex_kinked:
         z = ANCHORS[P.label]
-        union = limiting_subdiff(expr, Point.of(z), wrt="decision")
+        union = limiting_subdiff(expr, Point.of(z))
         assert not union.outer_estimate
         assert len(union.pieces) == 1  # convex kink: one hull piece
         f0 = evaluate(expr, Point.of(z))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from robustcert import convexity
-from robustcert.constraints import worst_case_matrix
+from robustcert.constraints import ConeSpec, worst_case_matrix
 from robustcert.convexity import (
     PSEUDO,
     STRICT,
@@ -99,7 +99,7 @@ class TestDyadicLattice:
 
 
 def test_dual_weight_grid_orthant(ex2_2):
-    Y = dual_weight_grid(ex2_2, edge=24)
+    Y = dual_weight_grid(ex2_2)
     assert Y.shape == (325, 3)  # compositions of 24 into 3 parts
     assert np.all(Y >= -1e-15)
     np.testing.assert_allclose(Y.sum(axis=1), 1.0, atol=1e-12)
@@ -139,7 +139,7 @@ class TestPiecewiseLinearFixture:
         step = w.z - Z22
         support = 0.0
         for j, f in enumerate(ex2_2.objectives):
-            union = limiting_subdiff(f, Point.of(Z22), wrt="decision")
+            union = limiting_subdiff(f, Point.of(Z22))
             V = np.vstack([p.vertices for p in union.pieces])
             support += w.y[j] * float(np.max(V @ step))
         assert support >= -1e-12
@@ -308,12 +308,13 @@ def test_budget_change_on_a_warm_stream_equals_cold(ex2_3, empty_memo):
 
 
 def test_memo_keeps_a_fixed_number_of_entries(ex2_2, empty_memo):
-    # the seed and the edge are parts of the keys, so each call adds an entry
+    # the seed and the cone are parts of the keys, so each call adds an entry
     for seed in range(2 * convexity.CHUNK_ENTRIES):
         classify_type(ex2_2, Z22, samples=5, seed=seed)
     assert len(convexity._chunks) == convexity.CHUNK_ENTRIES
-    for edge in range(2, 2 + 2 * convexity.WEIGHT_GRID_ENTRIES):
-        dual_weight_grid(ex2_2, edge)
+    for k in range(1, 1 + 2 * convexity.WEIGHT_GRID_ENTRIES):
+        cone = ConeSpec.from_rays(np.diag([1.0, 1.0, float(k)]))
+        dual_weight_grid(dataclasses.replace(ex2_2, cone=cone))
     assert len(convexity._weight_grids) == convexity.WEIGHT_GRID_ENTRIES
 
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from robustcert.constraints import ProblemFormatError
 from robustcert.duality import (
     DualTriple,
     converse_duality_check,
@@ -14,6 +15,7 @@ from robustcert.duality import (
 )
 from robustcert.kkt import find_kkt_certificate
 from robustcert.problem_io import load_problem
+from robustcert.report import build_report
 
 Z32 = np.array([0.0, 1.0])
 Z22 = np.array([0.0, -2.0])
@@ -146,6 +148,33 @@ def test_strong_triple_serialization(strong_triple):
     np.testing.assert_allclose(back.point, strong_triple.point)
     np.testing.assert_allclose(back.weights, strong_triple.weights)
     np.testing.assert_allclose(back.multipliers, strong_triple.multipliers)
+
+
+@pytest.mark.parametrize("data", [
+    # a boolean, which numpy would read as 1.0
+    {"y": [0, True], "y_star": [0.35, 0, 0.35], "mu": [0.5, 0]},
+    # a nested list, which would give a (2, 1) point
+    {"y": [[0], [1]], "y_star": [0.35, 0, 0.35], "mu": [0.5, 0]},
+    {"y": [0, 1], "y_star": [0.35, 0, 0.35], "mu": [0.5, float("nan")]},
+    {"y": [0, 1], "y_star": [0.35, 0, 0.35]},
+    [[0, 1], [0.35, 0, 0.35], [0.5, 0]],
+])
+def test_triple_from_jsonable_refuses_malformed_fields(data):
+    with pytest.raises(ProblemFormatError):
+        DualTriple.from_jsonable(data)
+
+
+def test_converse_check_reads_dual_feasibility_at_the_report_tol(ex3_2):
+    # stationarity distance 1.65e-5: feasible at tol 1e-3, not at the
+    # default 1e-8, so both verdicts must come from the same tolerance
+    triple = DualTriple.from_jsonable(
+        {"y": [0, 1], "y_star": [0.35355339, 0, 0.35355339],
+         "mu": [0.8839, 0]})
+    duality = build_report(ex3_2, "dual", triple.point, tol=1e-3,
+                           triple=triple)["duality"]
+    assert duality["feasibility"]["feasible"]
+    assert duality["converse"]["feasibility"] == duality["feasibility"]
+    assert duality["converse"]["applicable"]
 
 
 def test_converse_duality_consistent(ex3_2, strong_triple):

@@ -13,6 +13,7 @@ from robustcert.expr import (
     BinOp,
     DomainError,
     ExprSyntaxError,
+    KINK_ACTIVITY_TOL,
     Lit,
     MaxOp,
     MinOp,
@@ -212,22 +213,13 @@ def test_grad_matches_finite_differences_at_smooth_points():
             z = rng.uniform(0.3, 2.0, size=2) * rng.choice([-1, 1], size=2)
             u = rng.uniform(0.3, 0.9, size=1)
             try:
-                g = grad_smooth(e, P(z, u), "decision")
+                g = grad_smooth(e, P(z, u))
             except ActiveKinkError:
                 continue
             assert np.allclose(
                 g, fd_gradient(e, z, u, "decision"), atol=FD_TOL
             ), src
             checked += 1
-
-
-def test_grad_uncertainty_direction():
-    e = parse_expr("u1^2*abs(z2) + max(z1, 2*z1) - 3*abs(u1)", 2, 1)
-    z, u = [0.5, 2.0], [0.7]
-    g = grad_smooth(e, P(z, u), "uncertainty")
-    assert np.allclose(g, fd_gradient(e, z, u, "uncertainty"), atol=FD_TOL)
-    # analytically 2*u*|z2| - 3 at u > 0
-    assert abs(g[0] - (2 * 0.7 * 2.0 - 3)) < 1e-9
 
 
 def test_grad_frozen_value():
@@ -250,7 +242,7 @@ def test_grad_raises_on_active_kink():
 def test_grad_ignores_kinks_transverse_to_wrt():
     # active abs(u1) does not block the decision gradient
     e = parse_expr("u1^2*abs(z2) + max(z1, 2*z1) - 3*abs(u1)", 2, 1)
-    g = grad_smooth(e, P([0.5, 2.0], [0.0]), "decision")
+    g = grad_smooth(e, P([0.5, 2.0], [0.0]))
     # at z1 > 0 the attained branch is 2*z1; the u1^2 factor vanishes at u = 0
     assert np.allclose(g, [2.0, 0.0], atol=EXACT_TOL)
 
@@ -284,10 +276,11 @@ def test_kink_atoms_empty_at_smooth_point():
 
 
 def test_kink_atoms_tolerance():
+    # the boundary is KINK_ACTIVITY_TOL, between the two points
+    assert 5e-10 <= KINK_ACTIVITY_TOL < 5e-9
     e = parse_expr("abs(z1)", 1, 0)
     assert len(kink_atoms(e, P([5e-10]))) == 1
     assert kink_atoms(e, P([5e-9])) == []
-    assert len(kink_atoms(e, P([5e-9]), tol=1e-8)) == 1
 
 
 # ---------------------------------------------------------------------------
