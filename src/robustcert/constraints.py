@@ -42,6 +42,8 @@ EXTENT_TOL = 1e-6
 CHUNK_ELEMENTS = 2000 * 1001
 # default slack for robust feasibility
 FEAS_TOL = 1e-9
+# slack of membership in the uncertainty set, the cone and its dual
+MEMBER_TOL = 1e-9
 # rows a decision, uncertainty or weight lattice may have (240 MB for three
 # float columns); a larger lattice is refused before anything is allocated
 MAX_LATTICE_ROWS = 10**7
@@ -130,13 +132,13 @@ class UncertaintySet:
                              f"points per axis, got {n}")
         return box_lattice(self.lower, self.upper, n)
 
-    def contains(self, u, tol: float = 1e-9) -> bool:
+    def contains(self, u) -> bool:
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if self.kind == "box":
-            return bool(
-                np.all(u >= self.lower - tol) and np.all(u <= self.upper + tol)
-            )
-        return bool(np.min(np.max(np.abs(self.points - u), axis=1)) <= tol)
+            return bool(np.all(u >= self.lower - MEMBER_TOL)
+                        and np.all(u <= self.upper + MEMBER_TOL))
+        return bool(
+            np.min(np.max(np.abs(self.points - u), axis=1)) <= MEMBER_TOL)
 
     def clip(self, u) -> np.ndarray:
         u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -197,11 +199,11 @@ class ConeSpec:
             return np.eye(self.dim)
         return self.rays
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
+    def contains(self, x) -> bool:
         """x in K (membership in the cone itself)."""
         x = np.asarray(x, dtype=float)
         if self.kind == "orthant":
-            return bool(np.all(x >= -tol))
+            return bool(np.all(x >= -MEMBER_TOL))
         # minimize the infinity-norm residual |R^T lam - x| over lam >= 0
         R = self.rays
         k = len(R)
@@ -221,7 +223,7 @@ class ConeSpec:
             b_ub=b_ub,
             bounds=[(0, None)] * k + [(0, None)],
         )
-        return bool(res.status == 0 and res.fun <= tol)
+        return bool(res.status == 0 and res.fun <= MEMBER_TOL)
 
     def dual_margin(self, y) -> float:
         """min over generating rays r of <y, r/|r|>; >0 means y in int K+."""
@@ -230,8 +232,8 @@ class ConeSpec:
         norms = np.linalg.norm(R, axis=1)
         return float(np.min((R @ y) / norms))
 
-    def dual_contains(self, y, tol: float = 1e-9) -> bool:
-        return self.dual_margin(y) >= -tol
+    def dual_contains(self, y) -> bool:
+        return self.dual_margin(y) >= -MEMBER_TOL
 
     def dual_rays(self) -> np.ndarray:
         """Generating rays of the dual cone K+ (dimension <= 3 for generators)."""

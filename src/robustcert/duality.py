@@ -127,7 +127,7 @@ def _dual_feasibility(P: Problem, triple: DualTriple, mode: str, tol: float,
         sign_values.append(float(mu[i] * value))
     checks["sign"] = all(v >= -tol for v in sign_values)
 
-    checks["dual_cone"] = P.cone.dual_contains(y, 1e-9)
+    checks["dual_cone"] = P.cone.dual_contains(y)
     checks["weights_nonzero"] = bool(np.max(np.abs(y), initial=0.0) > 1e-9)
     checks["mu_nonnegative"] = bool(np.all(mu >= -MU_ZERO_TOL))
 

@@ -148,7 +148,7 @@ def _dominators_general(P: Problem, D: np.ndarray, strict: bool) -> np.ndarray:
     for r, d in enumerate(D):
         if np.max(np.abs(d)) <= DOMINANCE_TOL:
             continue
-        out[r] = P.cone.contains(-d, DOMINANCE_TOL)
+        out[r] = P.cone.contains(-d)
     return out
 
 

@@ -585,8 +585,12 @@ def kink_atoms(e: Expr, pt: Point):
 
 def relevant_kink_atoms(e: Expr, pt: Point, wrt: str):
     """Active atoms whose argument depends on the ``wrt`` variables
-    (``"decision"`` for z, anything else for u)."""
-    kind = "z" if wrt == "decision" else "u"
+    (``"decision"`` for z, ``"uncertainty"`` for u)."""
+    kinds = {"decision": "z", "uncertainty": "u"}
+    if wrt not in kinds:
+        raise ValueError(
+            f"wrt must be 'decision' or 'uncertainty', not {wrt!r}")
+    kind = kinds[wrt]
     out = []
     for atom in kink_atoms(e, pt):
         if isinstance(atom.node, Abs):

@@ -807,7 +807,7 @@ def verify_certificate(P: Problem, z, cert: KktCertificate,
             details.setdefault("witnesses", f"constraint {i + 1} has no witness")
             continue
         for u in per:
-            if not P.uncertainty.contains(u, 1e-9):
+            if not P.uncertainty.contains(u):
                 wit_ok = False
                 details.setdefault(
                     "witnesses", f"witness outside the uncertainty set: {u}"
@@ -824,7 +824,7 @@ def verify_certificate(P: Problem, z, cert: KktCertificate,
     checks["witnesses"] = wit_ok
 
     # cone conditions
-    checks["dual_cone"] = P.cone.dual_contains(y, 1e-9)
+    checks["dual_cone"] = P.cone.dual_contains(y)
     checks["mu_nonnegative"] = bool(np.all(mu >= -MU_ZERO_TOL))
 
     # nondegeneracy and normalization

@@ -5,11 +5,22 @@ its first argument.  When that binding is SciPy's own ``linprog`` and the
 private HiGHS names below import, the LP goes to HiGHS directly, doing what
 ``scipy.optimize._linprog_highs`` does for ``method="highs"`` with SciPy's
 default options, minus the per-call option validation, the ``scipy.sparse``
-conversion and the bound marginals that no caller reads.  Results are
-bit-identical to ``linprog(..., method="highs")``: the same row and column
-bounds, the same CSC matrix, the same five HiGHS options, one fresh solver
-per LP as linprog makes (so no state of one LP can reach the next), and the
-same status and result check at linprog's tolerance.  The message, built
+conversion and the bound marginals that no caller reads.  The LP goes to
+``_Highs.passModel`` as arrays, not copied into a ``HighsLp`` attribute by
+attribute.
+
+Each thread keeps one solver, given linprog's five options once, for every
+LP of at most ``KEEP_ROWS`` rows: nearly all of them, as the KKT,
+subdifferential and cone LPs have a few rows each.  A larger LP (the full
+proper-efficiency LP has thousands of grid rows) runs on a fresh solver,
+because a solver keeps the memory of the largest model it held: one solver
+for every LP raised the peak RSS of a loop of reports from 141 to 151 MB.
+A solver whose ``passModel`` or ``run`` fails is dropped.
+
+Results are bit-identical to ``linprog(..., method="highs")``, which makes a
+fresh solver per LP: the same bounds, CSC matrix and options, and
+``passModel`` clears the previous model, basis and solution.  The status
+and result check are linprog's, at linprog's tolerance; the message, built
 once per HiGHS model status, names that status as linprog's does, without
 linprog's note on the primal solution status.
 
@@ -26,13 +37,15 @@ linprog's.
 Any other binding (a counting or timing wrapper installed on a module's
 ``linprog``) is called as ``linprog(..., method="highs")``, so
 instrumentation still sees every LP.  The same path is taken when a private
-name is missing, as on SciPy releases that moved it.
+name is missing, as on SciPy releases that moved it, and when ``passModel``
+does not take arrays.
 
 The solver is HiGHS (Huangfu & Hall, Math. Prog. Comp. 10, 2018).
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Optional
 
 import numpy as np
@@ -44,32 +57,29 @@ try:
     from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
     from scipy.optimize._linprog_util import _check_result
 except ImportError:  # pragma: no cover - private names moved
-    DIRECT = False
-else:
-    # infinite bounds go to HiGHS as they are, which is what linprog's
-    # replacement by ``kHighsInf`` amounts to when that is IEEE infinity
-    DIRECT = _h.kHighsInf == np.inf
+    _h = None
 
 TOL = 1e-9  # linprog's default ``tol``, used by its result check
 CHECK_TOL = np.sqrt(TOL) * 10  # the tolerance ``_check_result`` applies
+# rows of the largest LP run on its thread's kept solver; a larger LP gets a
+# fresh solver, so the kept one never holds a large model's memory
+KEEP_ROWS = 256
 
-_options = None
+_kept = threading.local()  # .highs: the thread's solver for small LPs
 _statuses = {}
 
 
-def _highs_options():
-    """The options linprog passes HiGHS by default, built once."""
-    global _options
-    if _options is None:
-        opts = _h.HighsOptions()
-        opts.presolve = "on"
-        opts.highs_debug_level = _h.HighsDebugLevel.kHighsDebugLevelNone
-        opts.log_to_console = False
-        opts.output_flag = False
-        opts.simplex_strategy = \
-            _h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-        _options = opts
-    return _options
+def _new_solver():
+    """A fresh solver, and whether it took linprog's default options."""
+    opts = _h.HighsOptions()
+    opts.presolve = "on"
+    opts.highs_debug_level = _h.HighsDebugLevel.kHighsDebugLevelNone
+    opts.log_to_console = False
+    opts.output_flag = False
+    opts.simplex_strategy = \
+        _h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    highs = _h._Highs()
+    return highs, highs.passOptions(opts) != _h.HighsStatus.kError
 
 
 def _status(highs, model_status):
@@ -124,6 +134,19 @@ def _csc(A: np.ndarray):
     return indptr, rows.astype(np.int32), A[rows, cols]
 
 
+def _takes_arrays() -> bool:
+    """Whether ``_Highs.passModel`` has the overload that takes an LP as 15
+    sizes and arrays (SciPy 1.17 does), read from pybind11's list of
+    signatures: a trial call would cost every process a solver's memory."""
+    doc = _h._Highs.passModel.__doc__ or ""
+    return any(line.count(", arg") == 15 for line in doc.splitlines())
+
+
+# infinite bounds go to HiGHS as they are, which is what linprog's
+# replacement by ``kHighsInf`` amounts to when that is IEEE infinity
+DIRECT = _h is not None and _h.kHighsInf == np.inf and _takes_arrays()
+
+
 def _result(x, fun, status, message, ineq, eq) -> OptimizeResult:
     return OptimizeResult(
         x=x, fun=fun, status=status, success=status == 0, message=message,
@@ -148,31 +171,27 @@ def _direct(c, A_ub, b_ub, A_eq, b_eq, bounds) -> OptimizeResult:
     rhs = np.concatenate((b_ub, b_eq))
     indptr, indices, data = _csc(np.vstack((A_ub, A_eq)))
 
-    model = _h.HighsLp()
-    model.num_col_ = n
-    model.num_row_ = m
-    model.a_matrix_.num_col_ = n
-    model.a_matrix_.num_row_ = m
-    model.a_matrix_.format_ = _h.MatrixFormat.kColwise
-    model.col_cost_ = c
-    model.col_lower_ = lb
-    model.col_upper_ = ub
-    model.row_lower_ = lhs
-    model.row_upper_ = rhs
-    model.a_matrix_.start_ = indptr
-    model.a_matrix_.index_ = indices
-    model.a_matrix_.value_ = data
-
-    highs = _h._Highs()
     error = _h.HighsStatus.kError
+    small = m <= KEEP_ROWS
+    highs = getattr(_kept, "highs", None) if small else None
+    ready = highs is not None
+    if not ready:
+        highs, ready = _new_solver()
     solved = False
-    if highs.passOptions(_highs_options()) == error:
+    if not ready:
         model_status = highs.getModelStatus()
-    elif highs.passModel(model) == error:
+    elif highs.passModel(
+            n, m, len(data), _h.MatrixFormat.kColwise, _h.ObjSense.kMinimize,
+            0.0, c, lb, ub, lhs, rhs, indptr, indices, data,
+            np.zeros(n, dtype=np.int32)) == error:  # all columns continuous
         model_status = _h.HighsModelStatus.kModelError
     else:
         solved = highs.run() != error
         model_status = highs.getModelStatus()
+    if small:
+        # passModel clears the last model, basis and solution; a solver
+        # that failed is not trusted with the next LP
+        _kept.highs = highs if solved else None
     status, message = _status(highs, model_status)
     if not solved or model_status != _h.HighsModelStatus.kOptimal:
         return _result(None, None, status, message, None, None)

@@ -243,7 +243,7 @@ def _all_fixture_exprs(problems):
             yield f, P, None
         for g in P.constraints:
             for u in (-1.0, -0.5, 0.7):
-                if P.uncertainty.contains([u], 1e-12):
+                if P.uncertainty.contains([u]):
                     yield g, P, np.array([u])
 
 

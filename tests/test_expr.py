@@ -30,6 +30,7 @@ from robustcert.expr import (
     grad_smooth,
     kink_atoms,
     parse_expr,
+    relevant_kink_atoms,
     substitute_abs_class,
     to_source,
 )
@@ -281,6 +282,22 @@ def test_kink_atoms_tolerance():
     e = parse_expr("abs(z1)", 1, 0)
     assert len(kink_atoms(e, P([5e-10]))) == 1
     assert kink_atoms(e, P([5e-9])) == []
+
+
+def test_relevant_kink_atoms_selects_by_variable_kind():
+    e = parse_expr("u1^2*abs(z2) + max(z1, 2*z1) - 3*abs(u1)", 2, 1)
+    pt = P([0.0, 0.0], [0.0])
+    assert [to_source(a.node) for a in relevant_kink_atoms(
+        e, pt, "decision")] == ["abs(z2)", "max(z1, 2 * z1)"]
+    assert [to_source(a.node) for a in relevant_kink_atoms(
+        e, pt, "uncertainty")] == ["abs(u1)"]
+
+
+@pytest.mark.parametrize("wrt", ["Decision", "z", ""])
+def test_relevant_kink_atoms_rejects_unknown_wrt(wrt):
+    # a misspelt "decision" once silently selected the u atoms (none here)
+    with pytest.raises(ValueError, match="wrt"):
+        relevant_kink_atoms(parse_expr("abs(z1)", 1, 0), P([0.0]), wrt)
 
 
 # ---------------------------------------------------------------------------

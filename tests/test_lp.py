@@ -4,15 +4,19 @@ Every LP that ``constraints``, ``efficiency``, ``kkt`` and ``subdiff`` solve
 over a set of full reports is recorded and replayed twice, through
 ``lp.solve`` with SciPy's own ``linprog`` (the direct path) and through
 ``linprog(..., method="highs")``; ``x``, ``fun``, ``status`` and both
-marginal arrays must agree bit for bit.  Instrumentation installed on a
+marginal arrays must agree bit for bit, also when one thread's kept solver
+runs them in another order among infeasible and unbounded LPs, and when two
+threads run them at once.  Instrumentation installed on a
 module's ``linprog`` binding must still see that module's LPs, and the
 fallback path must render the same report bytes as the direct one.  The
 direct path's own input check refuses what ``linprog`` refuses, and any
 RuntimeWarning (a ``0 * inf`` in the bounds, say) fails the module.
 """
 
+import importlib
 import re
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -83,8 +87,8 @@ def _report_bytes(name, command, z, options):
 
 @pytest.fixture(scope="module")
 def recorded():
-    """Module name -> the argument tuples of every LP it solved."""
-    calls = {name: [] for name in MODULES}
+    """(module name, argument tuple) of every LP solved, in solving order."""
+    calls = []
     solve = lp.solve
 
     def recording(linprog, c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
@@ -95,9 +99,9 @@ def recorded():
             frame = frame.f_back
         caller = frame.f_globals["__name__"].rsplit(".", 1)[-1]
         args = (c, A_ub, b_ub, A_eq, b_eq, bounds)
-        calls[caller].append(tuple(
+        calls.append((caller, tuple(
             np.array(a, copy=True) if isinstance(a, np.ndarray) else a
-            for a in args))
+            for a in args)))
         return solve(linprog, *args)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -133,25 +137,148 @@ def _replay(args):
 @pytest.mark.skipif(not lp.DIRECT, reason="direct HiGHS path unavailable")
 @pytest.mark.parametrize("module", MODULES)
 def test_recorded_lps_replay_bit_identically(recorded, module):
-    assert recorded[module], f"no {module} LP recorded"
-    statuses = {_replay(args) for args in recorded[module]}
+    lps = [args for caller, args in recorded if caller == module]
+    assert lps, f"no {module} LP recorded"
+    statuses = {_replay(args) for args in lps}
     assert 0 in statuses
+
+
+# x1 + x2 <= -1 with x >= 0
+INFEASIBLE = (np.array([1.0, 1.0]), np.array([[1.0, 1.0]]), np.array([-1.0]),
+              None, None, (0, None))
+# minimize -x1 subject to x1 - x2 <= 1, x free
+UNBOUNDED = (np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([1.0]),
+             None, None, [(None, None)] * 2)
 
 
 @pytest.mark.skipif(not lp.DIRECT, reason="direct HiGHS path unavailable")
 def test_infeasible_lp_replays_bit_identically():
-    # x1 + x2 <= -1 with x >= 0
-    status = _replay((np.array([1.0, 1.0]), np.array([[1.0, 1.0]]),
-                      np.array([-1.0]), None, None, (0, None)))
-    assert status == 2
+    assert _replay(INFEASIBLE) == 2
 
 
 @pytest.mark.skipif(not lp.DIRECT, reason="direct HiGHS path unavailable")
 def test_unbounded_lp_replays_bit_identically():
-    # minimize -x1 subject to x1 - x2 <= 1, x free
-    status = _replay((np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]),
-                      np.array([1.0]), None, None, [(None, None)] * 2))
-    assert status == 3
+    assert _replay(UNBOUNDED) == 3
+
+
+def _interleaved(lps):
+    """``lps`` with the infeasible and the unbounded LP after every 5th."""
+    out = []
+    for i, args in enumerate(lps):
+        out.append(args)
+        if i % 5 == 4:
+            out += [INFEASIBLE, UNBOUNDED]
+    return out
+
+
+def _linprog_results(lps):
+    return [linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                    bounds=bounds, method="highs")
+            for c, A_ub, b_ub, A_eq, b_eq, bounds in lps]
+
+
+def _rows(args):
+    return sum(0 if a is None else len(a) for a in (args[2], args[4]))
+
+
+@pytest.mark.skipif(not lp.DIRECT, reason="direct HiGHS path unavailable")
+@pytest.mark.parametrize("order", ["recorded", "reversed", "shuffled"])
+def test_kept_solver_replays_bit_identically_in_any_order(recorded, order):
+    # the thread's one solver runs every small LP, so each must leave nothing
+    # behind that the next could read
+    lps = [args for _, args in recorded]
+    if order == "reversed":
+        lps.reverse()
+    elif order == "shuffled":
+        np.random.default_rng(18).shuffle(lps)
+    lps = _interleaved(lps)
+    assert any(_rows(a) > lp.KEEP_ROWS for a in lps)
+    lp.solve(linprog, *INFEASIBLE)
+    kept = lp._kept.highs
+    for args, want in zip(lps, _linprog_results(lps)):
+        _assert_identical(lp.solve(linprog, *args), want)
+        assert lp._kept.highs is kept
+
+
+def _counting_new_solver(monkeypatch):
+    made = []
+    new = lp._new_solver
+
+    def counting():
+        made.append(new())
+        return made[-1]
+
+    monkeypatch.setattr(lp, "_new_solver", counting)
+    return made
+
+
+@pytest.mark.skipif(not lp.DIRECT, reason="direct HiGHS path unavailable")
+@pytest.mark.parametrize("extra,fresh", [(0, 0), (1, 1)])
+def test_only_lps_above_keep_rows_get_a_fresh_solver(monkeypatch, extra,
+                                                     fresh):
+    m = lp.KEEP_ROWS + extra
+    D = np.random.default_rng(m).normal(size=(m, 2))
+    args = (np.array([1.0, 1.0]), D, np.abs(D).sum(axis=1), None, None,
+            [(None, None)] * 2)
+    lp.solve(linprog, *INFEASIBLE)
+    kept = lp._kept.highs
+    made = _counting_new_solver(monkeypatch)
+    assert _replay(args) == 0
+    assert len(made) == fresh
+    assert lp._kept.highs is kept
+
+
+@pytest.mark.skipif(not lp.DIRECT, reason="direct HiGHS path unavailable")
+def test_threads_keep_their_own_solvers(recorded):
+    lps = _interleaved([args for _, args in recorded])
+    want = _linprog_results(lps)
+    lp.solve(linprog, *INFEASIBLE)
+    results, solvers, errors = {}, {}, []
+
+    def replay(name):
+        try:
+            results[name] = [lp.solve(linprog, *args) for args in lps]
+            solvers[name] = lp._kept.highs
+        except Exception as exc:  # reraised below, in the test's thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=replay, args=(name,))
+               for name in ("a", "b")]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    for name in ("a", "b"):
+        for got, expected in zip(results[name], want, strict=True):
+            _assert_identical(got, expected)
+    assert solvers["a"] is not solvers["b"]
+    assert lp._kept.highs not in (solvers["a"], solvers["b"])
+
+
+@pytest.mark.skipif(not lp.DIRECT, reason="direct HiGHS path unavailable")
+def test_solver_is_replaced_after_a_failed_pass_model(monkeypatch):
+    failures = [lp._h.HighsStatus.kError]
+
+    class FailingOnce(lp._h._Highs):
+        def passModel(self, *args):
+            return failures.pop() if failures else super().passModel(*args)
+
+    monkeypatch.setattr(lp._h, "_Highs", FailingOnce)
+    monkeypatch.setattr(lp._kept, "highs", None)
+    made = _counting_new_solver(monkeypatch)
+    failed = lp.solve(linprog, *SMALL)
+    assert (failed.status, failed.x) == (2, None)
+    assert lp._kept.highs is None
+    assert _replay(SMALL + ((0, None),)) == 0
+    assert len(made) == 2 and made[1][0] is not made[0][0]
+    assert lp._kept.highs is made[1][0]
 
 
 # min -x1 - x2 subject to x1 + x2 <= 1, x1 - 2 x2 = 0.5: bounded below
@@ -248,10 +375,48 @@ def test_failed_result_check_defers_to_scipy(monkeypatch):
 
 @pytest.mark.skipif(scipy.__version__ != "1.17.1",
                     reason="private HiGHS names are pinned for scipy 1.17.1")
-def test_direct_path_available_on_pinned_scipy():
-    # a SciPy upgrade that moves a private name must fail here instead of
-    # falling back to linprog's slower path without notice
+def test_direct_path_available_on_pinned_scipy(monkeypatch):
+    # a SciPy upgrade that moves a private name or drops passModel's array
+    # overload must fail here instead of falling back to linprog's slower
+    # path without notice
     assert lp.DIRECT
+    passed = []
+
+    class Spy(lp._h._Highs):
+        def passModel(self, *args):
+            passed.append(args)
+            return super().passModel(*args)
+
+    monkeypatch.setattr(lp._h, "_Highs", Spy)
+    monkeypatch.setattr(lp._kept, "highs", None)
+    assert lp.solve(linprog, *SMALL).status == 0
+    assert [len(args) for args in passed] == [15]
+    assert isinstance(lp._kept.highs, Spy)
+
+
+@pytest.mark.skipif(lp._h is None, reason="private HiGHS names unavailable")
+def test_scipy_without_array_overload_takes_linprogs_path():
+    class ModelOnly(lp._h._Highs):
+        def passModel(self, model):
+            return super().passModel(model)
+
+    def unreachable(*args):
+        raise AssertionError("direct path taken without the array overload")
+
+    direct = lp.DIRECT
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lp._h, "_Highs", ModelOnly)
+            importlib.reload(lp)
+            assert not lp.DIRECT
+            mp.setattr(lp, "_direct", unreachable)
+            c, A_ub, b_ub, A_eq, b_eq = SMALL
+            want = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                           method="highs")
+            _assert_identical(lp.solve(linprog, *SMALL), want)
+    finally:
+        importlib.reload(lp)
+    assert lp.DIRECT == direct
 
 
 @pytest.mark.parametrize("module,case", [
