@@ -19,12 +19,11 @@ from .constraints import (GRID_DEFAULT, MAX_LATTICE_ROWS, Problem,
 from .convexity import DEFAULT_SAMPLES
 from .duality import DualTriple
 from .efficiency import EFFICIENCY_GRID
-from .kkt import RESIDUAL_TOL, simplex_rows
+from .kkt import DEFAULT_Y_GRID, RESIDUAL_TOL, simplex_rows
 from .problem_io import load_problem
 from .report import build_report, render_json, render_text
 
 COMMANDS = ("check", "cq", "kkt", "efficiency", "convexity", "dual", "report")
-DEFAULT_Y_GRID = 721
 
 
 class UsageError(Exception):

@@ -204,26 +204,15 @@ class ConeSpec:
         x = np.asarray(x, dtype=float)
         if self.kind == "orthant":
             return bool(np.all(x >= -MEMBER_TOL))
-        # minimize the infinity-norm residual |R^T lam - x| over lam >= 0
-        R = self.rays
-        k = len(R)
-        c = np.zeros(k + 1)
-        c[-1] = 1.0
-        A_ub = np.vstack(
-            [
-                np.hstack([R.T, -np.ones((self.dim, 1))]),
-                np.hstack([-R.T, -np.ones((self.dim, 1))]),
-            ]
-        )
-        b_ub = np.concatenate([x, -x])
-        res = lp.solve(
-            linprog,
-            c,
-            A_ub=A_ub,
-            b_ub=b_ub,
-            bounds=[(0, None)] * k + [(0, None)],
-        )
-        return bool(res.status == 0 and res.fun <= MEMBER_TOL)
+        # minimize the infinity-norm residual |R^T lam - x| over lam >= 0,
+        # then decide on the residual of the returned lam: the optimum is
+        # exact only to the solver's feasibility tolerance, far above
+        # MEMBER_TOL
+        res = lp.min_residual(linprog, self.rays.T, x)
+        if res.status != 0:
+            return False
+        lam = np.maximum(res.x[:-1], 0.0)
+        return bool(np.max(np.abs(self.rays.T @ lam - x)) <= MEMBER_TOL)
 
     def dual_margin(self, y) -> float:
         """min over generating rays r of <y, r/|r|>; >0 means y in int K+."""
@@ -668,6 +657,11 @@ class PointAnalysis:
     def hull(self, i: int) -> Polytope:
         """Convex hull of ``constraint_subdiff(i)``."""
         return self.worst_cases[i].hull
+
+    @cached_property
+    def binding_hulls(self) -> List[np.ndarray]:
+        """The vertex arrays of ``hull(i)`` for each ``i`` in ``binding``."""
+        return [self.hull(i).vertices for i in self.binding]
 
 
 def analyze_point(P: Problem, z, grid: int = GRID_DEFAULT) -> PointAnalysis:

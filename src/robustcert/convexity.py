@@ -217,7 +217,7 @@ def _evaluate_samples(P: Problem, Z: np.ndarray, ugrid: int) -> _Samples:
     return _Samples(Z, psi, feas, F)
 
 
-_chunks = LruMemo()
+_chunks = LruMemo(CHUNK_ENTRIES)
 
 
 def _sample_chunks(P: Problem, seed: int, ugrid: int, samples: int
@@ -241,8 +241,7 @@ def _sample_chunks(P: Problem, seed: int, ugrid: int, samples: int
             drawn = start + n
             return _evaluate_samples(P, Z, ugrid)
 
-        yield start, _chunks.get((key, seed, ugrid, start, n), build,
-                                 CHUNK_ENTRIES)
+        yield start, _chunks.get((key, seed, ugrid, start, n), build)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +258,7 @@ def _build_weight_grid(P: Problem) -> np.ndarray:
     return Y
 
 
-_weight_grids = LruMemo()
+_weight_grids = LruMemo(WEIGHT_GRID_ENTRIES)
 
 
 def dual_weight_grid(P: Problem) -> np.ndarray:
@@ -268,8 +267,7 @@ def dual_weight_grid(P: Problem) -> np.ndarray:
 
     Memoized per process on the cone; the array is read-only.
     """
-    return _weight_grids.get(cone_key(P.cone), lambda: _build_weight_grid(P),
-                             WEIGHT_GRID_ENTRIES)
+    return _weight_grids.get(cone_key(P.cone), lambda: _build_weight_grid(P))
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +349,7 @@ def _scan(P: Problem, z, kinds: Sequence[str], samples: int, seed: int,
                     used[kind] = int(idxf[lo + r]) + 1
         if QUASI in kinds and found[QUASI] is None and a.binding:
             psi_mat = rows.psi[feas][:, a.binding]
-            cmax, _ = _support_matrix(
-                W, [a.hull(i).vertices for i in a.binding]
-            )
+            cmax, _ = _support_matrix(W, a.binding_hulls)
             premise = psi_mat <= a.psi[a.binding][None, :] + PREMISE_TOL
             hit = _first_hit(premise & (cmax >= QUASI_SUPPORT_TOL))
             if hit is not None:

@@ -64,7 +64,7 @@ class EfficiencyContext:
     F: np.ndarray                # objective values at those rows
 
 
-_contexts = LruMemo()
+_contexts = LruMemo(GRID_CONTEXT_ENTRIES)
 
 
 def _build_grid_context(P: Problem, grid: int, ugrid: int) -> EfficiencyContext:
@@ -84,8 +84,7 @@ def grid_context(P: Problem, grid: int = EFFICIENCY_GRID,
     the last ``GRID_CONTEXT_ENTRIES`` contexts are kept.
     """
     return _contexts.get((content_key(P), grid, ugrid),
-                         lambda: _build_grid_context(P, grid, ugrid),
-                         GRID_CONTEXT_ENTRIES)
+                         lambda: _build_grid_context(P, grid, ugrid))
 
 
 @dataclass

@@ -86,13 +86,15 @@ CUT_TOL = 1e-9
 SCAN_CHUNK = 4096
 # scaled direction lattices kept per process, one per (m, edge)
 DIRECTION_GRID_ENTRIES = 8
+# points per simplex edge of the certificate search's direction grid
+DEFAULT_Y_GRID = 721
 
 
 @dataclass
 class KktOptions:
     """Search options: ``y_grid`` is points per simplex edge (>= 2)."""
 
-    y_grid: int = 721
+    y_grid: int = DEFAULT_Y_GRID
     mode: str = "outer"  # 'outer' per-objective fold | 'exact' scalarized
     grid: int = GRID_DEFAULT
 
@@ -226,23 +228,40 @@ def _simplex_indices(m: int, edge: int) -> np.ndarray:
     return np.column_stack([keys[:, -1], keys[:, :-1], N - total])
 
 
-def _build_direction_grid(m: int, edge: int) -> np.ndarray:
+def _build_lattice(m: int, edge: int) -> Tuple[np.ndarray, np.ndarray]:
     Y = _simplex_indices(m, edge).astype(float) / edge
+    if m == 1:  # one direction, one chunk
+        corners = Y.reshape(1, 1, 1)
+    else:
+        key = 1 if m >= 3 else 0  # the first scan key: y_2, or y_1 when m = 2
+        starts = np.arange(0, len(Y), SCAN_CHUNK)
+        ends = np.minimum(starts + SCAN_CHUNK, len(Y)) - 1
+        t = np.column_stack([Y[starts, key], Y[ends, key]])[:, :, None]
+        others = [j for j in range(m) if j != key]
+        corners = np.zeros((len(starts), 2, m - 1, m))
+        corners[:, :, :, key] = t
+        corners[:, :, range(m - 1), others] = 1.0 - t
+        corners = corners.reshape(len(starts), 2 * (m - 1), m)
     Y.setflags(write=False)
-    return Y
+    corners.setflags(write=False)
+    return Y, corners
 
 
-_direction_grids = LruMemo()
+_lattices = LruMemo(DIRECTION_GRID_ENTRIES)
 
 
-def _direction_grid(m: int, edge: int) -> np.ndarray:
-    """``_simplex_indices(m, edge) / edge``: the scan's directions, in order.
+def _lattice(m: int, edge: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The scan's directions and the corners of its chunks' slabs.
 
-    Memoized per process on ``(m, edge)``; the array is read-only.
+    ``Y`` is ``_simplex_indices(m, edge) / edge``, the directions in scan
+    order.  ``corners`` (chunks, 2(m-1), m) holds, for each ``SCAN_CHUNK``
+    chunk of ``Y``, the corners of its slab: the chunk's rows share the
+    range [a, b] of the first scan key y_k, so they lie in the slab
+    {y in the simplex : a <= y_k <= b}, whose corners are t e_k + (1 - t) e_j
+    for t in {a, b} and j != k.  Memoized per process on ``(m, edge)``; both
+    arrays are read-only.
     """
-    return _direction_grids.get((m, edge),
-                                lambda: _build_direction_grid(m, edge),
-                                DIRECTION_GRID_ENTRIES)
+    return _lattices.get((m, edge), lambda: _build_lattice(m, edge))
 
 
 def _piece_ranges(union: PolytopeUnion) -> Tuple[np.ndarray, np.ndarray]:
@@ -267,16 +286,14 @@ class _Filter(NamedTuple):
     cons_hi: np.ndarray
 
 
-def _filter_terms(analysis: PointAnalysis, d: int) -> _Filter:
+def _filter_terms(a: PointAnalysis) -> _Filter:
     """The ``_Filter`` of a point: one (Pmin, Pmax) per piece selection."""
-    ranges = [_piece_ranges(s) for s in analysis.objective_subdiffs]
-    cons_lo = np.zeros(d)
-    cons_hi = np.zeros(d)
-    for i in analysis.binding:
-        a = analysis.hull(i).vertices.min(axis=0)
-        b = analysis.hull(i).vertices.max(axis=0)
-        cons_lo += np.where(a < -FILTER_TOL, -np.inf, 0.0)
-        cons_hi += np.where(b > FILTER_TOL, np.inf, 0.0)
+    ranges = [_piece_ranges(s) for s in a.objective_subdiffs]
+    cons_lo = np.zeros(len(a.z))
+    cons_hi = np.zeros(len(a.z))
+    for verts in a.binding_hulls:
+        cons_lo += np.where(verts.min(axis=0) < -FILTER_TOL, -np.inf, 0.0)
+        cons_hi += np.where(verts.max(axis=0) > FILTER_TOL, np.inf, 0.0)
     counts = [len(mins) for mins, _ in ranges]
     if int(np.prod(counts)) > 64:
         # too many piece combinations: fall back to union-wide ranges (coarser
@@ -306,39 +323,6 @@ def _prefilter(Y: np.ndarray, terms: _Filter) -> np.ndarray:
         if survivors.all():
             break
     return survivors
-
-
-def _build_chunk_corners(m: int, edge: int) -> np.ndarray:
-    Y = _direction_grid(m, edge)
-    if m == 1:  # one direction, one chunk
-        return Y.reshape(1, 1, 1)
-    key = 1 if m >= 3 else 0  # the first scan key: y_2, or y_1 when m = 2
-    starts = np.arange(0, len(Y), SCAN_CHUNK)
-    ends = np.minimum(starts + SCAN_CHUNK, len(Y)) - 1
-    t = np.column_stack([Y[starts, key], Y[ends, key]])[:, :, None]
-    others = [j for j in range(m) if j != key]
-    corners = np.zeros((len(starts), 2, m - 1, m))
-    corners[:, :, :, key] = t
-    corners[:, :, range(m - 1), others] = 1.0 - t
-    corners = corners.reshape(len(starts), 2 * (m - 1), m)
-    corners.setflags(write=False)
-    return corners
-
-
-_chunk_corners_memo = LruMemo()
-
-
-def _chunk_corners(m: int, edge: int) -> np.ndarray:
-    """(chunks, 2(m-1), m): the corners of each scan chunk's slab.
-
-    The rows of a ``SCAN_CHUNK`` chunk of ``_direction_grid(m, edge)`` share
-    the range [a, b] of the first scan key y_k, so they lie in the slab
-    {y in the simplex : a <= y_k <= b}, whose corners are t e_k + (1 - t) e_j
-    for t in {a, b} and j != k.  Memoized like ``_direction_grid``.
-    """
-    return _chunk_corners_memo.get((m, edge),
-                                   lambda: _build_chunk_corners(m, edge),
-                                   DIRECTION_GRID_ENTRIES)
 
 
 def _chunk_may_pass(corners: np.ndarray, terms: _Filter) -> np.ndarray:
@@ -395,41 +379,14 @@ def _lp_blocks(piece_sets, hulls: List[np.ndarray], lifted: bool = False
     return station, simplex
 
 
-def _selection_lp(piece_sets, hulls: List[np.ndarray],
-                  balance_target: Optional[float] = None):
-    """Feasibility (or balance) LP for one direction and piece selection.
-
-    Variables as in ``_lp_blocks``, and optionally a balance slack t.
-
-    Returns (feasible, x, t_value).
-    """
+def _selection_eqs(piece_sets, hulls: List[np.ndarray]
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """(A_eq, b_eq) of one direction and piece selection over the
+    ``_lp_blocks`` variables: a zero stationarity sum, and each piece's
+    lambda total one."""
     station, simplex = _lp_blocks(piece_sets, hulls)
-    d, n_cols = station.shape
-    A_eq = np.vstack([station, simplex])
-    b_eq = np.concatenate([np.zeros(d), np.ones(len(simplex))])
-
-    if balance_target is None:
-        res = lp.solve(linprog, np.zeros(n_cols), A_eq=A_eq, b_eq=b_eq)
-        if res.status != 0:
-            return False, None, None
-        return True, res.x, None
-
-    # minimize |sum(beta) - target| with the same equalities
-    beta_mask = 1.0 - simplex.sum(axis=0)
-    c = np.zeros(n_cols + 1)
-    c[-1] = 1.0
-    A_eq2 = np.hstack([A_eq, np.zeros((len(A_eq), 1))])
-    A_ub = np.vstack(
-        [
-            np.concatenate([beta_mask, [-1.0]]),
-            np.concatenate([-beta_mask, [-1.0]]),
-        ]
-    )
-    b_ub = np.array([balance_target, -balance_target])
-    res = lp.solve(linprog, c, A_eq=A_eq2, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub)
-    if res.status != 0:
-        return False, None, None
-    return True, res.x[:-1], float(res.fun)
+    return (np.vstack([station, simplex]),
+            np.concatenate([np.zeros(len(station)), np.ones(len(simplex))]))
 
 
 def _slack_lp(piece_sets, hulls: List[np.ndarray], lifted: bool = False
@@ -442,29 +399,19 @@ def _slack_lp(piece_sets, hulls: List[np.ndarray], lifted: bool = False
     residual(y) >= sum_j y_j min_{v in piece j} w.v (weak duality).
     """
     station, simplex = _lp_blocks(piece_sets, hulls, lifted)
-    d, n_cols = station.shape
-    c = np.zeros(n_cols + 1)
-    c[-1] = 1.0
-    A_ub = np.vstack(
-        [
-            np.hstack([station, -np.ones((d, 1))]),
-            np.hstack([-station, -np.ones((d, 1))]),
-        ]
-    )
-    A_eq = np.hstack([simplex, np.zeros((len(simplex), 1))])
-    res = lp.solve(linprog, c, A_ub=A_ub, b_ub=np.zeros(2 * d), A_eq=A_eq,
-                   b_eq=np.ones(len(simplex)))
+    d = len(station)
+    res = lp.min_residual(linprog, station, np.zeros(d), simplex,
+                          np.ones(len(simplex)))
     if res.status != 0:
         return None
     marginals = res.ineqlin.marginals
     return float(res.fun), marginals[d:] - marginals[:d]
 
 
-def _extract_mu(x: np.ndarray, piece_sets, hulls, binding: List[int],
-                n_constraints: int) -> np.ndarray:
-    mu = np.zeros(n_constraints)
-    col = sum(len(verts) for _, verts in piece_sets)
-    for i, verts in zip(binding, hulls):
+def _extract_mu(a: PointAnalysis, x: np.ndarray, col: int) -> np.ndarray:
+    """Multipliers from the binding-hull columns of x, from ``col`` on."""
+    mu = np.zeros(a.problem.n_constraints)
+    for i, verts in zip(a.binding, a.binding_hulls):
         mu[i] = float(np.sum(x[col:col + len(verts)]))
         col += len(verts)
     return mu
@@ -545,48 +492,43 @@ def find_kkt_certificate(P: Problem, z, options: Optional[KktOptions] = None
         raise ValueError("y_grid must be at least 2 points per edge")
     if opts.mode not in ("outer", "exact"):
         raise ValueError("mode must be 'outer' or 'exact'")
-    z = np.asarray(z, dtype=float)
-    d = P.decision_dim
-    m = P.n_objectives
     a = analyze_point(P, z, opts.grid)
-    hull_list = [a.hull(i).vertices for i in a.binding]
 
     # the exact-scalarization subdifferential depends on y: that mode keeps
     # the whole scan, and its coarse scan starts without lifted duals
-    lifted, duals = (_lifted_lps(a, hull_list) if opts.mode == "outer"
-                     else (0.0, []))
+    lifted, duals = _lifted_lps(a) if opts.mode == "outer" else (0.0, [])
     if lifted <= SKIP_TOL:
-        found = _scan(P, a, hull_list, d, m, opts)
+        found = _scan(a, opts)
         if found is not None:
             y, mu_hat, mode_used = found
-            return _finalize(P, z, y, mu_hat, a, d, mode_used)
+            return _finalize(a, y, mu_hat, mode_used)
 
     # no weighted certificate: try the degenerate (zero-weight) form
-    fj = _fritz_john(a, hull_list, P.n_constraints)
+    fj = _fritz_john(a)
     if fj is not None:
-        return _finalize(P, z, np.zeros(m), fj, a, d, opts.mode,
+        return _finalize(a, np.zeros(P.n_objectives), fj, opts.mode,
                          fritz_john=True)
 
-    best_res, best_dir = _coarse_residual_scan(a, hull_list, m, duals)
+    best_res, best_dir = _coarse_residual_scan(a, duals)
     raise NotFoundAtResolution(
         f"no certificate on the {opts.y_grid}-point direction grid",
         best_res, best_dir,
     )
 
 
-def _lifted_lps(analysis, hull_list) -> Tuple[float, List[np.ndarray]]:
+def _lifted_lps(a: PointAnalysis) -> Tuple[float, List[np.ndarray]]:
     """Smallest lifted residual over the full piece selections, and the duals.
 
     A direction y and selection that pass their feasibility LP give the
     lifted point alpha_jk = y_j * lambda_jk of residual zero, so the optimum
     bounds every direction's stationarity residual from below.
     """
-    subdiffs = analysis.objective_subdiffs
+    subdiffs = a.objective_subdiffs
     best, duals = np.inf, []
     for sel in itertools.product(*(range(len(s.pieces)) for s in subdiffs)):
         piece_sets = [(1.0, s.pieces[k].vertices)
                       for s, k in zip(subdiffs, sel)]
-        out = _slack_lp(piece_sets, hull_list, lifted=True)
+        out = _slack_lp(piece_sets, a.binding_hulls, lifted=True)
         if out is None:  # a failed solve proves nothing
             best = 0.0
             continue
@@ -595,18 +537,16 @@ def _lifted_lps(analysis, hull_list) -> Tuple[float, List[np.ndarray]]:
     return best, duals
 
 
-def _scan(P, analysis, hull_list, d, m, opts):
+def _scan(a: PointAnalysis, opts: KktOptions):
     """First lattice direction that passes, in scan order: (y, mu, mode)."""
-    edge = opts.y_grid - 1
-    Y = _direction_grid(m, edge)
-    terms = _filter_terms(analysis, d)
+    Y, corners = _lattice(a.problem.n_objectives, opts.y_grid - 1)
+    terms = _filter_terms(a)
     lp_budget = MAX_LP
-    for chunk_no in np.flatnonzero(
-            _chunk_may_pass(_chunk_corners(m, edge), terms)):
+    for chunk_no in np.flatnonzero(_chunk_may_pass(corners, terms)):
         start = chunk_no * SCAN_CHUNK
         chunk = Y[start:start + SCAN_CHUNK]
         for y in chunk[_prefilter(chunk, terms)]:
-            found = _try_direction(P, y, analysis, hull_list, opts)
+            found = _try_direction(a, y, opts.mode)
             if found is not None:
                 return (y, *found)
             lp_budget -= 1
@@ -615,64 +555,66 @@ def _scan(P, analysis, hull_list, d, m, opts):
     return None
 
 
-def _try_direction(P, y, analysis, hull_list, opts):
+def _try_direction(a: PointAnalysis, y: np.ndarray, mode: str):
     """(mu, mode) when some piece selection at direction y passes its LP.
 
     Outer mode selects one piece of each weighted objective subdifferential;
     exact mode one piece of the scalarized subdifferential, when available.
     """
-    if opts.mode == "exact":
+    if mode == "exact":
         try:
-            sc = scalarized_subdiff(y, P.objectives, analysis.point)
+            sc = scalarized_subdiff(y, a.problem.objectives, a.point)
         except UnsupportedComposition:
             return None
         mode_used = "exact" if sc.exact is not None else "outer"
         candidates = [[(1.0, piece.vertices)] for piece in sc.best.pieces]
     else:
         mode_used = "outer"
-        candidates = _direction_piece_sets(y, analysis)
-    feasible = [ps for ps in candidates if _selection_lp(ps, hull_list)[0]]
+        candidates = _direction_piece_sets(y, a)
+    feasible = []
+    for piece_sets in candidates:
+        A_eq, b_eq = _selection_eqs(piece_sets, a.binding_hulls)
+        res = lp.solve(linprog, np.zeros(A_eq.shape[1]), A_eq=A_eq, b_eq=b_eq)
+        if res.status == 0:
+            feasible.append((piece_sets, res.x))
     if not feasible:
         return None
-    return _balance(y, feasible, hull_list, analysis, P.n_constraints), mode_used
+    return _balance(a, y, feasible), mode_used
 
 
-def _balance(y, feasible, hull_list, analysis, n_constraints):
-    """Canonical multipliers: total closest to |y|_2; ties go to the first."""
-    target = float(np.linalg.norm(y))
+def _balance(a: PointAnalysis, y: np.ndarray, feasible) -> np.ndarray:
+    """Canonical multipliers: total closest to |y|_2; ties go to the first.
+
+    ``feasible`` pairs each passing piece selection with the point of its
+    feasibility LP, which gives the first selection's multipliers when no
+    balance LP solves.
+    """
+    target = np.array([np.linalg.norm(y)])
     best = None
-    for piece_sets in feasible:
-        ok, x, t = _selection_lp(piece_sets, hull_list,
-                                 balance_target=target)
-        if not ok:
-            continue
-        mu = _extract_mu(x, piece_sets, hull_list, analysis.binding,
-                         n_constraints)
-        if best is None or t < best[0] - 1e-12:
-            best = (t, mu)
-    if best is None:  # fall back to plain feasibility of the first selection
-        piece_sets = feasible[0]
-        _, x, _ = _selection_lp(piece_sets, hull_list)
-        return _extract_mu(x, piece_sets, hull_list, analysis.binding,
-                           n_constraints)
+    for piece_sets, _ in feasible:
+        A_eq, b_eq = _selection_eqs(piece_sets, a.binding_hulls)
+        col = sum(len(verts) for _, verts in piece_sets)
+        beta = np.zeros((1, A_eq.shape[1]))
+        beta[0, col:] = 1.0
+        # minimize |sum(beta) - target| with the selection's equalities
+        res = lp.min_residual(linprog, beta, target, A_eq, b_eq)
+        if res.status == 0 and (best is None or res.fun < best[0] - 1e-12):
+            best = (res.fun, _extract_mu(a, res.x, col))
+    if best is None:
+        piece_sets, x = feasible[0]
+        return _extract_mu(a, x, sum(len(verts) for _, verts in piece_sets))
     return best[1]
 
 
-def _fj_solve(hull_list) -> Optional[np.ndarray]:
-    """Zero in the multiplier combination alone, total weight pinned to one."""
-    if not hull_list:
+def _fritz_john(a: PointAnalysis) -> Optional[np.ndarray]:
+    """Multipliers of zero in the binding hulls alone, total weight one."""
+    if not a.binding_hulls:
         return None
-    return lp.zero_in_hull(linprog, np.vstack(hull_list))
+    x = lp.zero_in_hull(linprog, np.vstack(a.binding_hulls))
+    return None if x is None else _extract_mu(a, x, 0)
 
 
-def _fritz_john(analysis, hull_list, n_constraints) -> Optional[np.ndarray]:
-    x = _fj_solve(hull_list)
-    if x is None:
-        return None
-    return _extract_mu(x, [], hull_list, analysis.binding, n_constraints)
-
-
-def _finalize(P, z, y_hat, mu_hat, analysis, d, mode_used,
+def _finalize(a: PointAnalysis, y_hat, mu_hat, mode_used: str,
               fritz_john: bool = False) -> KktCertificate:
     norm_y = float(np.linalg.norm(y_hat))
     norm_mu = float(np.linalg.norm(mu_hat))
@@ -681,40 +623,41 @@ def _finalize(P, z, y_hat, mu_hat, analysis, d, mode_used,
     kappa = 1.0 / (norm_y + norm_mu)
     y_star = kappa * y_hat
     mu = kappa * mu_hat
-    hulls = {i: analysis.hull(i) for i in analysis.binding}
-    witnesses = [[np.array(r.point, dtype=float)
-                  for r in analysis.realizations(i)]
-                 if i in analysis.binding and mu[i] > MU_ZERO_TOL else []
+    P = a.problem
+    hulls = {i: a.hull(i) for i in a.binding}
+    witnesses = [[np.array(r.point, dtype=float) for r in a.realizations(i)]
+                 if i in a.binding and mu[i] > MU_ZERO_TOL else []
                  for i in range(P.n_constraints)]
     if mode_used == "exact":
-        sc = scalarized_subdiff(y_star, P.objectives, Point.of(z))
-        subdiffs = [sc.best]
+        subdiffs = [scalarized_subdiff(y_star, P.objectives, a.point).best]
         y_res = np.ones(1)
     else:
-        subdiffs = analysis.objective_subdiffs
+        subdiffs = a.objective_subdiffs
         y_res = y_star
-    residual = _residual(y_res, subdiffs, mu, hulls, d)
-    fj_also = _fj_solve([h.vertices for h in hulls.values()]) is not None
+    residual = _residual(y_res, subdiffs, mu, hulls, P.decision_dim)
+    # the Fritz John form was found by the same LP when the search fell back
+    fj_also = fritz_john or _fritz_john(a) is not None
     return KktCertificate(y_star=y_star, mu=mu, witnesses=witnesses,
                           residual=residual, mode=mode_used,
                           fritz_john=fritz_john, fritz_john_also=fj_also)
 
 
-def _dual_bound(w, Y, subdiffs, hull_list) -> Optional[np.ndarray]:
+def _dual_bound(a: PointAnalysis, w: np.ndarray, Y: np.ndarray
+                ) -> Optional[np.ndarray]:
     """Lower bounds on the residual of every direction in Y from one dual w.
 
     r(y) >= sum_j y_j min_{v in dF_j} w.v holds once |w|_1 <= 1 and w.h >= 0
     on every hull vertex h; None when w misses the latter by over CUT_TOL.
     """
     w = w / max(1.0, float(np.abs(w).sum()))
-    if any(np.min(h @ w) < -CUT_TOL for h in hull_list):
+    if any(np.min(h @ w) < -CUT_TOL for h in a.binding_hulls):
         return None
     c = np.array([min(np.min(p.vertices @ w) for p in s.pieces)
-                  for s in subdiffs])
+                  for s in a.objective_subdiffs])
     return Y @ c
 
 
-def _coarse_residual_scan(analysis, hull_list, m, duals
+def _coarse_residual_scan(a: PointAnalysis, duals: List[np.ndarray]
                           ) -> Tuple[float, Optional[np.ndarray]]:
     """Smallest infinity-norm stationarity residual on a coarse direction grid.
 
@@ -724,15 +667,14 @@ def _coarse_residual_scan(analysis, hull_list, m, duals
     solving stops once every unsolved bound exceeds the best residual by
     ``PRUNE_MARGIN``.
     """
-    Y = _direction_grid(m, COARSE_EDGE)
-    subdiffs = analysis.objective_subdiffs
+    Y, _ = _lattice(a.problem.n_objectives, COARSE_EDGE)
     bound = np.zeros(len(Y))
     resid = np.full(len(Y), np.inf)
     unsolved = np.ones(len(Y), dtype=bool)
 
     def add_cuts(ws):
         for w in ws:
-            b = _dual_bound(w, Y, subdiffs, hull_list)
+            b = _dual_bound(a, w, Y)
             if b is not None:
                 np.maximum(bound, b, out=bound)
 
@@ -742,8 +684,8 @@ def _coarse_residual_scan(analysis, hull_list, m, duals
         if bound[row] > resid.min() + PRUNE_MARGIN:
             break
         unsolved[row] = False
-        for piece_sets in _direction_piece_sets(Y[row], analysis):
-            out = _slack_lp(piece_sets, hull_list)
+        for piece_sets in _direction_piece_sets(Y[row], a):
+            out = _slack_lp(piece_sets, a.binding_hulls)
             if out is not None:
                 resid[row] = min(resid[row], out[0])
                 add_cuts([out[1]])

@@ -226,6 +226,25 @@ def solve(linprog, c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
                    bounds=bounds, method="highs")
 
 
+def min_residual(linprog, M: np.ndarray, b: np.ndarray, A_eq=None,
+                 b_eq=None) -> OptimizeResult:
+    """``solve`` of min t over ``x >= 0`` and ``t >= 0`` subject to
+    ``|M @ x - b|_inf <= t`` and ``A_eq @ x = b_eq``.
+
+    The result's ``x`` ends with t.  Its ``ineqlin.marginals`` are those of
+    the rows ``M @ x - t <= b``, then of the rows ``-M @ x - t <= -b``.
+    """
+    k, n = M.shape
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    A_ub = np.vstack([np.hstack([M, -np.ones((k, 1))]),
+                      np.hstack([-M, -np.ones((k, 1))])])
+    if A_eq is not None:
+        A_eq = np.hstack([A_eq, np.zeros((len(A_eq), 1))])
+    return solve(linprog, c, A_ub=A_ub, b_ub=np.concatenate([b, -b]),
+                 A_eq=A_eq, b_eq=b_eq)
+
+
 def zero_in_hull(linprog, V: np.ndarray) -> Optional[np.ndarray]:
     """Weights ``lam >= 0`` with ``V.T @ lam = 0`` and ``sum(lam) = 1``, or
     None when zero is not in the convex hull of the rows of ``V``."""

@@ -51,23 +51,22 @@ def cone_key(cone: ConeSpec) -> tuple:
 
 
 class LruMemo:
-    """Bounded least-recently-used map, safe to share between threads.
+    """Least-recently-used map of at most ``entries`` values, safe to share
+    between threads.
 
     A missing value is built outside the lock, so two threads missing the
     same key may both build it; the first stored value is the one every
     caller then gets.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, entries: int) -> None:
+        self._max = entries
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(self, key: Hashable, build: Callable[[], V], entries: int) -> V:
-        """The value stored under ``key``, built and stored on a miss.
-
-        At most ``entries`` values are kept; the least recently used goes
-        first.
-        """
+    def get(self, key: Hashable, build: Callable[[], V]) -> V:
+        """The value stored under ``key``, built and stored on a miss; the
+        least recently used value goes first when the map is full."""
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
@@ -76,7 +75,7 @@ class LruMemo:
         with self._lock:
             value = self._entries.setdefault(key, value)
             self._entries.move_to_end(key)
-            while len(self._entries) > entries:
+            while len(self._entries) > self._max:
                 self._entries.popitem(last=False)
         return value
 

@@ -247,13 +247,6 @@ class PolytopeUnion:
             self.notes + other.notes,
         )
 
-    def reduced(self) -> "PolytopeUnion":
-        return PolytopeUnion(
-            dedup_pieces([p.reduced() for p in self.pieces]),
-            self.outer_estimate,
-            self.notes,
-        )
-
     def all_vertices(self) -> np.ndarray:
         return np.vstack([p.vertices for p in self.pieces])
 

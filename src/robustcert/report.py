@@ -20,7 +20,7 @@ from .duality import (DualTriple, converse_duality_check, is_dual_feasible,
                       strong_duality_construct, weak_duality_test)
 from .efficiency import (EFFICIENCY_GRID, certify_efficient, certify_proper,
                          certify_weak)
-from .kkt import (RESIDUAL_TOL, KktCertificate, KktOptions,
+from .kkt import (DEFAULT_Y_GRID, RESIDUAL_TOL, KktCertificate, KktOptions,
                   NotFoundAtResolution, check_cq, find_kkt_certificate,
                   verify_certificate)
 from .memo import shared_points
@@ -163,7 +163,7 @@ def duality_section(P: Problem, z=None, triple: Optional[DualTriple] = None,
 
 def build_report(P: Problem, command: str, z, *, tol: float = RESIDUAL_TOL,
                  grid: int = EFFICIENCY_GRID, ugrid: int = GRID_DEFAULT,
-                 ygrid: int = 721, seed: int = 42,
+                 ygrid: int = DEFAULT_Y_GRID, seed: int = 42,
                  samples: int = DEFAULT_SAMPLES,
                  triple: Optional[DualTriple] = None, strict_dual: bool = False,
                  exact_scalarization: bool = False, problem_path: str = "",

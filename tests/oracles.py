@@ -286,29 +286,27 @@ def unpruned_kkt_search(P, z, options):
     from robustcert import kkt
     from robustcert.constraints import analyze_point
 
-    z = np.asarray(z, dtype=float)
-    d, m = P.decision_dim, P.n_objectives
+    m = P.n_objectives
     a = analyze_point(P, z, options.grid)
-    hull_list = [a.hull(i).vertices for i in a.binding]
     edge = options.y_grid - 1
     Y = loop_simplex_indices(m, edge).astype(float) / edge
     budget = kkt.MAX_LP
-    for y in Y[kkt._prefilter(Y, kkt._filter_terms(a, d))]:
-        found = kkt._try_direction(P, y, a, hull_list, options)
+    for y in Y[kkt._prefilter(Y, kkt._filter_terms(a))]:
+        found = kkt._try_direction(a, y, options.mode)
         if found is not None:
-            return kkt._finalize(P, z, y, found[0], a, d, found[1])
+            return kkt._finalize(a, y, *found)
         budget -= 1
         if budget <= 0:
             break
-    fj = kkt._fritz_john(a, hull_list, P.n_constraints)
+    fj = kkt._fritz_john(a)
     if fj is not None:
-        return kkt._finalize(P, z, np.zeros(m), fj, a, d, options.mode,
+        return kkt._finalize(a, np.zeros(m), fj, options.mode,
                              fritz_john=True)
     coarse = loop_simplex_indices(m, kkt.COARSE_EDGE)
     best = (np.inf, None)
     for y in coarse.astype(float) / kkt.COARSE_EDGE:
         for piece_sets in kkt._direction_piece_sets(y, a):
-            out = kkt._slack_lp(piece_sets, hull_list)
+            out = kkt._slack_lp(piece_sets, a.binding_hulls)
             if out is not None and out[0] < best[0]:
                 best = (out[0], y.copy())
     raise kkt.NotFoundAtResolution(

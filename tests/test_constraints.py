@@ -285,6 +285,16 @@ def test_generator_cone_membership():
     assert not K.contains([0.0, 1.0])
 
 
+@pytest.mark.parametrize("distance", [5e-10, 2e-9, 5e-8])
+def test_generator_cone_membership_matches_the_orthant(distance):
+    # the cone generated by the unit vectors is the orthant, so both decide
+    # membership at MEMBER_TOL, far below the LP's feasibility tolerance
+    K, orthant = ConeSpec.from_rays(np.eye(2)), ConeSpec.orthant(2)
+    for x in ([-distance, 0.0], [-distance, 1.0], [0.5, -distance],
+              [-distance, -distance]):
+        assert K.contains(x) == orthant.contains(x), x
+
+
 def test_generator_cone_zero_ray_dropped():
     K = ConeSpec.from_rays([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
     assert len(K.rays) == 2

@@ -26,7 +26,7 @@ from robustcert.convexity import (
     _sample_chunks,
 )
 from robustcert.expr import Point, parse_expr
-from robustcert.memo import content_key
+from robustcert.memo import LruMemo, content_key
 from robustcert.problem_io import load_problem, problem_from_dict
 from robustcert.subdiff import limiting_subdiff
 
@@ -382,7 +382,7 @@ def test_shared_arrays_are_read_only(ex2_2, empty_memo):
 def test_concurrent_callers_get_correct_classifications(ex3_2, empty_memo,
                                                         monkeypatch):
     # more problems than entries, so threads evict while others scan
-    monkeypatch.setattr(convexity, "CHUNK_ENTRIES", 2)
+    monkeypatch.setattr(convexity, "_chunks", LruMemo(2))
     problems = [_with_constraint(ex3_2, 1, f"-3*abs(z1) + u1*z2 - {k}")
                 for k in range(4)]
     expected = []

@@ -22,7 +22,7 @@ from robustcert.efficiency import (
 )
 from robustcert.expr import BinOp, Lit, parse_expr
 from robustcert.kkt import KktOptions, find_kkt_certificate, verify_certificate
-from robustcert.memo import shared_points
+from robustcert.memo import LruMemo, shared_points
 from robustcert.problem_io import (
     BUNDLED_FIXTURES,
     load_problem,
@@ -523,7 +523,7 @@ def test_report_on_a_memoized_grid_matches_a_cold_report(ex3_2, empty_memo):
 def test_concurrent_callers_get_correct_contexts(ex3_2, empty_memo,
                                                  monkeypatch):
     # more problems than entries, so threads evict while others look up
-    monkeypatch.setattr(efficiency, "GRID_CONTEXT_ENTRIES", 2)
+    monkeypatch.setattr(efficiency, "_contexts", LruMemo(2))
     problems = [_with_constraint(ex3_2, 1, f"-3*abs(z1) + u1*z2 - {k}")
                 for k in range(4)]
     expected = [_cold(P, 9, 11) for P in problems]

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from robustcert import kkt
+from robustcert import kkt, lp
 from robustcert.constraints import LatticeTooLarge, analyze_point
 from robustcert.efficiency import check_proper_necessary
 from robustcert.expr import Point
@@ -127,7 +127,7 @@ class TestDirectionGrid:
             _simplex_indices(3, 200000)
 
     def test_scan_lattice_is_built_once_per_size(self, ex3_2, monkeypatch):
-        kkt._direction_grids.clear()
+        kkt._lattices.clear()
         built = []
         orig = kkt._simplex_indices
 
@@ -140,8 +140,8 @@ class TestDirectionGrid:
         first = find_kkt_certificate(ex3_2, Z_REF, opts).to_jsonable()
         assert find_kkt_certificate(ex3_2, Z_REF, opts).to_jsonable() == first
         assert built == [(3, 40)]
-        Y = kkt._direction_grid(3, 40)
-        assert not Y.flags.writeable
+        Y, corners = kkt._lattice(3, 40)
+        assert not Y.flags.writeable and not corners.flags.writeable
         np.testing.assert_array_equal(Y, loop_simplex_indices(3, 40) / 40)
 
     def test_prefilter_blocks_small_first_weight(self, ex3_2):
@@ -151,7 +151,7 @@ class TestDirectionGrid:
         analysis = analyze_point(ex3_2, Z_REF)
         indices = _simplex_indices(3, 720)
         Y = indices.astype(float) / 720
-        keep = _prefilter(Y, kkt._filter_terms(analysis, 2))
+        keep = _prefilter(Y, kkt._filter_terms(analysis))
         assert not keep[:360].any()
         assert keep[360]
 
@@ -190,12 +190,23 @@ class TestFindCertificate:
         np.testing.assert_allclose(cert.mu, ref_cert.mu, atol=1e-9)
         assert cert.residual <= 1e-8
 
-    def test_fritz_john_fallback(self):
+    def test_fritz_john_fallback(self, monkeypatch):
         # objective slope never cancels, but the flat constraint supports a
         # zero-weight combination
         toy = toy_problem("z1", "0*z1*u1")
+        calls = []
+        zero_in_hull = lp.zero_in_hull
+
+        def counted(*args):
+            calls.append(1)
+            return zero_in_hull(*args)
+
+        monkeypatch.setattr(lp, "zero_in_hull", counted)
         cert = find_kkt_certificate(toy, [0.0], KktOptions(y_grid=25))
-        assert cert.fritz_john
+        # the Fritz John LP that found the certificate also sets
+        # fritz_john_also: it is not solved again
+        assert len(calls) == 1
+        assert cert.fritz_john and cert.fritz_john_also
         np.testing.assert_allclose(cert.y_star, [0.0], atol=1e-12)
         np.testing.assert_allclose(cert.mu, [1.0], atol=1e-9)
         assert cert.residual <= 1e-12
@@ -300,23 +311,21 @@ def test_dual_bounds_hold_on_every_direction(name, z):
     P = (problem_from_dict(UNION_KINK) if name == "union_kink"
          else load_problem(name))
     a = analyze_point(P, z)
-    hull_list = [a.hull(i).vertices for i in a.binding]
-    subdiffs = a.objective_subdiffs
     m = P.n_objectives
     Y = _simplex_indices(m, 6).astype(float) / 6
-    one_piece = all(len(s.pieces) == 1 for s in subdiffs)
-    _, duals = kkt._lifted_lps(a, hull_list)
+    one_piece = all(len(s.pieces) == 1 for s in a.objective_subdiffs)
+    _, duals = kkt._lifted_lps(a)
     resid = np.full(len(Y), np.inf)
     for row, y in enumerate(Y):
         for piece_sets in kkt._direction_piece_sets(y, a):
-            r, w = kkt._slack_lp(piece_sets, hull_list)
+            r, w = kkt._slack_lp(piece_sets, a.binding_hulls)
             resid[row] = min(resid[row], r)
             duals.append(w)
             if one_piece:
-                own = kkt._dual_bound(w, Y, subdiffs, hull_list)
+                own = kkt._dual_bound(a, w, Y)
                 assert own[row] == pytest.approx(r, abs=1e-9)
     for w in duals:
-        bound = kkt._dual_bound(w, Y, subdiffs, hull_list)
+        bound = kkt._dual_bound(a, w, Y)
         assert bound is not None
         assert np.all(bound <= resid + 1e-9)
 
@@ -344,10 +353,10 @@ SKIP_POINTS = [
 def _survivors_both_ways(terms, m, edge):
     """Prefilter survivors of the whole lattice: chunk by chunk, and only in
     the chunks that ``_chunk_may_pass`` keeps."""
-    Y = kkt._direction_grid(m, edge)
+    Y, corners = kkt._lattice(m, edge)
     every = np.zeros(len(Y), dtype=bool)
     skipping = np.zeros(len(Y), dtype=bool)
-    may = kkt._chunk_may_pass(kkt._chunk_corners(m, edge), terms)
+    may = kkt._chunk_may_pass(corners, terms)
     assert len(may) == -(-len(Y) // kkt.SCAN_CHUNK)
     for chunk_no, keep in enumerate(may):
         rows = slice(chunk_no * kkt.SCAN_CHUNK,
@@ -363,7 +372,7 @@ def _survivors_both_ways(terms, m, edge):
 def test_chunk_skipping_keeps_every_survivor(name, z, y_grid):
     P = (problem_from_dict(UNION_KINK) if name == "union_kink"
          else load_problem(name))
-    terms = kkt._filter_terms(analyze_point(P, z), P.decision_dim)
+    terms = kkt._filter_terms(analyze_point(P, z))
     every, skipping, _ = _survivors_both_ways(terms, P.n_objectives,
                                               y_grid - 1)
     np.testing.assert_array_equal(skipping, every)
@@ -372,7 +381,7 @@ def test_chunk_skipping_keeps_every_survivor(name, z, y_grid):
 def test_chunk_skipping_skips_at_a_kink():
     # ex3_3 at (0, 0.5): the one direction tried sits in the last chunk
     P = load_problem("ex3_3")
-    terms = kkt._filter_terms(analyze_point(P, [0.0, 0.5]), 2)
+    terms = kkt._filter_terms(analyze_point(P, [0.0, 0.5]))
     every, skipping, may = _survivors_both_ways(terms, 3, 720)
     np.testing.assert_array_equal(skipping, every)
     assert every.any() and may.sum() < len(may) // 2
@@ -388,7 +397,7 @@ def _one_survivor_analysis(t_star):
     second = Polytope([[c + t_star, -1.0], [1.0, -c + t_star]])
     return SimpleNamespace(
         objective_subdiffs=[PolytopeUnion([first]), PolytopeUnion([second])],
-        binding=[])
+        z=np.zeros(2), binding_hulls=[])
 
 
 @pytest.mark.parametrize("row", [0, 4095, 4096, 8191])
@@ -396,7 +405,7 @@ def test_chunk_skipping_keeps_a_survivor_at_a_chunk_edge(row):
     # the survivor is the first or last row of a chunk, so it lies on a
     # corner of its chunk's slab, within the rounding margin of the bound
     edge = 2 * kkt.SCAN_CHUNK
-    terms = kkt._filter_terms(_one_survivor_analysis(row / edge), 2)
+    terms = kkt._filter_terms(_one_survivor_analysis(row / edge))
     every, skipping, may = _survivors_both_ways(terms, 2, edge)
     assert np.flatnonzero(every).tolist() == [row]
     np.testing.assert_array_equal(skipping, every)
