@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 — requested checks completed (verdicts live in the report);
-1 — usage or I/O error; 2 — internal numerical failure while checking.
+1 — usage or I/O error, or a lattice beyond ``MAX_LATTICE_ROWS`` rows;
+2 — internal numerical failure while checking.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .constraints import (GRID_DEFAULT, MAX_LATTICE_ROWS, Problem,
-                          ProblemFormatError, box_lattice_rows)
+from .constraints import (GRID_DEFAULT, MAX_LATTICE_ROWS, LatticeTooLarge,
+                          Problem, ProblemFormatError, box_lattice_rows)
 from .convexity import DEFAULT_SAMPLES
 from .duality import DualTriple
 from .efficiency import EFFICIENCY_GRID
@@ -132,7 +133,9 @@ def _validate_lattices(args, P: Problem) -> None:
     rows = {}
     if args.command in ("efficiency", "dual", "report"):
         rows["grid"] = box_lattice_rows(P.box_lower, P.box_upper, args.grid)
-    if args.command in ("kkt", "dual", "report"):
+    # the certificate search builds the --ygrid lattice; a --triple skips it
+    if args.command in ("kkt", "report") or (args.command == "dual"
+                                             and not args.triple):
         rows["ygrid"] = simplex_rows(P.n_objectives, args.ygrid - 1)
     U = P.uncertainty
     if U.kind == "box":
@@ -180,6 +183,9 @@ def main(argv=None) -> int:
             exact_scalarization=args.exact_scalarization,
             problem_path=args.problem, point_text=point_text,
         )
+    except LatticeTooLarge as exc:  # a lattice no flag sizes on its own
+        print(f"robustcert: error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:  # checks could not complete
         print(f"robustcert: internal failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)

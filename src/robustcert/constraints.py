@@ -606,9 +606,10 @@ class PointAnalysis:
     The analysis holds one ``WorstCase`` per constraint, so each constraint's
     uncertainty grid is swept once, on construction, and each polish of a
     grid maximizer is made once: ``psi`` (the worst-case constraint values)
-    and ``realizations(i)`` share them.  ``psi`` is computed on construction;
-    everything else on first use and then kept, so every consumer of one
-    analysis shares one computation.  Nothing outlives the analysis.
+    and each ``worst_cases[i].realizations`` share them.  ``psi`` is
+    computed on construction; everything else on first use and then kept,
+    so every consumer of one analysis shares one computation.  Nothing
+    outlives the analysis.
     Activity is decided at ``ACTIVE_TOL``:
 
     * ``binding`` -- constraints whose worst case is within it of zero;
@@ -646,22 +647,11 @@ class PointAnalysis:
         return [limiting_subdiff(f, self.point)
                 for f in self.problem.objectives]
 
-    def realizations(self, i: int) -> List[AttainingRealization]:
-        """Uncertainty realizations attaining constraint i's worst case."""
-        return self.worst_cases[i].realizations
-
-    def constraint_subdiff(self, i: int) -> PolytopeUnion:
-        """Union of constraint i's subdifferentials at its realizations."""
-        return self.worst_cases[i].subdiff
-
-    def hull(self, i: int) -> Polytope:
-        """Convex hull of ``constraint_subdiff(i)``."""
-        return self.worst_cases[i].hull
-
     @cached_property
     def binding_hulls(self) -> List[np.ndarray]:
-        """The vertex arrays of ``hull(i)`` for each ``i`` in ``binding``."""
-        return [self.hull(i).vertices for i in self.binding]
+        """The vertex arrays of ``worst_cases[i].hull`` for each ``i`` in
+        ``binding``."""
+        return [self.worst_cases[i].hull.vertices for i in self.binding]
 
 
 def analyze_point(P: Problem, z, grid: int = GRID_DEFAULT) -> PointAnalysis:

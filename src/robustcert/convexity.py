@@ -395,7 +395,7 @@ def _revalidate(P: Problem, z, analysis: PointAnalysis, kind: str,
             )[0]
         )
         premise = psi_val <= analysis.psi[i] + PREMISE_TOL
-        support = float(np.max(analysis.hull(i).vertices @ w))
+        support = float(np.max(analysis.worst_cases[i].hull.vertices @ w))
         ok = premise and support >= QUASI_SUPPORT_TOL
     if not ok:
         raise RuntimeError(

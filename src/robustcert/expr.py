@@ -390,11 +390,6 @@ def to_source(e: Expr) -> str:
     return _print(e, 0)
 
 
-def canonical_key(e: Expr) -> str:
-    """Stable structural identity key (printed source)."""
-    return to_source(e)
-
-
 # ---------------------------------------------------------------------------
 # Structure helpers
 # ---------------------------------------------------------------------------
@@ -424,13 +419,9 @@ def free_var_indices(e: Expr, kind: str) -> frozenset:
     return frozenset(found)
 
 
-def references_kind(e: Expr, kind: str) -> bool:
-    return bool(free_var_indices(e, kind))
-
-
 def try_literal(e: Expr) -> Optional[float]:
     """Value of a constant subtree (no variables), else None."""
-    if references_kind(e, "z") or references_kind(e, "u"):
+    if free_var_indices(e, "z") or free_var_indices(e, "u"):
         return None
     try:
         return evaluate(e, Point((), ()))
@@ -594,10 +585,10 @@ def relevant_kink_atoms(e: Expr, pt: Point, wrt: str):
     out = []
     for atom in kink_atoms(e, pt):
         if isinstance(atom.node, Abs):
-            dependent = references_kind(atom.node.arg, kind)
+            dependent = bool(free_var_indices(atom.node.arg, kind))
         else:
             dependent = any(
-                references_kind(atom.node.args[i], kind)
+                free_var_indices(atom.node.args[i], kind)
                 for i in atom.active_branches
             )
         if dependent:
@@ -787,7 +778,7 @@ def collect_terms(terms):
     """Merge structurally identical subtrees, summing coefficients."""
     merged = {}
     for c, t in terms:
-        key = canonical_key(t)
+        key = to_source(t)
         if key in merged:
             merged[key] = (merged[key][0] + c, merged[key][1])
         else:
@@ -834,7 +825,7 @@ def substitute_abs_class(e: Expr, key: str, sign: int) -> Expr:
     """Replace every abs node whose argument prints as ``key`` by ±argument."""
 
     def sub(node: Expr) -> Expr:
-        if isinstance(node, Abs) and canonical_key(node.arg) == key:
+        if isinstance(node, Abs) and to_source(node.arg) == key:
             inner = sub(node.arg)
             return inner if sign > 0 else Neg(inner)
         if isinstance(node, BinOp):

@@ -91,15 +91,6 @@ DEFAULT_Y_GRID = 721
 
 
 @dataclass
-class KktOptions:
-    """Search options: ``y_grid`` is points per simplex edge (>= 2)."""
-
-    y_grid: int = DEFAULT_Y_GRID
-    mode: str = "outer"  # 'outer' per-objective fold | 'exact' scalarized
-    grid: int = GRID_DEFAULT
-
-
-@dataclass
 class KktCertificate:
     y_star: np.ndarray
     mu: np.ndarray
@@ -187,7 +178,7 @@ def check_cq(P: Problem, z, grid: int = GRID_DEFAULT) -> CqReport:
         return CqReport(True, np.inf, [], True)
     pieces: List[Polytope] = []
     for i in a.active_max:
-        pieces.extend(a.constraint_subdiff(i).pieces)
+        pieces.extend(a.worst_cases[i].subdiff.pieces)
     hull = convex_hull_of(pieces)
     distance = hull.distance(np.zeros(P.decision_dim))
     return CqReport(distance > ACTIVE_TOL, float(distance), list(a.active_max),
@@ -264,13 +255,6 @@ def _lattice(m: int, edge: int) -> Tuple[np.ndarray, np.ndarray]:
     return _lattices.get((m, edge), lambda: _build_lattice(m, edge))
 
 
-def _piece_ranges(union: PolytopeUnion) -> Tuple[np.ndarray, np.ndarray]:
-    """(n_pieces, d) per-piece vertex-coordinate minima and maxima."""
-    mins = np.array([p.vertices.min(axis=0) for p in union.pieces])
-    maxs = np.array([p.vertices.max(axis=0) for p in union.pieces])
-    return mins, maxs
-
-
 class _Filter(NamedTuple):
     """The prefilter's terms at one point.
 
@@ -288,7 +272,10 @@ class _Filter(NamedTuple):
 
 def _filter_terms(a: PointAnalysis) -> _Filter:
     """The ``_Filter`` of a point: one (Pmin, Pmax) per piece selection."""
-    ranges = [_piece_ranges(s) for s in a.objective_subdiffs]
+    # per objective, (n_pieces, d) per-piece vertex-coordinate minima and maxima
+    ranges = [(np.array([p.vertices.min(axis=0) for p in s.pieces]),
+               np.array([p.vertices.max(axis=0) for p in s.pieces]))
+              for s in a.objective_subdiffs]
     cons_lo = np.zeros(len(a.z))
     cons_hi = np.zeros(len(a.z))
     for verts in a.binding_hulls:
@@ -377,16 +364,6 @@ def _lp_blocks(piece_sets, hulls: List[np.ndarray], lifted: bool = False
         simplex[0 if lifted else row, col:col + n] = 1.0
         col += n
     return station, simplex
-
-
-def _selection_eqs(piece_sets, hulls: List[np.ndarray]
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """(A_eq, b_eq) of one direction and piece selection over the
-    ``_lp_blocks`` variables: a zero stationarity sum, and each piece's
-    lambda total one."""
-    station, simplex = _lp_blocks(piece_sets, hulls)
-    return (np.vstack([station, simplex]),
-            np.concatenate([np.zeros(len(station)), np.ones(len(simplex))]))
 
 
 def _slack_lp(piece_sets, hulls: List[np.ndarray], lifted: bool = False
@@ -480,25 +457,27 @@ def stationarity_distance(P: Problem, z, y, mu, grid: int,
 # ---------------------------------------------------------------------------
 
 
-def find_kkt_certificate(P: Problem, z, options: Optional[KktOptions] = None
+def find_kkt_certificate(P: Problem, z, y_grid: int = DEFAULT_Y_GRID,
+                         mode: str = "outer", grid: int = GRID_DEFAULT
                          ) -> KktCertificate:
     """First certificate on the direction grid (see the module docstring).
 
-    Reads ``analyze_point(P, z, options.grid)``, shared inside
+    ``y_grid`` is points per simplex edge (>= 2); ``mode`` is 'outer' (one
+    piece of each objective's subdifferential) or 'exact' (the scalarized
+    subdifferential).  Reads ``analyze_point(P, z, grid)``, shared inside
     ``memo.shared_points()``.
     """
-    opts = options or KktOptions()
-    if opts.y_grid < 2:
+    if y_grid < 2:
         raise ValueError("y_grid must be at least 2 points per edge")
-    if opts.mode not in ("outer", "exact"):
+    if mode not in ("outer", "exact"):
         raise ValueError("mode must be 'outer' or 'exact'")
-    a = analyze_point(P, z, opts.grid)
+    a = analyze_point(P, z, grid)
 
     # the exact-scalarization subdifferential depends on y: that mode keeps
     # the whole scan, and its coarse scan starts without lifted duals
-    lifted, duals = _lifted_lps(a) if opts.mode == "outer" else (0.0, [])
+    lifted, duals = _lifted_lps(a) if mode == "outer" else (0.0, [])
     if lifted <= SKIP_TOL:
-        found = _scan(a, opts)
+        found = _scan(a, y_grid, mode)
         if found is not None:
             y, mu_hat, mode_used = found
             return _finalize(a, y, mu_hat, mode_used)
@@ -506,12 +485,12 @@ def find_kkt_certificate(P: Problem, z, options: Optional[KktOptions] = None
     # no weighted certificate: try the degenerate (zero-weight) form
     fj = _fritz_john(a)
     if fj is not None:
-        return _finalize(a, np.zeros(P.n_objectives), fj, opts.mode,
+        return _finalize(a, np.zeros(P.n_objectives), fj, mode,
                          fritz_john=True)
 
     best_res, best_dir = _coarse_residual_scan(a, duals)
     raise NotFoundAtResolution(
-        f"no certificate on the {opts.y_grid}-point direction grid",
+        f"no certificate on the {y_grid}-point direction grid",
         best_res, best_dir,
     )
 
@@ -537,16 +516,16 @@ def _lifted_lps(a: PointAnalysis) -> Tuple[float, List[np.ndarray]]:
     return best, duals
 
 
-def _scan(a: PointAnalysis, opts: KktOptions):
+def _scan(a: PointAnalysis, y_grid: int, mode: str):
     """First lattice direction that passes, in scan order: (y, mu, mode)."""
-    Y, corners = _lattice(a.problem.n_objectives, opts.y_grid - 1)
+    Y, corners = _lattice(a.problem.n_objectives, y_grid - 1)
     terms = _filter_terms(a)
     lp_budget = MAX_LP
     for chunk_no in np.flatnonzero(_chunk_may_pass(corners, terms)):
         start = chunk_no * SCAN_CHUNK
         chunk = Y[start:start + SCAN_CHUNK]
         for y in chunk[_prefilter(chunk, terms)]:
-            found = _try_direction(a, y, opts.mode)
+            found = _try_direction(a, y, mode)
             if found is not None:
                 return (y, *found)
             lp_budget -= 1
@@ -560,6 +539,11 @@ def _try_direction(a: PointAnalysis, y: np.ndarray, mode: str):
 
     Outer mode selects one piece of each weighted objective subdifferential;
     exact mode one piece of the scalarized subdifferential, when available.
+    Each selection that passes its feasibility LP (a zero stationarity sum,
+    each piece's lambda total one) then solves a balance LP: its canonical
+    multipliers are those whose total is closest to |y|_2, and ties go to
+    the first selection.  When no balance LP solves, the first passing
+    selection's feasibility point gives the multipliers.
     """
     if mode == "exact":
         try:
@@ -571,39 +555,27 @@ def _try_direction(a: PointAnalysis, y: np.ndarray, mode: str):
     else:
         mode_used = "outer"
         candidates = _direction_piece_sets(y, a)
-    feasible = []
-    for piece_sets in candidates:
-        A_eq, b_eq = _selection_eqs(piece_sets, a.binding_hulls)
-        res = lp.solve(linprog, np.zeros(A_eq.shape[1]), A_eq=A_eq, b_eq=b_eq)
-        if res.status == 0:
-            feasible.append((piece_sets, res.x))
-    if not feasible:
-        return None
-    return _balance(a, y, feasible), mode_used
-
-
-def _balance(a: PointAnalysis, y: np.ndarray, feasible) -> np.ndarray:
-    """Canonical multipliers: total closest to |y|_2; ties go to the first.
-
-    ``feasible`` pairs each passing piece selection with the point of its
-    feasibility LP, which gives the first selection's multipliers when no
-    balance LP solves.
-    """
     target = np.array([np.linalg.norm(y)])
-    best = None
-    for piece_sets, _ in feasible:
-        A_eq, b_eq = _selection_eqs(piece_sets, a.binding_hulls)
+    first = best = None
+    for piece_sets in candidates:
+        station, simplex = _lp_blocks(piece_sets, a.binding_hulls)
+        A_eq = np.vstack([station, simplex])
+        b_eq = np.concatenate([np.zeros(len(station)), np.ones(len(simplex))])
+        res = lp.solve(linprog, np.zeros(A_eq.shape[1]), A_eq=A_eq, b_eq=b_eq)
+        if res.status != 0:
+            continue
         col = sum(len(verts) for _, verts in piece_sets)
+        if first is None:
+            first = _extract_mu(a, res.x, col)
         beta = np.zeros((1, A_eq.shape[1]))
         beta[0, col:] = 1.0
         # minimize |sum(beta) - target| with the selection's equalities
         res = lp.min_residual(linprog, beta, target, A_eq, b_eq)
         if res.status == 0 and (best is None or res.fun < best[0] - 1e-12):
             best = (res.fun, _extract_mu(a, res.x, col))
-    if best is None:
-        piece_sets, x = feasible[0]
-        return _extract_mu(a, x, sum(len(verts) for _, verts in piece_sets))
-    return best[1]
+    if first is None:
+        return None
+    return (first if best is None else best[1]), mode_used
 
 
 def _fritz_john(a: PointAnalysis) -> Optional[np.ndarray]:
@@ -624,8 +596,9 @@ def _finalize(a: PointAnalysis, y_hat, mu_hat, mode_used: str,
     y_star = kappa * y_hat
     mu = kappa * mu_hat
     P = a.problem
-    hulls = {i: a.hull(i) for i in a.binding}
-    witnesses = [[np.array(r.point, dtype=float) for r in a.realizations(i)]
+    hulls = {i: a.worst_cases[i].hull for i in a.binding}
+    witnesses = [[np.array(r.point, dtype=float)
+                  for r in a.worst_cases[i].realizations]
                  if i in a.binding and mu[i] > MU_ZERO_TOL else []
                  for i in range(P.n_constraints)]
     if mode_used == "exact":

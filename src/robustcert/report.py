@@ -20,7 +20,7 @@ from .duality import (DualTriple, converse_duality_check, is_dual_feasible,
                       strong_duality_construct, weak_duality_test)
 from .efficiency import (EFFICIENCY_GRID, certify_efficient, certify_proper,
                          certify_weak)
-from .kkt import (DEFAULT_Y_GRID, RESIDUAL_TOL, KktCertificate, KktOptions,
+from .kkt import (DEFAULT_Y_GRID, RESIDUAL_TOL, KktCertificate,
                   NotFoundAtResolution, check_cq, find_kkt_certificate,
                   verify_certificate)
 from .memo import shared_points
@@ -45,7 +45,7 @@ def feasibility_section(P: Problem, z, tol: float = FEAS_TOL,
                 "value": float(r.value),
                 "extent": float(r.extent),
             }
-            for r in a.realizations(i)
+            for r in a.worst_cases[i].realizations
         ]
         for i in range(P.n_constraints)
     ]
@@ -65,10 +65,8 @@ def subdiff_section(P: Problem, z, ugrid: int = GRID_DEFAULT) -> dict:
     a = analyze_point(P, z, ugrid)
     return {
         "objectives": [s.to_jsonable() for s in a.objective_subdiffs],
-        "worst_case_constraints": [
-            a.constraint_subdiff(i).to_jsonable()
-            for i in range(P.n_constraints)
-        ],
+        "worst_case_constraints": [w.subdiff.to_jsonable()
+                                   for w in a.worst_cases],
     }
 
 
@@ -78,26 +76,24 @@ def cq_section(P: Problem, z, ugrid: int = GRID_DEFAULT) -> dict:
     return out
 
 
-def kkt_section(P: Problem, z, options: Optional[KktOptions] = None,
+def kkt_section(P: Problem, z, y_grid: int = DEFAULT_Y_GRID,
+                mode: str = "outer", ugrid: int = GRID_DEFAULT,
                 tol: float = RESIDUAL_TOL) -> dict:
     """The certificate search at z, and ``verify_certificate`` at ``tol``."""
-    opts = options or KktOptions()
-    out: dict = {"y_grid": int(opts.y_grid), "tol": float(tol),
-                 "mode": opts.mode}
+    out: dict = {"y_grid": int(y_grid), "tol": float(tol), "mode": mode}
     try:
-        cert = find_kkt_certificate(P, z, opts)
+        cert = find_kkt_certificate(P, z, y_grid, mode, ugrid)
     except NotFoundAtResolution as exc:
         out["found"] = False
         out["message"] = str(exc)
-        out["best_residual"] = (None if exc.best_residual is None
-                                else float(exc.best_residual))
+        out["best_residual"] = float(exc.best_residual)
         out["best_direction"] = (None if exc.best_direction is None
                                  else [float(v) for v in exc.best_direction])
         return out
     out["found"] = True
     out["certificate"] = cert.to_jsonable()
     out["verification"] = verify_certificate(P, z, cert, tol,
-                                             opts.grid).to_jsonable()
+                                             ugrid).to_jsonable()
     return out
 
 
@@ -175,9 +171,7 @@ def build_report(P: Problem, command: str, z, *, tol: float = RESIDUAL_TOL,
     dual feasibility report; the feasible grid is memoized per process
     (``grid_context``).
     """
-    opts = KktOptions(y_grid=ygrid,
-                      mode="exact" if exact_scalarization else "outer",
-                      grid=ugrid)
+    mode = "exact" if exact_scalarization else "outer"
     report: dict = {
         "schema": SCHEMA_VERSION,
         "command": command,
@@ -206,7 +200,7 @@ def build_report(P: Problem, command: str, z, *, tol: float = RESIDUAL_TOL,
         elif command == "cq":
             report["cq"] = cq_section(P, z, ugrid=ugrid)
         elif command == "kkt":
-            report["kkt"] = kkt_section(P, z, opts, tol)
+            report["kkt"] = kkt_section(P, z, ygrid, mode, ugrid, tol)
         elif command == "efficiency":
             report["efficiency"] = efficiency_section(P, z, grid, ugrid)
         elif command == "convexity":
@@ -215,7 +209,7 @@ def build_report(P: Problem, command: str, z, *, tol: float = RESIDUAL_TOL,
         elif command == "dual":
             cert = None
             if triple is None:
-                kkt = kkt_section(P, z, opts, tol)
+                kkt = kkt_section(P, z, ygrid, mode, ugrid, tol)
                 if kkt["found"]:
                     cert = KktCertificate.from_jsonable(kkt["certificate"])
                 report["kkt"] = kkt
@@ -228,7 +222,7 @@ def build_report(P: Problem, command: str, z, *, tol: float = RESIDUAL_TOL,
             report["feasibility"] = feasibility_section(P, z, tol, ugrid)
             report["subdifferentials"] = subdiff_section(P, z, ugrid)
             report["cq"] = cq_section(P, z, ugrid)
-            report["kkt"] = kkt_section(P, z, opts, tol)
+            report["kkt"] = kkt_section(P, z, ygrid, mode, ugrid, tol)
             report["convexity"] = convexity_section(P, z, samples, seed,
                                                     ugrid=ugrid)
             cert = None

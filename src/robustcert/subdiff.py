@@ -36,7 +36,6 @@ from .expr import (
     Expr,
     MaxOp,
     Point,
-    canonical_key,
     collect_terms,
     combine_weighted,
     decompose_sum,
@@ -83,7 +82,7 @@ def limiting_subdiff(e: Expr, pt: Point) -> PolytopeUnion:
 
     # Case 2: every relevant atom is abs of one shared argument.
     if atoms and all(a.kind == "abs" for a in atoms):
-        keys = {canonical_key(a.node.arg) for a in atoms}
+        keys = {to_source(a.node.arg) for a in atoms}
         if len(keys) == 1:
             result = _abs_class_case(e, pt, next(iter(keys)),
                                      atoms[0].node.arg)

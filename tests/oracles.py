@@ -274,7 +274,7 @@ def loop_simplex_indices(m, edge):
     return np.array(rows, dtype=np.int64)
 
 
-def unpruned_kkt_search(P, z, options):
+def unpruned_kkt_search(P, z, y_grid, mode):
     """The certificate search by its definition, without any pruning.
 
     Every prefiltered lattice direction in scan order, then the Fritz John
@@ -287,12 +287,12 @@ def unpruned_kkt_search(P, z, options):
     from robustcert.constraints import analyze_point
 
     m = P.n_objectives
-    a = analyze_point(P, z, options.grid)
-    edge = options.y_grid - 1
+    a = analyze_point(P, z)
+    edge = y_grid - 1
     Y = loop_simplex_indices(m, edge).astype(float) / edge
     budget = kkt.MAX_LP
     for y in Y[kkt._prefilter(Y, kkt._filter_terms(a))]:
-        found = kkt._try_direction(a, y, options.mode)
+        found = kkt._try_direction(a, y, mode)
         if found is not None:
             return kkt._finalize(a, y, *found)
         budget -= 1
@@ -300,8 +300,7 @@ def unpruned_kkt_search(P, z, options):
             break
     fj = kkt._fritz_john(a)
     if fj is not None:
-        return kkt._finalize(a, np.zeros(m), fj, options.mode,
-                             fritz_john=True)
+        return kkt._finalize(a, np.zeros(m), fj, mode, fritz_john=True)
     coarse = loop_simplex_indices(m, kkt.COARSE_EDGE)
     best = (np.inf, None)
     for y in coarse.astype(float) / kkt.COARSE_EDGE:
@@ -310,7 +309,7 @@ def unpruned_kkt_search(P, z, options):
             if out is not None and out[0] < best[0]:
                 best = (out[0], y.copy())
     raise kkt.NotFoundAtResolution(
-        f"no certificate on the {options.y_grid}-point direction grid", *best
+        f"no certificate on the {y_grid}-point direction grid", *best
     )
 
 

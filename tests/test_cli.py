@@ -219,18 +219,41 @@ class TestExitCodes:
         assert name in err and "limit" in err
 
     # with four objectives the default --ygrid gives a 62,727,721-row weight
-    # lattice, which only the certificate search builds
-    @pytest.mark.parametrize("command,code", [("check", 0), ("cq", 0),
-                                              ("kkt", 1)])
+    # lattice, which only the certificate search builds: dual with a given
+    # triple runs none
+    @pytest.mark.parametrize("command,code", [
+        ("check", 0), ("cq", 0), ("kkt", 1),
+        pytest.param("dual --triple "
+                     '{"y":[0.5],"y_star":[0.25,0.25,0.25,0.25],"mu":[0]}',
+                     0, id="dual-triple-0"),
+    ])
     def test_only_built_lattices_are_checked(self, capsys, tmp_path,
                                              command, code):
         path = tmp_path / "four.json"
         path.write_text(json.dumps(dict(
             LINE_PROBLEM, objectives=["z1", "-z1", "z1^2", "abs(z1)"])))
-        assert main([command, "--problem", str(path), "--point", "0.5"]) \
-            == code
+        assert main(command.split() + ["--problem", str(path),
+                                       "--point", "0.5"]) == code
         err = capsys.readouterr().err
         assert ("--ygrid 721" in err) == (code == 1)
+
+    # ten objectives give lattices of 38,567,100 rows that no flag sizes:
+    # convexity's dual weight grid and the certificate search's coarse
+    # residual lattice
+    @pytest.mark.parametrize("argv", [["convexity"], ["kkt", "--ygrid", "2"]],
+                             ids=["convexity", "kkt-coarse"])
+    def test_unflagged_oversized_lattice_is_usage_error(self, capsys,
+                                                        tmp_path, argv):
+        path = tmp_path / "ten.json"
+        path.write_text(json.dumps(dict(
+            LINE_PROBLEM, uncertainty_dim=0, objectives=["z1"] * 10,
+            constraints=["z1 - 1"],
+            uncertainty={"type": "finite", "points": [[]]})))
+        assert main(argv[:1] + ["--problem", str(path), "--point", "0"]
+                    + argv[1:]) == 1
+        err = capsys.readouterr().err
+        assert err == ("robustcert: error: a lattice of 38,567,100 rows "
+                       "exceeds the limit of 10,000,000\n")
 
     def test_non_finite_problem_number_is_usage_error(self, capsys,
                                                       tmp_path):

@@ -12,7 +12,6 @@ from oracles import grid_worst_case
 from robustcert import constraints
 from robustcert.constraints import (
     CHUNK_ELEMENTS,
-    AttainingRealization,
     ConeSpec,
     LatticeTooLarge,
     ProblemFormatError,
@@ -230,6 +229,24 @@ def test_active_uncertainty_plateau():
     reps = active_uncertainty(e, [0.7], UBOX)
     assert len(reps) == 1
     assert reps[0].extent > 0.5  # the whole box attains
+
+
+def test_clusters_that_polish_to_one_point_are_merged():
+    # the grid has clusters at u = -0.548 and u = 0.548; the bounded line
+    # search spans the whole box, so both polish to u = -sqrt(0.3), and the
+    # merged realization spans both clusters
+    e = parse_expr("z1*u1 - (u1^2 - 0.3)^2", 1, 1)
+    reps = active_uncertainty(e, [0.0], UBOX)
+    assert len(reps) == 1
+    assert reps[0].point[0] == pytest.approx(-np.sqrt(0.3), abs=1e-6)
+    assert reps[0].extent == pytest.approx(1.0957, abs=1e-4)
+    assert reps[0].lower[0] == pytest.approx(-0.548, abs=1e-12)
+    assert reps[0].upper[0] == pytest.approx(0.548, abs=1e-12)
+    s = worst_case_subdiff(e, [0.0], UBOX)
+    assert s.outer_estimate
+    assert len(s.pieces) == 1
+    v = sorted(map(tuple, np.round(s.pieces[0].vertices, 9)))
+    assert v == [(-0.548,), (0.548,)]
 
 
 # ---------------------------------------------------------------------------

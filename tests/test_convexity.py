@@ -1,7 +1,6 @@
 """Tests for the generalized-convexity sampling classifiers."""
 
 import dataclasses
-import itertools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor

@@ -21,7 +21,7 @@ from robustcert.efficiency import (
     sufficient_conditions,
 )
 from robustcert.expr import BinOp, Lit, parse_expr
-from robustcert.kkt import KktOptions, find_kkt_certificate, verify_certificate
+from robustcert.kkt import find_kkt_certificate, verify_certificate
 from robustcert.memo import LruMemo, shared_points
 from robustcert.problem_io import (
     BUNDLED_FIXTURES,
@@ -372,7 +372,7 @@ def convex_toy():
 class TestSufficiencyRules:
     def test_convex_problem_fires_weak_and_efficient(self, convex_toy):
         z = np.array([0.0])
-        cert = find_kkt_certificate(convex_toy, z, KktOptions(y_grid=25))
+        cert = find_kkt_certificate(convex_toy, z, y_grid=25)
         ver = verify_certificate(convex_toy, z, cert)
         assert ver.ok
         cls = classify_type(convex_toy, z, samples=500)
@@ -409,7 +409,7 @@ class TestSufficiencyRules:
             }
         )
         z = np.array([0.0])
-        cert = find_kkt_certificate(toy, z, KktOptions(y_grid=25))
+        cert = find_kkt_certificate(toy, z, y_grid=25)
         assert cert.fritz_john
         ver = verify_certificate(toy, z, cert)
         assert ver.ok

@@ -6,14 +6,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult, linprog
 
 from robustcert import kkt, lp
 from robustcert.constraints import LatticeTooLarge, analyze_point
 from robustcert.efficiency import check_proper_necessary
-from robustcert.expr import Point
 from robustcert.kkt import (
     KktCertificate,
-    KktOptions,
     NotFoundAtResolution,
     _prefilter,
     _simplex_indices,
@@ -23,7 +22,6 @@ from robustcert.kkt import (
 )
 from robustcert.polytope import Polytope, PolytopeUnion
 from robustcert.problem_io import load_problem, problem_from_dict
-from robustcert.subdiff import limiting_subdiff
 
 from oracles import loop_simplex_indices, min_norm_in_sum, unpruned_kkt_search
 
@@ -136,9 +134,9 @@ class TestDirectionGrid:
             return orig(m, edge)
 
         monkeypatch.setattr(kkt, "_simplex_indices", counted)
-        opts = KktOptions(y_grid=41)
-        first = find_kkt_certificate(ex3_2, Z_REF, opts).to_jsonable()
-        assert find_kkt_certificate(ex3_2, Z_REF, opts).to_jsonable() == first
+        first = find_kkt_certificate(ex3_2, Z_REF, y_grid=41).to_jsonable()
+        assert find_kkt_certificate(ex3_2, Z_REF,
+                                    y_grid=41).to_jsonable() == first
         assert built == [(3, 40)]
         Y, corners = kkt._lattice(3, 40)
         assert not Y.flags.writeable and not corners.flags.writeable
@@ -184,7 +182,7 @@ class TestFindCertificate:
         assert ref_cert.witnesses[1] == []  # slack constraint carries none
 
     def test_exact_scalarization_mode_agrees(self, ex3_2, ref_cert):
-        cert = find_kkt_certificate(ex3_2, Z_REF, KktOptions(mode="exact"))
+        cert = find_kkt_certificate(ex3_2, Z_REF, mode="exact")
         assert cert.mode == "exact"
         np.testing.assert_allclose(cert.y_star, ref_cert.y_star, atol=1e-9)
         np.testing.assert_allclose(cert.mu, ref_cert.mu, atol=1e-9)
@@ -202,7 +200,7 @@ class TestFindCertificate:
             return zero_in_hull(*args)
 
         monkeypatch.setattr(lp, "zero_in_hull", counted)
-        cert = find_kkt_certificate(toy, [0.0], KktOptions(y_grid=25))
+        cert = find_kkt_certificate(toy, [0.0], y_grid=25)
         # the Fritz John LP that found the certificate also sets
         # fritz_john_also: it is not solved again
         assert len(calls) == 1
@@ -212,6 +210,31 @@ class TestFindCertificate:
         assert cert.residual <= 1e-12
         rep = verify_certificate(toy, [0.0], cert)
         assert rep.ok
+
+    def test_balance_fallback_keeps_the_first_feasible_point(
+            self, ex3_2, ref_cert, monkeypatch):
+        # with every min-residual LP failing, the lifted bound proves nothing
+        # and no balance LP solves: the multipliers come from the first
+        # piece selection that passes its feasibility LP
+        monkeypatch.setattr(lp, "min_residual",
+                            lambda *args: OptimizeResult(status=2))
+        cert = find_kkt_certificate(ex3_2, Z_REF, y_grid=41)
+        y = np.round(cert.y_star / cert.y_star.sum() * 40) / 40
+        a = analyze_point(ex3_2, Z_REF)
+        for piece_sets in kkt._direction_piece_sets(y, a):
+            station, simplex = kkt._lp_blocks(piece_sets, a.binding_hulls)
+            res = lp.solve(linprog, np.zeros(station.shape[1]),
+                           A_eq=np.vstack([station, simplex]),
+                           b_eq=np.r_[np.zeros(len(station)),
+                                      np.ones(len(simplex))])
+            if res.status == 0:
+                break
+        mu = kkt._extract_mu(a, res.x, sum(len(v) for _, v in piece_sets))
+        kappa = 1.0 / (np.linalg.norm(y) + np.linalg.norm(mu))
+        np.testing.assert_array_equal(cert.y_star, kappa * y)
+        np.testing.assert_array_equal(cert.mu, kappa * mu)
+        # the balanced multipliers differ, so the fallback is what decided
+        assert np.abs(cert.mu - ref_cert.mu).max() > 1e-3
 
     def test_not_found_reports_nearest_direction(self, ex3_2):
         # interior smooth point: all subdifferentials are singletons and no
@@ -244,9 +267,9 @@ class TestFindCertificate:
 
     def test_options_validated(self, ex3_2):
         with pytest.raises(ValueError):
-            find_kkt_certificate(ex3_2, Z_REF, KktOptions(y_grid=1))
+            find_kkt_certificate(ex3_2, Z_REF, y_grid=1)
         with pytest.raises(ValueError):
-            find_kkt_certificate(ex3_2, Z_REF, KktOptions(mode="bogus"))
+            find_kkt_certificate(ex3_2, Z_REF, mode="bogus")
 
 
 # the 4 fixtures at their anchor, a kink and a uniform point, and a union-type
@@ -285,18 +308,17 @@ PRUNING_CASES = [
 def test_pruned_search_matches_unpruned_scan(name, z, y_grid, mode):
     P = (problem_from_dict(UNION_KINK) if name == "union_kink"
          else load_problem(name))
-    opts = KktOptions(y_grid=y_grid, mode=mode)
     try:
-        ref = unpruned_kkt_search(P, z, opts)
+        ref = unpruned_kkt_search(P, z, y_grid, mode)
     except NotFoundAtResolution as exc:
         with pytest.raises(NotFoundAtResolution) as got:
-            find_kkt_certificate(P, z, opts)
+            find_kkt_certificate(P, z, y_grid, mode)
         assert str(got.value) == str(exc)
         assert got.value.best_residual == exc.best_residual
         np.testing.assert_array_equal(got.value.best_direction,
                                       exc.best_direction)
         return
-    cert = find_kkt_certificate(P, z, opts)
+    cert = find_kkt_certificate(P, z, y_grid, mode)
     assert json.dumps(cert.to_jsonable()) == json.dumps(ref.to_jsonable())
 
 
@@ -478,7 +500,7 @@ class TestVerifyCertificate:
                     for j in range(3)
                     if ref_cert.y_star[j] > 0
                 ]
-                sets.append(mu1 * analysis.hull(0).vertices)
+                sets.append(mu1 * analysis.worst_cases[0].hull.vertices)
                 best = min(best, min_norm_in_sum(sets))
             assert abs(best - rep.stationarity_distance) <= 1e-6
 

@@ -32,7 +32,7 @@ from robustcert.convexity import (STRICT, ConvexityWitness,
                                   revalidate_witness)
 from robustcert.duality import DualTriple, is_dual_feasible
 from robustcert.efficiency import certify_weak
-from robustcert.kkt import KktOptions, check_cq, find_kkt_certificate
+from robustcert.kkt import check_cq, find_kkt_certificate
 from robustcert.memo import shared_points
 from robustcert.problem_io import (BUNDLED_FIXTURES, load_problem,
                                    problem_from_dict)
@@ -223,16 +223,16 @@ def test_analysis_matches_direct_computation(P, z, grid):
     assert isinstance(a, PointAnalysis)
     U = P.uncertainty
     np.testing.assert_array_equal(a.psi, constraint_values(P, z, grid))
-    for i, g in enumerate(P.constraints):
+    for w, g in zip(a.worst_cases, P.constraints):
         reals = active_uncertainty(g, z, U, grid=grid)
         assert [(r.point.tolist(), r.value, r.extent, r.lower.tolist(),
-                 r.upper.tolist()) for r in a.realizations(i)] == \
+                 r.upper.tolist()) for r in w.realizations] == \
             [(r.point.tolist(), r.value, r.extent, r.lower.tolist(),
               r.upper.tolist()) for r in reals]
         direct = worst_case_subdiff(g, z, U, grid=grid)
-        assert a.constraint_subdiff(i).to_jsonable() == direct.to_jsonable()
-        assert a.hull(i).to_jsonable() == direct.hull().to_jsonable()
-        assert a.hull(i) is a.hull(i)
+        assert w.subdiff.to_jsonable() == direct.to_jsonable()
+        assert w.hull.to_jsonable() == direct.hull().to_jsonable()
+        assert w.hull is w.hull
     np.testing.assert_array_equal(a.objective_values, P.objective_values(z))
 
 
@@ -244,8 +244,9 @@ def test_finite_and_empty_uncertainty_ignore_the_grid():
         for grid in (0, 1):
             got = analyze_point(P, z, grid)
             np.testing.assert_array_equal(got.psi, want.psi)
-            assert [r.point.tolist() for r in got.realizations(0)] == \
-                [r.point.tolist() for r in want.realizations(0)]
+            assert [r.point.tolist()
+                    for r in got.worst_cases[0].realizations] == \
+                [r.point.tolist() for r in want.worst_cases[0].realizations]
 
 
 def test_worst_case_sweeps_once_and_keeps_each_quantity(calls):
@@ -267,7 +268,7 @@ def test_shared_analysis_gives_the_same_answers(calls):
 
     def answers():
         return [check_cq(P, z).to_jsonable(),
-                *(find_kkt_certificate(P, z, KktOptions(mode=mode))
+                *(find_kkt_certificate(P, z, mode=mode)
                   .to_jsonable() for mode in ("outer", "exact")),
                 classify_type(P, z, samples=300).to_jsonable()]
 

@@ -130,7 +130,7 @@ def test_realizations_reuse_the_polish_of_psi(line_searches):
     a = analyze_point(P, z)
     assert len(line_searches) == P.n_constraints
     # each constraint has one cluster, which starts at psi's grid maximizer
-    reps = [a.realizations(i) for i in range(P.n_constraints)]
+    reps = [w.realizations for w in a.worst_cases]
     assert len(line_searches) == P.n_constraints
     for g, got in zip(P.constraints, reps):
         ref = active_uncertainty(g, z, P.uncertainty)
@@ -144,7 +144,7 @@ def test_realizations_polish_a_cluster_that_starts_elsewhere(line_searches):
     z = np.array([0.0, 0.0])
     a = analyze_point(TWO_ENDS, z)
     before = len(line_searches)
-    reps = a.realizations(0)
+    reps = a.worst_cases[0].realizations
     # psi polished from u = -1; the cluster at u = 1 needs its own polish
     assert len(line_searches) == before + 1
     ref = active_uncertainty(TWO_ENDS.constraints[0], z,

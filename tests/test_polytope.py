@@ -11,7 +11,6 @@ from oracles import brute_contains, hull_distance_lp
 from robustcert.polytope import (
     Polytope,
     PolytopeUnion,
-    convex_hull_of,
     dedup_pieces,
     dedup_rows,
     extreme_points,
