@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Exit codes: 0 — requested checks completed (verdicts live in the report);
-1 — usage or I/O error, or a lattice beyond ``MAX_LATTICE_ROWS`` rows;
+1 — usage or I/O error, an oversized lattice or an unsupported cone;
 2 — internal numerical failure while checking.
 """
 
@@ -183,7 +183,8 @@ def main(argv=None) -> int:
             exact_scalarization=args.exact_scalarization,
             problem_path=args.problem, point_text=point_text,
         )
-    except LatticeTooLarge as exc:  # a lattice no flag sizes on its own
+    # a lattice no flag sizes on its own; a generator cone beyond m = 3
+    except (LatticeTooLarge, NotImplementedError) as exc:
         print(f"robustcert: error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # checks could not complete

@@ -8,6 +8,10 @@ makes the point a scalar minimizer.  The certifiers here check these
 statements exhaustively over a finite decision grid; "certified" therefore
 always means "no counterexample at this resolution", not a continuum proof.
 
+K is its own double dual, so every dominance test reads the smallest margin
+of ``-d`` against K's unit dual rays (``eye(m)`` on the orthant); only rows
+whose margin lies within ``BAND_TOL`` of zero solve the membership LP.
+
 The feasible grid (``grid_context``) depends only on the problem's content
 and the two grid sizes, so each process builds it once per such combination
 and shares it, read-only, with every later efficiency, duality and report
@@ -28,6 +32,7 @@ concepts follow from the supported sufficiency rules.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -42,8 +47,12 @@ from .convexity import TypeClassification
 from .kkt import KktCertificate, VerificationReport
 from .memo import LruMemo, content_key, shared
 
-# strict componentwise improvement must clear this margin
+# strict dominance clears this dual-ray margin; a smaller change is a tie
 DOMINANCE_TOL = 1e-9
+# margins within this of zero go to the membership LP; outside, the sign is
+# its answer: a point it accepts has no margin below -sqrt(m) * MEMBER_TOL,
+# and one with every margin above this lies deeper in K than its rounding
+BAND_TOL = 1e-6
 # interior weight floor for the proper-efficiency scalarization
 PROPER_EPS = 1e-3
 
@@ -129,25 +138,26 @@ def _feasibility_guard(P: Problem, z, concept: str, grid: int,
                             notes=("point is not robust feasible",))
 
 
-def _dominators_orthant(D: np.ndarray, strict: bool) -> np.ndarray:
-    if strict:
-        return np.all(D < -DOMINANCE_TOL, axis=1)
-    return np.all(D <= DOMINANCE_TOL, axis=1) & np.any(
-        D < -DOMINANCE_TOL, axis=1
-    )
+def _products(D: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """``D @ V.T`` one column of D at a time: elementwise, so no BLAS worker
+    thread wakes however many grid rows there are."""
+    S = D[:, :1] * V[:, 0]
+    for j in range(1, D.shape[1]):
+        S = S + D[:, j:j + 1] * V[:, j]
+    return S
 
 
-def _dominators_general(P: Problem, D: np.ndarray, strict: bool) -> np.ndarray:
+def _dominators(P: Problem, D: np.ndarray, strict: bool) -> np.ndarray:
+    """Rows of ``D`` whose ``-d`` lies in K (in its interior when ``strict``),
+    by the smallest dual-ray margin; only band rows solve the membership LP."""
+    # a row-wise np.min over a few columns costs as much as the products
+    low = functools.reduce(np.minimum, _products(D, -P.cone.dual_rays()).T)
     if strict:
-        # cone interior: positive margin against every dual extreme ray
-        rays = P.cone.dual_rays()
-        margins = (-D) @ rays.T
-        return np.all(margins > DOMINANCE_TOL, axis=1)
-    out = np.zeros(len(D), dtype=bool)
-    for r, d in enumerate(D):
-        if np.max(np.abs(d)) <= DOMINANCE_TOL:
-            continue
-        out[r] = P.cone.contains(-d)
+        return low > DOMINANCE_TOL
+    out = low >= BAND_TOL
+    band = np.flatnonzero((low >= -BAND_TOL) & ~out)
+    for r in band[np.max(np.abs(D[band]), axis=1) > DOMINANCE_TOL]:
+        out[r] = P.cone.contains(-D[r])
     return out
 
 
@@ -161,11 +171,7 @@ def first_dominator(P: Problem, values: np.ndarray, strict: bool,
     """
     ctx = grid_context(P, grid, ugrid)
     D = ctx.F - np.asarray(values, dtype=float)[None, :]
-    if P.cone.kind == "orthant":
-        mask = _dominators_orthant(D, strict)
-    else:
-        mask = _dominators_general(P, D, strict)
-    hits = np.flatnonzero(mask)
+    hits = np.flatnonzero(_dominators(P, D, strict))
     return ctx, (int(hits[0]) if len(hits) else None)
 
 
@@ -222,11 +228,7 @@ def _candidate_rows(D: np.ndarray, V: np.ndarray) -> np.ndarray:
     ``argmin_r max_k D_r . v_k`` refutes W alone whenever some single row
     does; each vertex adds its own most negative row.
     """
-    # D @ V.T one column of D at a time: elementwise, so no BLAS worker
-    # thread wakes however many grid rows there are
-    S = D[:, :1] * V[:, 0]
-    for j in range(1, D.shape[1]):
-        S = S + D[:, j:j + 1] * V[:, j]
+    S = _products(D, V)
     return np.unique(np.append(np.argmin(S, axis=0),
                                np.argmin(np.max(S, axis=1))))
 

@@ -16,14 +16,15 @@ The search prunes by weak duality and never changes its answer.  Writing
 alpha_jk = y_j * lambda_jk turns every direction of the simplex into a point
 of one lifted LP per piece selection (min |stationarity sum|_inf with the
 alpha summing to one).  When every lifted optimum exceeds ``SKIP_TOL`` no
-lattice direction can pass, and the direction scan is skipped.  The duals w
-of the lifted LP and of every coarse-scan LP bound the residual of all
-coarse directions at once, r(y) >= sum_j y_j min_{v in dF_j} w.v (cutting
-planes after Kelley, J. SIAM 1960), so the coarse scan solves directions
-lowest bound first and stops when no unsolved direction can reach the best
-residual.  Certificates and the ``best_*`` diagnostics stay defined by the
-lattice: the first passing direction in scan order, and the first strictly
-smallest coarse residual in scan order.
+lattice direction can pass, in either mode (the exact scalarized
+subdifferential lies inside the outer sum), and the scan is skipped.  The
+duals w of the lifted LP and of every coarse-scan LP bound the residual of
+all coarse directions at once, r(y) >= sum_j y_j min_{v in dF_j} w.v
+(cutting planes after Kelley, J. SIAM 1960), so the coarse scan solves
+directions lowest bound first and stops when no unsolved direction can
+reach the best residual.  Certificates and the ``best_*`` diagnostics stay
+defined by the lattice: the first passing direction in scan order, and the
+first strictly smallest coarse residual in scan order.
 
 The direction scan prefilters the lattice in chunks of ``SCAN_CHUNK`` rows.
 Its interval test is linear in the direction, and each chunk lies in a slab
@@ -473,9 +474,7 @@ def find_kkt_certificate(P: Problem, z, y_grid: int = DEFAULT_Y_GRID,
         raise ValueError("mode must be 'outer' or 'exact'")
     a = analyze_point(P, z, grid)
 
-    # the exact-scalarization subdifferential depends on y: that mode keeps
-    # the whole scan, and its coarse scan starts without lifted duals
-    lifted, duals = _lifted_lps(a) if mode == "outer" else (0.0, [])
+    lifted, duals = _lifted_lps(a)
     if lifted <= SKIP_TOL:
         found = _scan(a, y_grid, mode)
         if found is not None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from datetime import datetime, timezone
-from typing import Optional
+from typing import Optional, Tuple
 
 from . import __version__
 from .constraints import (ACTIVE_TOL, FEAS_TOL, GRID_DEFAULT, Problem,
@@ -78,8 +78,10 @@ def cq_section(P: Problem, z, ugrid: int = GRID_DEFAULT) -> dict:
 
 def kkt_section(P: Problem, z, y_grid: int = DEFAULT_Y_GRID,
                 mode: str = "outer", ugrid: int = GRID_DEFAULT,
-                tol: float = RESIDUAL_TOL) -> dict:
-    """The certificate search at z, and ``verify_certificate`` at ``tol``."""
+                tol: float = RESIDUAL_TOL
+                ) -> Tuple[dict, Optional[KktCertificate]]:
+    """The certificate search at z, and ``verify_certificate`` at ``tol``:
+    the section, and the certificate (None when none was found)."""
     out: dict = {"y_grid": int(y_grid), "tol": float(tol), "mode": mode}
     try:
         cert = find_kkt_certificate(P, z, y_grid, mode, ugrid)
@@ -89,12 +91,12 @@ def kkt_section(P: Problem, z, y_grid: int = DEFAULT_Y_GRID,
         out["best_residual"] = float(exc.best_residual)
         out["best_direction"] = (None if exc.best_direction is None
                                  else [float(v) for v in exc.best_direction])
-        return out
+        return out, None
     out["found"] = True
     out["certificate"] = cert.to_jsonable()
     out["verification"] = verify_certificate(P, z, cert, tol,
                                              ugrid).to_jsonable()
-    return out
+    return out, cert
 
 
 def convexity_section(P: Problem, z, samples: int = DEFAULT_SAMPLES,
@@ -200,7 +202,7 @@ def build_report(P: Problem, command: str, z, *, tol: float = RESIDUAL_TOL,
         elif command == "cq":
             report["cq"] = cq_section(P, z, ugrid=ugrid)
         elif command == "kkt":
-            report["kkt"] = kkt_section(P, z, ygrid, mode, ugrid, tol)
+            report["kkt"], _ = kkt_section(P, z, ygrid, mode, ugrid, tol)
         elif command == "efficiency":
             report["efficiency"] = efficiency_section(P, z, grid, ugrid)
         elif command == "convexity":
@@ -209,10 +211,8 @@ def build_report(P: Problem, command: str, z, *, tol: float = RESIDUAL_TOL,
         elif command == "dual":
             cert = None
             if triple is None:
-                kkt = kkt_section(P, z, ygrid, mode, ugrid, tol)
-                if kkt["found"]:
-                    cert = KktCertificate.from_jsonable(kkt["certificate"])
-                report["kkt"] = kkt
+                report["kkt"], cert = kkt_section(P, z, ygrid, mode, ugrid,
+                                                  tol)
             report["duality"] = duality_section(P, z, triple, cert,
                                                 strict_dual, tol, grid, ugrid)
         elif command == "report":
@@ -222,13 +222,9 @@ def build_report(P: Problem, command: str, z, *, tol: float = RESIDUAL_TOL,
             report["feasibility"] = feasibility_section(P, z, tol, ugrid)
             report["subdifferentials"] = subdiff_section(P, z, ugrid)
             report["cq"] = cq_section(P, z, ugrid)
-            report["kkt"] = kkt_section(P, z, ygrid, mode, ugrid, tol)
+            report["kkt"], cert = kkt_section(P, z, ygrid, mode, ugrid, tol)
             report["convexity"] = convexity_section(P, z, samples, seed,
                                                     ugrid=ugrid)
-            cert = None
-            if report["kkt"]["found"]:
-                cert = KktCertificate.from_jsonable(
-                    report["kkt"]["certificate"])
             report["duality"] = duality_section(P, z, triple, cert,
                                                 strict_dual, tol, grid, ugrid)
         else:

@@ -353,3 +353,27 @@ def proper_lp_reference(P, z, grid=101, ugrid=1001):
     return efficiency.EfficiencyReport(
         "proper", True, grid, len(ctx.Z), witness_y=y,
     )
+
+
+def dominators_reference(cone, D, strict):
+    """Rows of ``D`` whose drop ``-d`` lies in the cone (its interior when
+    ``strict``), by the tests the dual-ray margin test replaced.
+
+    The orthant is tested componentwise.  A generator cone's interior is
+    tested by its dual-ray margins, and its plain ordering by one
+    ``ConeSpec.contains`` membership LP per row that is not a tie.
+    """
+    from robustcert.efficiency import DOMINANCE_TOL
+
+    if cone.kind == "orthant":
+        if strict:
+            return np.all(D < -DOMINANCE_TOL, axis=1)
+        return np.all(D <= DOMINANCE_TOL, axis=1) & np.any(
+            D < -DOMINANCE_TOL, axis=1)
+    if strict:
+        return np.all((-D) @ cone.dual_rays().T > DOMINANCE_TOL, axis=1)
+    out = np.zeros(len(D), dtype=bool)
+    for r, d in enumerate(D):
+        if np.max(np.abs(d)) > DOMINANCE_TOL:
+            out[r] = cone.contains(-d)
+    return out

@@ -255,6 +255,30 @@ class TestExitCodes:
         assert err == ("robustcert: error: a lattice of 38,567,100 rows "
                        "exceeds the limit of 10,000,000\n")
 
+    # dual rays are enumerated for generator cones of up to three
+    # objectives; the checks that read them refuse a fourth with the
+    # library's message, and the others run
+    @pytest.mark.parametrize("command,code", [
+        ("check", 0), ("cq", 0), ("kkt --ygrid 3", 0),
+        ("efficiency", 1), ("convexity", 1), ("report --ygrid 3", 1),
+        pytest.param("dual --triple "
+                     '{"y":[-0.5],"y_star":[0.25,0.25,0.25,0.25],"mu":[0]}',
+                     1, id="dual-triple-1"),
+    ])
+    def test_four_objective_generator_cone(self, capsys, tmp_path, command,
+                                           code):
+        path = tmp_path / "four-rays.json"
+        path.write_text(json.dumps(dict(
+            LINE_PROBLEM, objectives=["z1", "-z1", "z1^2", "abs(z1)"],
+            cone={"type": "generators", "rays": np.eye(4).tolist()})))
+        # a robust feasible point, so the certifiers reach the cone
+        assert main(command.split() + ["--problem", str(path),
+                                       "--point", "-0.5"]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else
+                       "robustcert: error: dual rays for generator cones are "
+                       "provided up to dimension 3\n")
+
     def test_non_finite_problem_number_is_usage_error(self, capsys,
                                                       tmp_path):
         # an infinite box bound gives an empty grid, over which every

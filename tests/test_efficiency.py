@@ -6,12 +6,16 @@ import json
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from robustcert import efficiency
-from robustcert.constraints import analyze_point
+from robustcert import constraints, efficiency
+from robustcert.constraints import ConeSpec, analyze_point
 from robustcert.convexity import classify_type
 from robustcert.efficiency import (
     certify_efficient,
@@ -25,13 +29,16 @@ from robustcert.kkt import find_kkt_certificate, verify_certificate
 from robustcert.memo import LruMemo, shared_points
 from robustcert.problem_io import (
     BUNDLED_FIXTURES,
+    fixture_path,
     load_problem,
     problem_from_dict,
 )
 from robustcert.report import build_report, efficiency_section, render_json
 
-from oracles import proper_lp_reference, proper_weights_reference
+from oracles import (dominators_reference, proper_lp_reference,
+                     proper_weights_reference)
 
+DATA = Path(__file__).resolve().parent / "data"
 Z32 = np.array([0.0, 1.0])
 Z22 = np.array([0.0, -2.0])
 
@@ -146,6 +153,110 @@ def test_generator_cone_blocks_componentwise_domination():
     rep = certify_weak(orth, [1.0], grid=11)
     assert not rep.certified
     np.testing.assert_allclose(rep.counterexample, [0.0], atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one dominance test for every cone: dual-ray margins, an LP only in the band
+# ---------------------------------------------------------------------------
+
+DOMINANCE_CONES = {
+    "orthant-2": ConeSpec.orthant(2),
+    "orthant-3": ConeSpec.orthant(3),
+    "two-rays": ConeSpec.from_rays([[1.0, 0.0], [1.0, 1.0]]),
+    "one-ray": ConeSpec.from_rays([[1.0, 2.0]]),
+    "three-rays": ConeSpec.from_rays([[1, 0, 0], [1, 1, 0], [0, 1, 1]]),
+    "four-rays": ConeSpec.from_rays([[1, 0, 0], [0, 1, 0], [1, 0, 1],
+                                     [0, 1, 1]]),
+    "plane": ConeSpec.from_rays([[1, 0, 0], [0, 1, 1]]),
+}
+
+
+def _dominance_rows(cone, rng):
+    """Drops of every kind the margin test must get right, negated into
+    objective changes: anywhere, inside K, exactly on a facet, one
+    ``BAND_TOL`` either side of a facet, and ties."""
+    R = cone.generating_rays()
+    Y = cone.dual_rays()
+    m = cone.dim
+    band = efficiency.BAND_TOL
+    drops = [rng.uniform(-1, 1, (6, m)) * rng.choice([1e-3, 1.0, 10.0],
+                                                     (6, 1)),
+             rng.uniform(0, 1, (4, len(R))) @ R]
+    for _ in range(4):
+        y = Y[rng.integers(len(Y))]
+        facet = R[np.abs(R @ y) <= 1e-12]
+        on = rng.uniform(0.1, 1, len(facet)) @ facet
+        drops.append(np.array([on, on + band * y, on - band * y]))
+    drops.append(rng.uniform(-efficiency.DOMINANCE_TOL,
+                             efficiency.DOMINANCE_TOL, (2, m)))
+    drops.append(np.zeros((1, m)))
+    drops.append(2 * efficiency.DOMINANCE_TOL * R[:1])
+    return -np.vstack(drops)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_dominators_match_the_replaced_tests(seed):
+    rng = np.random.default_rng(seed)
+    for cone in DOMINANCE_CONES.values():
+        P = SimpleNamespace(cone=cone)
+        D = _dominance_rows(cone, rng)
+        for strict in (True, False):
+            for rows in (D, D[:0]):
+                np.testing.assert_array_equal(
+                    efficiency._dominators(P, rows, strict),
+                    dominators_reference(cone, rows, strict))
+
+
+def test_dominance_rows_reach_both_sides_of_the_band():
+    # the rows the property test draws are not all decided by the sign
+    rng = np.random.default_rng(0)
+    for cone in DOMINANCE_CONES.values():
+        D = _dominance_rows(cone, rng)
+        low = np.min(-D @ cone.dual_rays().T, axis=1)
+        assert np.any(np.abs(low) < efficiency.BAND_TOL)
+        assert np.any(low < -efficiency.BAND_TOL)
+
+
+THREE_RAYS = [[1, 0, 0], [1, 1, 0], [0, 1, 1]]
+
+
+@pytest.fixture(scope="module")
+def three_rays():
+    data = json.loads(fixture_path("ex3_2").read_text())
+    data["cone"] = {"type": "generators", "rays": THREE_RAYS}
+    return problem_from_dict(data)
+
+
+def test_generator_cone_solves_few_membership_lps(three_rays, monkeypatch):
+    # one membership LP per feasible grid row before the margin test
+    calls = []
+    min_residual = constraints.lp.min_residual
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return min_residual(*args, **kwargs)
+
+    monkeypatch.setattr(constraints.lp, "min_residual", counting)
+    rep = certify_efficient(three_rays, Z32)
+    assert rep.certified and rep.feasible_points > 7000
+    assert len(calls) <= 5
+
+
+# recorded from the per-row membership LP scan that the margin test
+# replaced, with tests/data/ex3_2_three_rays.json's keys as commands and
+# points; only the generated_at timestamp is left out
+@pytest.mark.parametrize("key", ["efficiency 0,1", "report 0,1",
+                                 "efficiency -1,1", "report -1,1",
+                                 "efficiency 0,-1", "report 0,-1"])
+def test_generator_cone_reports_match_the_recorded_ones(three_rays, key):
+    want = json.loads((DATA / "ex3_2_three_rays.json").read_text())[key]
+    command, point = key.split()
+    got = build_report(three_rays, command,
+                       [float(v) for v in point.split(",")],
+                       problem_path="ex3_2-three-rays", point_text=point)
+    del got["provenance"]["generated_at"]
+    assert render_json(got) == render_json(want)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""Every module of the library and of its tests uses each name it imports.
+"""Every module of the library and of its tests uses each name it imports,
+and everything the library defines at module level is read somewhere.
 
-The repository runs no linter, so this stdlib-``ast`` check stands in for
-one: a name bound by an import statement anywhere in a module must be read
-as a plain name somewhere in that module.
+The repository runs no linter, so these stdlib-``ast`` checks stand in for
+one.  A name bound by an import statement anywhere in a module must be read
+as a plain name somewhere in that module.  A function, class or variable
+defined at the top level of a library module must be read, as a plain name
+or as an attribute, somewhere in ``src/``, ``tests/`` or ``perfbench/``.
 """
 
 import ast
@@ -11,8 +14,10 @@ from pathlib import Path
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(REPO_ROOT / "src" / "robustcert").glob("*.py"),
-                  *(REPO_ROOT / "tests").glob("*.py")])
+LIBRARY = sorted((REPO_ROOT / "src" / "robustcert").glob("*.py"))
+MODULES = sorted([*LIBRARY, *(REPO_ROOT / "tests").glob("*.py")])
+READERS = sorted(path for root in ("src", "tests", "perfbench")
+                 for path in (REPO_ROOT / root).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -41,3 +46,50 @@ def test_unused_imports_are_found():
                          ids=[str(p.relative_to(REPO_ROOT)) for p in MODULES])
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def module_definitions(source: str) -> list:
+    """(line, name) of each function, class and variable defined at the top
+    level of a module."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            out.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            out.extend((node.lineno, n.id) for target in targets
+                       for n in ast.walk(target) if isinstance(n, ast.Name))
+    return out
+
+
+def names_read(source: str) -> set:
+    """Every name a module reads, as a plain name or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(ast.parse(source))
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)}
+
+
+def test_dead_definitions_are_found():
+    source = ("X, (Y, Z) = 1, (2, 3)\nW: int = 4\ndef f(): return g\n"
+              "class C: pass\nasync def g(): pass\nif X: V = 5\n")
+    assert module_definitions(source) == [(1, "X"), (1, "Y"), (1, "Z"),
+                                          (2, "W"), (3, "f"), (4, "C"),
+                                          (5, "g")]
+    read = names_read(source) | names_read("m.C\nm.W = Y\n")
+    assert [name for _, name in module_definitions(source)
+            if name not in read] == ["Z", "W", "f"]
+
+
+@pytest.fixture(scope="module")
+def read_anywhere():
+    return set().union(*(names_read(p.read_text()) for p in READERS))
+
+
+@pytest.mark.parametrize("path", LIBRARY,
+                         ids=[str(p.relative_to(REPO_ROOT)) for p in LIBRARY])
+def test_library_definition_is_read_somewhere(path, read_anywhere):
+    assert [(line, name) for line, name in module_definitions(path.read_text())
+            if name not in read_anywhere] == []

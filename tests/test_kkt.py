@@ -12,6 +12,7 @@ from robustcert import kkt, lp
 from robustcert.constraints import LatticeTooLarge, analyze_point
 from robustcert.efficiency import check_proper_necessary
 from robustcert.kkt import (
+    DEFAULT_Y_GRID,
     KktCertificate,
     NotFoundAtResolution,
     _prefilter,
@@ -320,6 +321,23 @@ def test_pruned_search_matches_unpruned_scan(name, z, y_grid, mode):
         return
     cert = find_kkt_certificate(P, z, y_grid, mode)
     assert json.dumps(cert.to_jsonable()) == json.dumps(ref.to_jsonable())
+
+
+def test_exact_certificates_pass_the_lifted_gate():
+    # exact mode skips its direction scan when the lifted optimum, over the
+    # outer piece sets, exceeds SKIP_TOL: at every exact-mode case here the
+    # scan finds no certificate that the gate would skip
+    cases = [(name, z, y_grid) for name, z, y_grid, mode in PRUNING_CASES
+             if mode == "exact"] + [("ex3_2", list(Z_REF), DEFAULT_Y_GRID)]
+    found = 0
+    for name, z, y_grid in cases:
+        P = (problem_from_dict(UNION_KINK) if name == "union_kink"
+             else load_problem(name))
+        a = analyze_point(P, z)
+        if kkt._scan(a, y_grid, "exact") is not None:
+            found += 1
+            assert kkt._lifted_lps(a)[0] <= kkt.SKIP_TOL, (name, z)
+    assert found
 
 
 @pytest.mark.parametrize("name,z", [

@@ -39,14 +39,15 @@ UNION_KINK = {
     "cone": {"type": "orthant"},
     "box": {"lower": [-2, -2], "upper": [2, 2]},
 }
-# a generated cone: one pointedness LP when loaded, one membership LP per
-# feasible grid row in the dominance scan
+# a generated cone: one pointedness LP when loaded, and one membership LP
+# per feasible grid row below the point, whose drop lies on the cone's
+# boundary ray (1, 2), inside the dominance scan's margin band
 GENERATOR_CONE = {
     "decision_dim": 1, "uncertainty_dim": 1,
     "objectives": ["z1", "2*z1"],
     "constraints": ["z1*u1 - 1"],
     "uncertainty": {"type": "box", "lower": [-1], "upper": [1]},
-    "cone": {"type": "generators", "rays": [[1.0, 0.0], [1.0, 1.0]]},
+    "cone": {"type": "generators", "rays": [[1.0, 0.0], [1.0, 2.0]]},
     "box": {"lower": [0.0], "upper": [1.0]},
 }
 ANCHORS = {"ex2_2": (0.0, -2.0), "ex2_3": (0.0, -2.0),
