@@ -6,9 +6,12 @@ grid it finds the value (polished per axis on a box, exact on a finite set),
 the uncertainty realizations that attain it, and the decision-space limiting
 subdifferentials of the attaining pieces.  ``worst_case_value``,
 ``active_uncertainty``, ``worst_case_subdiff`` and ``constraint_values``
-build the same from scratch, for checks that must not share work.  The
-module also defines ordering cones and the problem container loaded from
-JSON.
+serve the independent checks.  Outside ``memo.shared_points()`` each call
+builds its ``WorstCase`` from scratch; inside a block the checks share one
+per expression, set, point and grid, but never one that a
+``PointAnalysis`` holds, so a check does not read the analysis it checks.
+The module also defines ordering cones and the problem container loaded
+from JSON.
 """
 
 from __future__ import annotations
@@ -225,41 +228,58 @@ class ConeSpec:
         return self.dual_margin(y) >= -MEMBER_TOL
 
     def dual_rays(self) -> np.ndarray:
-        """Generating rays of the dual cone K+ (dimension <= 3 for generators)."""
+        """Unit generators of the dual cone K+ (dimension <= 3 for generators).
+
+        When the rays do not span R^m, K+ is the dual of K within its span
+        plus the span's orthogonal complement, so the generators are the
+        dual rays within the span and both signs of a basis of the
+        complement.
+        """
         if self.kind == "orthant":
             return np.eye(self.dim)
-        m = self.dim
+        if self.dim > 3:
+            raise NotImplementedError(
+                "dual rays for generator cones are provided up to dimension 3"
+            )
         R = self.rays
-        if m == 1:
-            return np.eye(1) if np.all(R > 0) else -np.eye(1)
-        if m == 2:
-            # dual rays of a pointed planar cone are normals of extreme rays
-            candidates = []
-            for i in range(len(R)):
-                n1 = np.array([-R[i, 1], R[i, 0]])
-                for n in (n1, -n1):
-                    if np.all(R @ n >= -1e-9):
-                        candidates.append(n / np.linalg.norm(n))
-            return _dedup_unit(candidates)
-        if m == 3:
-            candidates = []
-            for i, j in itertools.combinations(range(len(R)), 2):
-                n = np.cross(R[i], R[j])
-                norm = np.linalg.norm(n)
-                if norm <= 1e-12:
-                    continue
-                for s in (n / norm, -n / norm):
-                    if np.all(R @ s >= -1e-9):
-                        candidates.append(s)
-            return _dedup_unit(candidates)
-        raise NotImplementedError(
-            "dual rays for generator cones are provided up to dimension 3"
-        )
+        rank = np.linalg.matrix_rank(R)
+        if rank == self.dim:
+            return _dedup_unit(_spanning_dual_rays(R))
+        basis = np.linalg.svd(R)[2]
+        span, rest = basis[:rank], basis[rank:]
+        return _dedup_unit([v @ span for v in _spanning_dual_rays(R @ span.T)]
+                           + [*rest, *-rest])
 
     def to_jsonable(self) -> dict:
         if self.kind == "orthant":
             return {"type": "orthant"}
         return {"type": "generators", "rays": [[float(v) for v in r] for r in self.rays]}
+
+
+def _spanning_dual_rays(R: np.ndarray) -> List[np.ndarray]:
+    """Unit dual rays, possibly repeated, of the pointed cone that the rows
+    of R generate, when they span R^m (m <= 3)."""
+    m = R.shape[1]
+    if m == 1:
+        return [np.ones(1) if np.all(R > 0) else -np.ones(1)]
+    candidates = []
+    if m == 2:
+        # dual rays of a pointed planar cone are normals of extreme rays
+        for i in range(len(R)):
+            n1 = np.array([-R[i, 1], R[i, 0]])
+            for n in (n1, -n1):
+                if np.all(R @ n >= -1e-9):
+                    candidates.append(n / np.linalg.norm(n))
+        return candidates
+    for i, j in itertools.combinations(range(len(R)), 2):
+        n = np.cross(R[i], R[j])
+        norm = np.linalg.norm(n)
+        if norm <= 1e-12:
+            continue
+        for s in (n / norm, -n / norm):
+            if np.all(R @ s >= -1e-9):
+                candidates.append(s)
+    return candidates
 
 
 def _dedup_unit(vectors: Sequence[np.ndarray]) -> np.ndarray:
@@ -418,6 +438,33 @@ class AttainingRealization:
     upper: np.ndarray
 
 
+def grid_clusters(mask: np.ndarray, shape: Sequence[int]) -> List[np.ndarray]:
+    """The 8-connected components of ``mask`` on the row-major index lattice
+    of ``shape``: sorted flat indices, ordered by their first member.
+
+    Axes of length one (a zero-width box axis keeps one point) are dropped.
+    On one remaining axis a component is a run of consecutive indices; on
+    more, ``scipy.ndimage.label`` with a 3^k structure labels them.  Either
+    way the work is linear in the lattice.
+    """
+    cand = np.flatnonzero(mask)
+    if not len(cand):
+        return []
+    axes = [n for n in shape if n > 1]
+    if len(axes) <= 1:
+        return np.split(cand, np.flatnonzero(np.diff(cand) > 1) + 1)
+    # imported here: only p >= 2 needs it, and it is slow to import
+    from scipy import ndimage
+
+    labels = ndimage.label(np.reshape(mask, axes),
+                           np.ones((3,) * len(axes)))[0].ravel()[cand]
+    order = np.argsort(labels, kind="stable")
+    clusters = np.split(cand[order],
+                        np.flatnonzero(np.diff(labels[order])) + 1)
+    clusters.sort(key=lambda c: c[0])
+    return clusters
+
+
 class WorstCase:
     """max over u in U of e(z, u): one expression's worst case at one point.
 
@@ -458,44 +505,32 @@ class WorstCase:
 
     @cached_property
     def realizations(self) -> List[AttainingRealization]:
-        """Clustered realizations within ``ACTIVE_TOL`` of the grid maximum."""
+        """Clustered realizations within ``ACTIVE_TOL`` of the grid maximum.
+
+        On a box the candidates cluster by ``grid_clusters`` (neighbours on
+        U's index lattice, diagonals included); each cluster is polished
+        from its first maximum in row-major order.
+        """
         if self.U.dim == 0:
             zero = np.zeros(0)
             return [AttainingRealization(zero, self.value, 0.0, zero, zero)]
         U, pts, vals = self.U, self.pts, self.vals
         vmax = float(np.max(vals))
-        cand = np.flatnonzero(vals >= vmax - ACTIVE_TOL)
-
         if U.kind == "finite":
             reps = [
                 AttainingRealization(pts[i], float(vals[i]), 0.0, pts[i], pts[i])
-                for i in cand
+                for i in np.flatnonzero(vals >= vmax - ACTIVE_TOL)
             ]
             reps.sort(key=lambda r: tuple(r.point))
             return reps
 
-        # cluster grid candidates by adjacency (within 1.5 grid steps) and
-        # polish each cluster from its best grid point
-        steps = np.where(U.upper > U.lower,
-                         (U.upper - U.lower) / (self.grid - 1), 1.0)
-        cand_pts = pts[cand]
-        assigned = np.zeros(len(cand), dtype=bool)
+        shape = [1 if lo == hi else self.grid
+                 for lo, hi in zip(U.lower, U.upper)]
         reps = []
-        for i in range(len(cand)):
-            if assigned[i]:
-                continue
-            assigned[i] = True
-            members, queue = [i], [i]
-            while queue:
-                a = queue.pop()
-                dist = np.max(np.abs(cand_pts - cand_pts[a]) / steps, axis=1)
-                near = np.flatnonzero(~assigned & (dist <= 1.5))
-                assigned[near] = True
-                members.extend(near.tolist())
-                queue.extend(near.tolist())
-            cluster_pts = cand_pts[members]
-            best_local = int(np.argmax(vals[cand[members]]))
-            u_ref, v_ref = self._polish(cluster_pts[best_local])
+        for members in grid_clusters(vals >= vmax - ACTIVE_TOL, shape):
+            cluster_pts = pts[members]
+            u_ref, v_ref = self._polish(
+                cluster_pts[int(np.argmax(vals[members]))])
             lower = np.minimum(cluster_pts.min(axis=0), u_ref)
             upper = np.maximum(cluster_pts.max(axis=0), u_ref)
             extent = float(np.max(np.linalg.norm(cluster_pts - u_ref, axis=1),
@@ -527,10 +562,22 @@ class WorstCase:
         return self.subdiff.hull()
 
 
+def _worst_case(e: Expr, z, U: UncertaintySet, grid: int) -> WorstCase:
+    """``WorstCase(e, z, U, grid)``, one per (e, U, z, grid) inside
+    ``memo.shared_points()`` and a new one at every call outside it.
+
+    The ``WorstCase`` holds ``U``, so U's id cannot pass to another set
+    while the block keeps it.
+    """
+    z = np.asarray(z, dtype=float)
+    return shared("worst_case", e, (id(U), z.tobytes(), grid),
+                  lambda: WorstCase(e, z, U, grid))
+
+
 def worst_case_value(e: Expr, z, U: UncertaintySet,
                      grid: int = GRID_DEFAULT) -> float:
     """max over u in U of e(z, u): ``WorstCase(e, z, U, grid).value``."""
-    return WorstCase(e, z, U, grid).value
+    return _worst_case(e, z, U, grid).value
 
 
 # keep the conventional short name used throughout the robust-optimization API
@@ -540,7 +587,7 @@ psi = worst_case_value
 def active_uncertainty(e: Expr, z, U: UncertaintySet,
                        grid: int = GRID_DEFAULT) -> List[AttainingRealization]:
     """Realizations attaining the worst case: ``WorstCase.realizations``."""
-    return WorstCase(e, z, U, grid).realizations
+    return _worst_case(e, z, U, grid).realizations
 
 
 def worst_case_subdiff(e: Expr, z, U: UncertaintySet,

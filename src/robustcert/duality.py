@@ -94,8 +94,10 @@ class DualFeasibilityReport:
 def is_dual_feasible(P: Problem, triple: DualTriple, mode: str = "default",
                      tol: float = RESIDUAL_TOL,
                      grid: int = GRID_DEFAULT) -> DualFeasibilityReport:
-    """A triple's stationarity, sign and cone checks, computed from scratch
-    (inside ``memo.shared_points()``, once per problem, triple and options)."""
+    """A triple's stationarity, sign and cone checks, computed without the
+    point analysis.  Inside ``memo.shared_points()`` the report is built
+    once per problem, triple and options, and its stationarity distance
+    and worst cases are the ones the other checks share."""
     if mode not in ("default", "strict"):
         raise ValueError("mode must be 'default' or 'strict'")
     key = tuple(np.asarray(v, dtype=float).tobytes() for v in

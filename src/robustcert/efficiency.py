@@ -10,7 +10,8 @@ always means "no counterexample at this resolution", not a continuum proof.
 
 K is its own double dual, so every dominance test reads the smallest margin
 of ``-d`` against K's unit dual rays (``eye(m)`` on the orthant); only rows
-whose margin lies within ``BAND_TOL`` of zero solve the membership LP.
+whose margin lies within ``BAND_TOL`` of zero solve the membership LP, and
+the scan stops at the first dominating row.
 
 The feasible grid (``grid_context``) depends only on the problem's content
 and the two grid sizes, so each process builds it once per such combination
@@ -35,7 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 # passed to lp.solve, so a wrapper installed on this binding sees every LP
@@ -147,17 +148,27 @@ def _products(D: np.ndarray, V: np.ndarray) -> np.ndarray:
     return S
 
 
-def _dominators(P: Problem, D: np.ndarray, strict: bool) -> np.ndarray:
+def _dominating_rows(P: Problem, D: np.ndarray, strict: bool
+                     ) -> Iterator[int]:
     """Rows of ``D`` whose ``-d`` lies in K (in its interior when ``strict``),
-    by the smallest dual-ray margin; only band rows solve the membership LP."""
+    in index order, by the smallest dual-ray margin.  Only band rows solve
+    the membership LP, each when the scan reaches it."""
     # a row-wise np.min over a few columns costs as much as the products
     low = functools.reduce(np.minimum, _products(D, -P.cone.dual_rays()).T)
     if strict:
-        return low > DOMINANCE_TOL
-    out = low >= BAND_TOL
-    band = np.flatnonzero((low >= -BAND_TOL) & ~out)
-    for r in band[np.max(np.abs(D[band]), axis=1) > DOMINANCE_TOL]:
-        out[r] = P.cone.contains(-D[r])
+        yield from map(int, np.flatnonzero(low > DOMINANCE_TOL))
+        return
+    for r in map(int, np.flatnonzero(low >= -BAND_TOL)):
+        # a band row that is not a tie asks the membership LP
+        if low[r] >= BAND_TOL or (np.max(np.abs(D[r])) > DOMINANCE_TOL
+                                  and P.cone.contains(-D[r])):
+            yield r
+
+
+def _dominators(P: Problem, D: np.ndarray, strict: bool) -> np.ndarray:
+    """The mask of every row ``_dominating_rows`` yields."""
+    out = np.zeros(len(D), dtype=bool)
+    out[list(_dominating_rows(P, D, strict))] = True
     return out
 
 
@@ -168,11 +179,11 @@ def first_dominator(P: Problem, values: np.ndarray, strict: bool,
 
     ``strict`` asks for cone-interior domination; otherwise domination in
     the cone ordering without a tie.  The row is None when there is none.
+    The scan stops at that row, so no later row solves a membership LP.
     """
     ctx = grid_context(P, grid, ugrid)
     D = ctx.F - np.asarray(values, dtype=float)[None, :]
-    hits = np.flatnonzero(_dominators(P, D, strict))
-    return ctx, (int(hits[0]) if len(hits) else None)
+    return ctx, next(_dominating_rows(P, D, strict), None)
 
 
 def _dominance_report(P: Problem, z, concept: str, strict: bool, grid: int,

@@ -58,7 +58,7 @@ from .constraints import (
     worst_case_subdiff,
 )
 from .expr import Point, evaluate
-from .memo import LruMemo
+from .memo import LruMemo, shared
 from .polytope import Polytope, PolytopeUnion, convex_hull_of
 from .subdiff import UnsupportedComposition, limiting_subdiff, scalarized_subdiff
 
@@ -438,8 +438,18 @@ def stationarity_distance(P: Problem, z, y, mu, grid: int,
     Recomputes every subdifferential (no ``PointAnalysis``): the hull of the
     worst-case subdifferential of each constraint with a nonzero multiplier,
     and either each objective's limiting subdifferential or, when ``exact``,
-    the scalarized subdifferential of the y-weighted objectives.
+    the scalarized subdifferential of the y-weighted objectives.  Inside
+    ``memo.shared_points()`` one distance per (P, z, y, mu, grid, exact)
+    serves every check: a certificate's verification and its triple's dual
+    feasibility ask for the same one.
     """
+    key = tuple(np.asarray(v, dtype=float).tobytes() for v in (z, y, mu))
+    return shared("stationarity", P, (key, grid, bool(exact)),
+                  lambda: _stationarity_distance(P, z, y, mu, grid, exact))
+
+
+def _stationarity_distance(P: Problem, z, y, mu, grid: int,
+                           exact: bool) -> float:
     pt = Point.of(z)
     hulls = {
         i: worst_case_subdiff(P.constraints[i], z, P.uncertainty, grid).hull()

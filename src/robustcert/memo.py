@@ -8,7 +8,8 @@ repeated calls in one process share one copy.  Shared arrays are made
 read-only by the functions that build them.
 
 Point data (the ``PointAnalysis``, the efficiency guard, a triple's dual
-feasibility) is shared only inside one ``shared_points()`` block.
+feasibility, the checks' worst cases and stationarity distances) is shared
+only inside one ``shared_points()`` block.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class LruMemo:
         return len(self._entries)
 
 
-# inside ``shared_points()``: (kind, problem id, key) -> (problem, value)
+# inside ``shared_points()``: (kind, owner id, key) -> (owner, value)
 _points: ContextVar[Optional[dict]] = ContextVar("_points", default=None)
 
 
@@ -101,17 +102,19 @@ def shared_points():
         _points.reset(token)
 
 
-def shared(kind: str, P: Problem, key: Hashable, build: Callable[[], V]) -> V:
-    """``build()``, once per (kind, problem object, key) in a block.
+def shared(kind: str, owner: object, key: Hashable,
+           build: Callable[[], V]) -> V:
+    """``build()``, once per (kind, owner object, key) in a block.
 
-    The block holds on to ``P``, so its id cannot pass to a later problem;
-    a problem must not be changed in place inside it.  Outside a block
-    every call builds afresh.
+    The owner is the problem, or the expression, the value is computed for.
+    The block holds on to it, so its id cannot pass to a later object; an
+    owner must not be changed in place inside it.  Outside a block every
+    call builds afresh.
     """
     entries = _points.get()
     if entries is None:
         return build()
-    full = (kind, id(P), key)
+    full = (kind, id(owner), key)
     if full not in entries:
-        entries[full] = (P, build())
+        entries[full] = (owner, build())
     return entries[full][1]

@@ -377,3 +377,31 @@ def dominators_reference(cone, D, strict):
         if np.max(np.abs(d)) > DOMINANCE_TOL:
             out[r] = cone.contains(-d)
     return out
+
+
+def breadth_first_clusters(cand_pts, steps):
+    """Clusters of the grid points ``cand_pts`` by the breadth-first search
+    that ``grid_clusters``'s index labelling replaced.
+
+    Two points are adjacent within 1.5 grid steps in every coordinate.
+    Each cluster is a list of row indices of ``cand_pts`` in the order the
+    search reached them, starting from its first row; clusters come in the
+    order of their first row.  Quadratic in the number of points.
+    """
+    cand_pts = np.asarray(cand_pts, dtype=float)
+    assigned = np.zeros(len(cand_pts), dtype=bool)
+    clusters = []
+    for i in range(len(cand_pts)):
+        if assigned[i]:
+            continue
+        assigned[i] = True
+        members, queue = [i], [i]
+        while queue:
+            a = queue.pop()
+            dist = np.max(np.abs(cand_pts - cand_pts[a]) / steps, axis=1)
+            near = np.flatnonzero(~assigned & (dist <= 1.5))
+            assigned[near] = True
+            members.extend(near.tolist())
+            queue.extend(near.tolist())
+        clusters.append(members)
+    return clusters

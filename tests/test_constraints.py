@@ -342,6 +342,52 @@ def test_generator_dual_rays_3d_orthant():
     )
 
 
+# generator cones at m = 2 and 3: full rank, and rank 1 and 2 (rays that do
+# not span R^m, where K+ also holds the span's orthogonal complement)
+DUAL_RAY_CONES = {
+    "m2-rank2": [[1, 0], [1, 1]],
+    "m2-rank1": [[1, 2]],
+    "m3-rank3": [[1, 0, 0], [1, 1, 0], [0, 1, 1]],
+    "m3-rank2-plane": [[1, 0, 0], [0, 1, 1]],
+    "m3-rank2-three": [[1, 0, 0], [1, 1, 0], [2, 1, 0]],
+    "m3-rank1": [[1, 1, 1], [2, 2, 2]],
+}
+
+
+def test_dual_rays_of_a_plane_cone_include_its_in_plane_duals():
+    # K generated by (1,0,0), (0,1,1): (1,0,0) and (0,1,1)/sqrt(2) are dual
+    # within the plane, and the plane's normal enters with both signs
+    rays = ConeSpec.from_rays([[1, 0, 0], [0, 1, 1]]).dual_rays()
+    h = round(1 / np.sqrt(2), 9)
+    assert sorted(map(tuple, np.round(rays, 9) + 0.0)) == \
+        [(0, -h, h), (0, h, -h), (0, h, h), (1, 0, 0)]
+
+
+@pytest.mark.parametrize("rays", DUAL_RAY_CONES.values(),
+                         ids=DUAL_RAY_CONES.keys())
+def test_dual_rays_are_unit_members_of_the_dual_cone(rays):
+    K = ConeSpec.from_rays(rays)
+    D = K.dual_rays()
+    assert np.all(K.rays @ D.T >= -1e-9)
+    np.testing.assert_allclose(np.linalg.norm(D, axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rays", DUAL_RAY_CONES.values(),
+                         ids=DUAL_RAY_CONES.keys())
+def test_dual_rays_generate_the_dual_cone(rays):
+    from scipy.optimize import nnls
+
+    K = ConeSpec.from_rays(rays)
+    D = K.dual_rays()
+    rng = np.random.default_rng(7)
+    Y = rng.normal(size=(400, K.dim))
+    members = Y[np.all(K.rays @ Y.T >= 0, axis=0)]
+    assert len(members) >= 20
+    for y in members:
+        weights, residual = nnls(D.T, y)
+        assert residual <= 1e-9, y
+
+
 # ---------------------------------------------------------------------------
 # problem loading
 # ---------------------------------------------------------------------------

@@ -243,6 +243,27 @@ def test_generator_cone_solves_few_membership_lps(three_rays, monkeypatch):
     assert len(calls) <= 5
 
 
+def test_dominance_scan_stops_at_the_first_dominator(monkeypatch):
+    # every feasible grid row below z = 0.5 lies in the margin band; the
+    # first, z = 0, already dominates, so the scan solves one membership LP
+    # where the full mask solved five
+    from test_lp import GENERATOR_CONE
+
+    P = problem_from_dict(GENERATOR_CONE)
+    calls = []
+    min_residual = constraints.lp.min_residual
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return min_residual(*args, **kwargs)
+
+    monkeypatch.setattr(constraints.lp, "min_residual", counting)
+    rep = certify_efficient(P, [0.5], grid=11)
+    assert not rep.certified
+    assert rep.counterexample.tolist() == [0.0]
+    assert len(calls) == 1
+
+
 # recorded from the per-row membership LP scan that the margin test
 # replaced, with tests/data/ex3_2_three_rays.json's keys as commands and
 # points; only the generated_at timestamp is left out

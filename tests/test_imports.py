@@ -1,5 +1,6 @@
 """Every module of the library and of its tests uses each name it imports,
-and everything the library defines at module level is read somewhere.
+and everything the library defines at module level is read somewhere.  The
+CLI's one-variable uncertainty path never imports ``scipy.ndimage``.
 
 The repository runs no linter, so these stdlib-``ast`` checks stand in for
 one.  A name bound by an import statement anywhere in a module must be read
@@ -9,6 +10,9 @@ or as an attribute, somewhere in ``src/``, ``tests/`` or ``perfbench/``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,3 +97,24 @@ def read_anywhere():
 def test_library_definition_is_read_somewhere(path, read_anywhere):
     assert [(line, name) for line, name in module_definitions(path.read_text())
             if name not in read_anywhere] == []
+
+
+def test_cli_at_one_uncertainty_variable_never_imports_ndimage():
+    # the worst-case clustering imports scipy.ndimage only for p >= 2; the
+    # bundled fixtures have p = 1, so check and report never pay its import
+    script = (
+        "import contextlib, io, sys\n"
+        "from robustcert.cli import main\n"
+        "for command in ('check', 'report'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main([command, '--problem', 'ex3_2', '--point',\n"
+        "                     '0,1', '--json']) == 0\n"
+        "print('scipy.ndimage' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

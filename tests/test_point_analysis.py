@@ -3,10 +3,10 @@
 The call counts below pin the sharing: a ``report`` runs in one
 ``memo.shared_points()`` block, so it builds one ``PointAnalysis``, sweeps
 each constraint's uncertainty grid once for all sections in the analysis's
-``WorstCase`` (plus the independent recomputations of ``verify_certificate``
-and ``is_dual_feasible``), runs the efficiency guard and the dual feasibility
-check once, and builds the feasible decision grid once; outside a block every
-call computes afresh.  The convexity scan evaluates each constraint once per
+``WorstCase`` (plus once for the independent checks, which share their own
+worst cases and stationarity distance), runs the efficiency guard and the
+dual feasibility check once, and builds the feasible decision grid once;
+outside a block every call computes afresh.  The convexity scan evaluates each constraint once per
 sample chunk, and not again while the chunk is memoized.
 """
 
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import robustcert
-from robustcert import constraints, convexity, duality, efficiency
+from robustcert import constraints, convexity, duality, efficiency, kkt
 from robustcert.constraints import (
     PointAnalysis,
     WorstCase,
@@ -50,6 +50,8 @@ COUNTED = (
     (constraints, "worst_case_values_batch"),
     (efficiency, "_build_grid_context"),
     (duality, "_dual_feasibility"),
+    (kkt, "_stationarity_distance"),
+    (kkt, "_stationarity_union"),
 )
 
 
@@ -98,7 +100,7 @@ def test_report_checks_dual_feasibility_once(calls):
     assert calls["_dual_feasibility"] == 1
 
 
-@pytest.mark.parametrize("name, sweeps, duals", [("ex3_2", 7, 1),
+@pytest.mark.parametrize("name, sweeps, duals", [("ex3_2", 4, 1),
                                                  ("ex2_2", 2, 0)])
 def test_warm_report_shares_one_scope(calls, name, sweeps, duals):
     P = load_problem(name)
@@ -108,14 +110,69 @@ def test_warm_report_shares_one_scope(calls, name, sweeps, duals):
     report = build_report(P, "report", z)
     assert report["kkt"]["found"] == bool(duals)
     assert calls["PointAnalysis"] == 1
-    # the analysis's sweep per constraint, and at ex3_2, whose certificate
-    # has one positive multiplier, verify_certificate's three and
-    # is_dual_feasible's two from-scratch sweeps
+    # the analysis's sweep per constraint, and at ex3_2, which has a
+    # certificate, one more per constraint for the checks: verify_certificate
+    # and is_dual_feasible share their worst cases and stationarity distance
+    # with each other, never with the analysis
     assert calls["grid_sweep"] == sweeps
     # the one-row efficiency guard at z, shared by the efficiency section
     # and the converse duality check
     assert calls["worst_case_values_batch"] == P.n_constraints
     assert calls["_dual_feasibility"] == duals
+
+
+def test_checks_build_one_stationarity_union_per_report(calls):
+    P = load_problem("ex3_2")
+    report = build_report(P, "report", ANCHORS["ex3_2"])
+    assert report["kkt"]["found"]
+    assert report["kkt"]["verification"]["stationarity_distance"] == \
+        report["duality"]["feasibility"]["stationarity_distance"]
+    # verify_certificate and is_dual_feasible ask for the distance at the
+    # same triple and share it; the search's own residual, read from the
+    # analysis, builds the other union
+    assert calls["_stationarity_distance"] == 1
+    assert calls["_stationarity_union"] == 2
+
+
+def test_worst_cases_are_shared_only_inside_a_block(calls):
+    P = load_problem("ex3_2")
+    g, z, U = P.constraints[0], ANCHORS["ex3_2"], P.uncertainty
+    assert constraints.worst_case_value(g, z, U) == \
+        constraints.worst_case_value(g, z, U)
+    assert calls["grid_sweep"] == 2
+    calls.clear()
+    with shared_points():
+        value = constraints.worst_case_value(g, z, U)
+        assert constraints.active_uncertainty(g, z, U)[0].value == value
+        constraints.worst_case_subdiff(g, z, U)
+        # another grid is another worst case
+        constraints.worst_case_value(g, z, U, 101)
+    assert calls["grid_sweep"] == 2
+
+
+def test_no_check_reads_a_worst_case_of_the_analysis(monkeypatch):
+    held, handed = [], []
+    init = PointAnalysis.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        held.extend(self.worst_cases)
+
+    worst_case = constraints._worst_case
+
+    def recording(*args, **kwargs):
+        w = worst_case(*args, **kwargs)
+        handed.append(w)
+        return w
+
+    monkeypatch.setattr(PointAnalysis, "__init__", recording_init)
+    monkeypatch.setattr(constraints, "_worst_case", recording)
+    P = load_problem("ex3_2")
+    assert build_report(P, "report", ANCHORS["ex3_2"])["kkt"]["found"]
+    assert len(held) == P.n_constraints
+    # the checks share one worst case per constraint among themselves
+    assert len({id(w) for w in handed}) == P.n_constraints < len(handed)
+    assert not any(w is h for w in handed for h in held)
 
 
 def test_every_call_outside_a_block_computes_afresh(calls):
