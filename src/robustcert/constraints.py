@@ -17,6 +17,7 @@ from JSON.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -26,8 +27,8 @@ import numpy as np
 from scipy.optimize import linprog, minimize_scalar
 
 from . import lp
-from .expr import Expr, Point, eval_broadcast, evaluate
-from .memo import shared
+from .expr import BufferPool, Expr, Point, eval_broadcast, evaluate
+from .memo import LruMemo, shared
 from .polytope import (Polytope, PolytopeUnion, convex_hull_of, dedup_pieces,
                        dedup_rows)
 from .subdiff import limiting_subdiff
@@ -40,9 +41,13 @@ ACTIVE_TOL = 1e-6
 REFINE_XATOL = 1e-10
 # attaining clusters wider than this are treated as plateaus (outer estimate)
 EXTENT_TOL = 1e-6
-# array elements (decision rows x uncertainty points) per chunk in batch
-# mode: 2000 rows against a 1001-point axis, one row against a 1001^2 grid
-CHUNK_ELEMENTS = 2000 * 1001
+# array elements (decision rows x uncertainty points) per block of a sweep
+# (512 KiB of float64): 65 rows against a 1001-point axis, one row against
+# a span of a 1001^2 grid
+CHUNK_ELEMENTS = 2**16
+# U lattices kept per process, per box and grid; one is 16 MiB at p = 2
+# and grid 1001
+LATTICE_ENTRIES = 4
 # default slack for robust feasibility
 FEAS_TOL = 1e-9
 # slack of membership in the uncertainty set, the cone and its dual
@@ -76,10 +81,14 @@ def box_lattice(lower, upper, n: int) -> np.ndarray:
     check_lattice_rows(box_lattice_rows(lower, upper, n))
     axes = [np.linspace(lo, hi, 1 if lo == hi else n)
             for lo, hi in zip(lower, upper)]
-    if not axes:
-        return np.zeros((1, 0))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    shape = [len(a) for a in axes]
+    out = np.empty((math.prod(shape), len(axes)))
+    # each axis is written straight into its column, with no mesh copies
+    grid = out.reshape(*shape, len(axes))
+    for j, axis in enumerate(axes):
+        grid[..., j] = axis.reshape([-1 if k == j else 1
+                                     for k in range(len(axes))])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -87,14 +96,35 @@ def box_lattice(lower, upper, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _freeze_arrays(obj, names: Sequence[str]) -> None:
+    """Replace the named array fields of a frozen dataclass by read-only
+    float copies, so nothing keyed on their content can go stale."""
+    for name in names:
+        if getattr(obj, name) is not None:
+            object.__setattr__(obj, name, _read_only(
+                np.array(getattr(obj, name), dtype=float)))
+
+
+_lattices = LruMemo(LATTICE_ENTRIES)
+
+
+@dataclass(frozen=True, eq=False)
 class UncertaintySet:
-    """Box (bounds) or finite (explicit points) uncertainty set."""
+    """Box (bounds) or finite (explicit points) uncertainty set; immutable,
+    with read-only arrays."""
 
     kind: str
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
     points: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        _freeze_arrays(self, ("lower", "upper", "points"))
 
     @staticmethod
     def box(lower, upper) -> "UncertaintySet":
@@ -127,13 +157,17 @@ class UncertaintySet:
         return self.points.shape[1]
 
     def grid_points(self, n: int = GRID_DEFAULT) -> np.ndarray:
-        """(M, p) array of evaluation points; a finite set ignores ``n``."""
+        """(M, p) read-only array of evaluation points; a finite set ignores
+        ``n``.  A box's lattice is built once per process per bounds and
+        ``n`` (the last ``LATTICE_ENTRIES`` are kept) and shared."""
         if self.kind == "finite":
             return self.points
         if n < 2:
             raise ValueError(f"a box uncertainty grid needs at least 2 "
                              f"points per axis, got {n}")
-        return box_lattice(self.lower, self.upper, n)
+        key = (self.lower.tobytes(), self.upper.tobytes(), n)
+        return _lattices.get(key, lambda: _read_only(
+            box_lattice(self.lower, self.upper, n)))
 
     def contains(self, u) -> bool:
         u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -293,8 +327,12 @@ def _dedup_unit(vectors: Sequence[np.ndarray]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Problem:
+    """An uncertain multiobjective program; immutable, with read-only
+    arrays (``dataclasses.replace`` makes a changed copy), so values
+    memoized on its content cannot go stale."""
+
     decision_dim: int
     uncertainty_dim: int
     objectives: Tuple[Expr, ...]
@@ -306,6 +344,9 @@ class Problem:
     label: str = ""
     objective_sources: Tuple[str, ...] = ()
     constraint_sources: Tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        _freeze_arrays(self, ("box_lower", "box_upper"))
 
     @property
     def n_objectives(self) -> int:
@@ -376,18 +417,29 @@ def _refine_box_max(e: Expr, z, u0: np.ndarray,
     return np.array(u), best
 
 
+def _spans(n: int, size: int):
+    """``(start, stop)`` of consecutive blocks of at most ``size`` of ``n``."""
+    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+
 def grid_sweep(e: Expr, z, U: UncertaintySet,
                grid: int = GRID_DEFAULT) -> Tuple[np.ndarray, np.ndarray]:
     """U's grid points and ``e(z, u)`` at each of them, for one decision point.
 
-    The decision coordinates enter as 0-d columns broadcast against the
-    uncertainty columns, so the values are one ``(M,)`` array.
+    The decision coordinates enter as 0-d columns broadcast against blocks
+    of at most ``CHUNK_ELEMENTS`` uncertainty points, whose values are
+    written into one ``(M,)`` array.
     """
     z = np.asarray(z, dtype=float)
     pts = U.grid_points(grid)
     cols_z = [np.asarray(z[j]) for j in range(len(z))]
-    cols_u = [pts[:, k] for k in range(U.dim)]
-    vals = np.broadcast_to(eval_broadcast(e, cols_z, cols_u), (len(pts),))
+    vals = np.empty(len(pts))
+    pool = BufferPool()
+    for lo, hi in _spans(len(pts), CHUNK_ELEMENTS):
+        cols_u = [pts[lo:hi, k] for k in range(U.dim)]
+        block = eval_broadcast(e, cols_z, cols_u, pool)
+        vals[lo:hi] = block
+        pool.release(block)
     return pts, vals
 
 
@@ -395,22 +447,25 @@ def worst_case_values_batch(e: Expr, Z: np.ndarray, U: UncertaintySet,
                             grid: int = GRID_DEFAULT) -> np.ndarray:
     """Grid maxima of ``e(z, u)`` over U for every row z of Z, without polish.
 
-    The rows are swept in chunks of as many rows as fit ``CHUNK_ELEMENTS``
-    array elements against U's grid (at least one row), so a chunk's arrays
-    stay near 16 MB whatever the grid; the chunk size changes no value.
+    The sweep runs in blocks of at most ``CHUNK_ELEMENTS`` array elements
+    (rows x uncertainty points): as many rows as fit against U's whole
+    grid, or one row against a span of the grid when one row alone is too
+    many.  Each row keeps a running maximum over its spans, so the block
+    size changes no value.
     """
     Z = np.asarray(Z, dtype=float)
     pts = U.grid_points(grid)
-    chunk = max(1, CHUNK_ELEMENTS // len(pts))
-    cols_u = [pts[:, k][None, :] for k in range(U.dim)]
-    out = np.empty(len(Z))
-    for start in range(0, len(Z), chunk):
-        rows = Z[start:start + chunk]
-        cols_z = [rows[:, j][:, None] for j in range(Z.shape[1])]
-        # unnamed, so one chunk's values are freed before the next is built
-        out[start:start + chunk] = np.broadcast_to(
-            eval_broadcast(e, cols_z, cols_u), (len(rows), len(pts))
-        ).max(axis=1)
+    width = min(len(pts), CHUNK_ELEMENTS)
+    out = np.full(len(Z), -np.inf)
+    pool = BufferPool()
+    for lo, hi in _spans(len(Z), max(1, CHUNK_ELEMENTS // width)):
+        cols_z = [Z[lo:hi, j][:, None] for j in range(Z.shape[1])]
+        for ulo, uhi in _spans(len(pts), width):
+            cols_u = [pts[ulo:uhi, k][None, :] for k in range(U.dim)]
+            block = eval_broadcast(e, cols_z, cols_u, pool)
+            np.maximum(out[lo:hi], np.broadcast_to(
+                block, (hi - lo, uhi - ulo)).max(axis=1), out=out[lo:hi])
+            pool.release(block)
     return out
 
 

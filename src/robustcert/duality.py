@@ -32,6 +32,7 @@ from .constraints import (
     GRID_DEFAULT,
     Problem,
     ProblemFormatError,
+    _worst_case,
     analyze_point,
     grid_sweep,
     worst_case_value,
@@ -121,10 +122,14 @@ def _dual_feasibility(P: Problem, triple: DualTriple, mode: str, tol: float,
         if mu[i] <= MU_ZERO_TOL:
             sign_values.append(0.0)
             continue
+        g, U = P.constraints[i], P.uncertainty
         if mode == "default":
-            value = worst_case_value(P.constraints[i], w, P.uncertainty, grid)
+            value = worst_case_value(g, w, U, grid)
         else:
-            _, vals = grid_sweep(P.constraints[i], w, P.uncertainty, grid)
+            # the grid minimum, read from the checks' shared sweep; with no
+            # uncertainty variables a WorstCase keeps no grid
+            vals = (_worst_case(g, w, U, grid).vals if U.dim
+                    else grid_sweep(g, w, U, grid)[1])
             value = float(vals.min())
         sign_values.append(float(mu[i] * value))
     checks["sign"] = all(v >= -tol for v in sign_values)

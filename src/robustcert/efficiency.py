@@ -75,6 +75,8 @@ class EfficiencyContext:
 
 
 _contexts = LruMemo(GRID_CONTEXT_ENTRIES)
+# weight-polytope vertices per (rays, eps); a few rows each
+_vertices = LruMemo(8)
 
 
 def _build_grid_context(P: Problem, grid: int, ugrid: int) -> EfficiencyContext:
@@ -218,8 +220,15 @@ def _weight_vertices(R: np.ndarray, eps: float) -> np.ndarray:
 
     One row per vertex: each makes m - 1 ray rows tight together with the
     equality.  There are none when the rays do not span R^m (W then holds a
-    line) or when W is empty.
+    line) or when W is empty.  Memoized per process on the rays and
+    ``eps``; the shared array is read-only.
     """
+    R = np.asarray(R, dtype=float)
+    return _vertices.get((R.shape, R.tobytes(), eps),
+                         lambda: _build_weight_vertices(R, eps))
+
+
+def _build_weight_vertices(R: np.ndarray, eps: float) -> np.ndarray:
     k, m = R.shape
     s = R.sum(axis=0)
     vertices = []
@@ -230,7 +239,9 @@ def _weight_vertices(R: np.ndarray, eps: float) -> np.ndarray:
         v = np.linalg.solve(A, np.append(np.full(m - 1, eps), 1.0))
         if np.all(R @ v >= eps - FEAS_TOL):
             vertices.append(v)
-    return np.array(vertices).reshape(-1, m)
+    V = np.array(vertices).reshape(-1, m)
+    V.setflags(write=False)
+    return V
 
 
 def _candidate_rows(D: np.ndarray, V: np.ndarray) -> np.ndarray:

@@ -478,11 +478,55 @@ def evaluate(e: Expr, pt: Point) -> float:
     raise TypeError(f"unknown node {e!r}")  # pragma: no cover
 
 
-def eval_broadcast(e: Expr, z_cols, u_cols=None) -> np.ndarray:
+class BufferPool:
+    """Float arrays for ``eval_broadcast``'s intermediates, reused by shape.
+
+    ``take`` lends a free array of a shape, or a new one when none is free;
+    ``release`` hands lent arrays back and ignores anything else (input
+    columns, literals, scalars).  One sweep of a grid in equal blocks then
+    allocates once per shape, not once per node per block.
+    """
+
+    def __init__(self) -> None:
+        self._free: dict = {}
+        self._lent: dict = {}
+
+    def take(self, shape: tuple) -> np.ndarray:
+        free = self._free.get(shape)
+        buf = free.pop() if free else np.empty(shape)
+        self._lent[id(buf)] = buf
+        return buf
+
+    def release(self, *arrays) -> None:
+        for a in arrays:
+            buf = self._lent.pop(id(a), None)
+            if buf is not None:
+                self._free.setdefault(buf.shape, []).append(buf)
+
+
+def _apply(ufunc, args, pool: Optional[BufferPool]):
+    """``ufunc(*args)``; with a pool, a result that is not a scalar is
+    written into a pooled array of its shape, and the arguments go back."""
+    if pool is None:
+        return ufunc(*args)
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    out = ufunc(*args, out=pool.take(shape)) if shape else ufunc(*args)
+    pool.release(*args)
+    return out
+
+
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+
+
+def eval_broadcast(e: Expr, z_cols, u_cols=None,
+                   pool: Optional[BufferPool] = None) -> np.ndarray:
     """Vectorized evaluation with numpy broadcasting.
 
     ``z_cols``/``u_cols`` are sequences of arrays (one per variable index, any
     mutually broadcastable shapes).  Returns the broadcast result array.
+    With a ``pool``, every intermediate that is not a scalar is taken from
+    it and handed back once its parent is computed; the result is the
+    caller's to release.  The floats are the same either way.
     """
     if isinstance(e, Lit):
         return np.asarray(e.value)
@@ -492,37 +536,32 @@ def eval_broadcast(e: Expr, z_cols, u_cols=None) -> np.ndarray:
             raise ExprError(f"variable {e.kind}{e.index} has no value in this batch")
         return np.asarray(cols[e.index - 1])
     if isinstance(e, BinOp):
-        a = eval_broadcast(e.left, z_cols, u_cols)
-        b = eval_broadcast(e.right, z_cols, u_cols)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if np.any(b == 0.0):
+        a = eval_broadcast(e.left, z_cols, u_cols, pool)
+        b = eval_broadcast(e.right, z_cols, u_cols, pool)
+        if e.op == "/" and np.any(b == 0.0):
             raise DomainError(f"division by zero in '{to_source(e)}'")
-        return a / b
+        return _apply(_BINARY[e.op], (a, b), pool)
     if isinstance(e, Pow):
-        base = eval_broadcast(e.base, z_cols, u_cols)
+        base = eval_broadcast(e.base, z_cols, u_cols, pool)
         if e.exponent < 0 and np.any(base == 0.0):
             raise DomainError(f"zero base with negative exponent in '{to_source(e)}'")
-        return base**float(e.exponent) if e.exponent < 0 else base**e.exponent
-    if isinstance(e, Neg):
-        return -eval_broadcast(e.arg, z_cols, u_cols)
-    if isinstance(e, Abs):
-        return np.abs(eval_broadcast(e.arg, z_cols, u_cols))
+        exponent = float(e.exponent) if e.exponent < 0 else e.exponent
+        return _apply(np.power, (base, exponent), pool)
+    if isinstance(e, (Neg, Abs)):
+        ufunc = np.negative if isinstance(e, Neg) else np.abs
+        return _apply(ufunc, (eval_broadcast(e.arg, z_cols, u_cols, pool),),
+                      pool)
     if isinstance(e, Sqrt):
-        val = eval_broadcast(e.arg, z_cols, u_cols)
+        val = eval_broadcast(e.arg, z_cols, u_cols, pool)
         if np.any(val < 0.0):
             raise DomainError(f"sqrt of negative value in '{to_source(e)}'")
-        return np.sqrt(val)
+        return _apply(np.sqrt, (val,), pool)
     if isinstance(e, (MaxOp, MinOp)):
-        parts = [eval_broadcast(a, z_cols, u_cols) for a in e.args]
         reduce = np.maximum if isinstance(e, MaxOp) else np.minimum
-        out = parts[0]
-        for part in parts[1:]:
-            out = reduce(out, part)
+        out = eval_broadcast(e.args[0], z_cols, u_cols, pool)
+        for arg in e.args[1:]:
+            out = _apply(reduce, (out, eval_broadcast(arg, z_cols, u_cols,
+                                                      pool)), pool)
         return out
     raise TypeError(f"unknown node {e!r}")  # pragma: no cover
 

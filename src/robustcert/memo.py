@@ -37,13 +37,20 @@ def content_key(P: Problem) -> tuple:
     """Everything a decision-box computation depends on, label and cone excluded.
 
     Expressions enter by ``repr``, which tells ``Lit(-0.0)`` from
-    ``Lit(0.0)`` where ``==`` does not; arrays by shape and bytes.
+    ``Lit(0.0)`` where ``==`` does not; arrays by shape and bytes.  The key
+    is built once per problem object and kept on it: a ``Problem`` is
+    frozen and its arrays read-only, so the key cannot go stale.
     """
-    U = P.uncertainty
-    arrays = tuple(map(_array_key, (P.box_lower, P.box_upper, U.lower,
-                                    U.upper, U.points)))
-    return (tuple(map(repr, P.objectives)), tuple(map(repr, P.constraints)),
-            U.kind, arrays)
+    key = vars(P).get("_content_key")
+    if key is None:
+        U = P.uncertainty
+        arrays = tuple(map(_array_key, (P.box_lower, P.box_upper, U.lower,
+                                        U.upper, U.points)))
+        key = (tuple(map(repr, P.objectives)),
+               tuple(map(repr, P.constraints)), U.kind, arrays)
+        # a frozen dataclass refuses setattr, but its __dict__ keeps a cache
+        vars(P)["_content_key"] = key
+    return key
 
 
 def cone_key(cone: ConeSpec) -> tuple:

@@ -5,6 +5,8 @@ subdifferential pieces) were derived by hand and cross-checked with the dense
 grid oracle in ``oracles`` before the implementation ran.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,8 @@ from robustcert.constraints import (
     worst_case_value,
     worst_case_values_batch,
 )
-from robustcert.expr import eval_broadcast, parse_expr
+from robustcert.expr import BufferPool, eval_broadcast, parse_expr
+from robustcert.memo import content_key
 from robustcert.problem_io import fixture_path, load_problem, problem_from_dict
 
 VALUE_TOL = 1e-12
@@ -52,6 +55,18 @@ def test_box_grid_points_include_endpoints_and_center():
     assert pts.shape == (1001, 1)
     assert pts[0, 0] == -1.0 and pts[-1, 0] == 1.0
     assert 0.0 in pts[:, 0]
+
+
+def test_box_lattice_is_built_once_and_shared_read_only():
+    U = UncertaintySet.box([-1.0, 0.0], [1.0, 0.5])
+    pts = U.grid_points(11)
+    assert pts.shape == (121, 2) and not pts.flags.writeable
+    # one lattice per box and grid, whichever set object asks
+    assert U.grid_points(11) is pts
+    assert UncertaintySet.box([-1.0, 0.0], [1.0, 0.5]).grid_points(11) is pts
+    assert U.grid_points(12) is not pts
+    with pytest.raises(ValueError, match="read-only"):
+        pts[0, 0] = 2.0
 
 
 def test_oversized_box_lattice_is_refused_before_allocating():
@@ -153,38 +168,59 @@ def test_batch_values_match_pointwise(monkeypatch):
 
 
 @pytest.fixture
-def chunk_sizes(monkeypatch):
-    """Sizes of the arrays eval_broadcast hands to worst_case_values_batch."""
-    sizes = []
+def block_sizes(monkeypatch):
+    """Sizes of the arrays a sweep allocates: the block values
+    eval_broadcast hands to the sweep, and the buffers its pool lends (by
+    identity, so a buffer lent again counts once)."""
+    sizes = {"values": [], "buffers": {}}
+    take = BufferPool.take
 
     def recording(*args, **kwargs):
         out = eval_broadcast(*args, **kwargs)
-        sizes.append(int(np.size(out)))
+        sizes["values"].append(int(np.size(out)))
         return out
 
+    def recording_take(self, shape):
+        buf = take(self, shape)
+        sizes["buffers"][id(buf)] = buf
+        return buf
+
     monkeypatch.setattr(constraints, "eval_broadcast", recording)
+    monkeypatch.setattr(BufferPool, "take", recording_take)
     return sizes
 
 
-def test_batch_chunks_keep_2000_rows_on_one_uncertainty_axis(chunk_sizes,
-                                                            monkeypatch):
+def test_batch_blocks_fit_the_budget_on_one_uncertainty_axis(block_sizes,
+                                                             monkeypatch):
     g1 = parse_expr(G1, 2, 1)
     Z = np.random.default_rng(5).uniform([-4, -5], [1, 5], size=(2001, 2))
     batch = worst_case_values_batch(g1, Z, UBOX)
-    assert chunk_sizes == [2000 * 1001, 1001]
-    monkeypatch.setattr(constraints, "CHUNK_ELEMENTS", 1)  # one row a chunk
+    # 65 rows of 1001 points a block: 30 full blocks and one of 51 rows
+    assert block_sizes["values"] == [65 * 1001] * 30 + [51 * 1001]
+    buffers = block_sizes["buffers"].values()
+    assert max(buf.size for buf in buffers) <= CHUNK_ELEMENTS
+    # the pool reuses its buffers: the 31 blocks allocate what 2 would
+    allocated = len(buffers)
+    block_sizes["buffers"].clear()
+    worst_case_values_batch(g1, Z[-65 - 51:], UBOX)
+    assert len(block_sizes["buffers"]) == allocated
+    # one row a block, in two spans of U's grid: 1000 points and 1
+    monkeypatch.setattr(constraints, "CHUNK_ELEMENTS", 1000)
     assert np.array_equal(batch, worst_case_values_batch(g1, Z, UBOX))
 
 
-def test_batch_chunks_fit_the_budget_on_two_uncertainty_axes(chunk_sizes,
+def test_batch_chunks_fit_the_budget_on_two_uncertainty_axes(block_sizes,
                                                              monkeypatch):
-    # 1001^2 u-points per row: at a fixed 2000 rows a chunk would be 16 GB
+    # 1001^2 u-points per row: one row a block, U's grid split in 16 spans
     e = parse_expr("u1*z1 + u2*z2 - abs(u1 - u2)", 2, 2)
     U = UncertaintySet.box([-1.0, -1.0], [1.0, 1.0])
     Z = np.array([[0.5, -1.0], [2.0, 0.25], [-1.5, 1.0]])
     batch = worst_case_values_batch(e, Z, U)
-    assert max(chunk_sizes) <= CHUNK_ELEMENTS
-    monkeypatch.setattr(constraints, "CHUNK_ELEMENTS", 1)  # one row a chunk
+    assert block_sizes["values"] == 3 * ([CHUNK_ELEMENTS] * 15 + [18961])
+    assert max(buf.size for buf in block_sizes["buffers"].values()) \
+        <= CHUNK_ELEMENTS
+    # spans that end inside a row of U's lattice
+    monkeypatch.setattr(constraints, "CHUNK_ELEMENTS", 7 * 1001 + 3)
     assert np.array_equal(batch, worst_case_values_batch(e, Z, U))
 
 
@@ -391,6 +427,24 @@ def test_dual_rays_generate_the_dual_cone(rays):
 # ---------------------------------------------------------------------------
 # problem loading
 # ---------------------------------------------------------------------------
+
+
+def test_problem_is_frozen_and_keyed_once():
+    P = load_problem("ex3_2")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        P.label = "other"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        P.uncertainty.lower = np.zeros(1)
+    for a in (P.box_lower, P.box_upper, P.uncertainty.lower,
+              P.uncertainty.upper):
+        assert not a.flags.writeable
+    # the content key is built once per problem object; a changed copy
+    # gets its own
+    assert content_key(P) is content_key(P)
+    other = dataclasses.replace(P, box_upper=P.box_upper + 1.0)
+    assert not other.box_upper.flags.writeable
+    assert content_key(other) != content_key(P)
+    assert content_key(load_problem("ex3_2")) == content_key(P)
 
 
 def test_load_fixture():

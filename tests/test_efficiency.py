@@ -475,6 +475,14 @@ def test_generator_cone_weight_vertices():
     assert len(V2) == 2
 
 
+def test_weight_vertices_are_kept_per_rays_and_eps():
+    R = np.array([[1.0, 0.0], [1.0, 1.0]])
+    V = efficiency._weight_vertices(R, 1e-3)
+    assert not V.flags.writeable
+    assert efficiency._weight_vertices(R.copy(), 1e-3) is V
+    assert efficiency._weight_vertices(R, 2e-3) is not V
+
+
 def test_rank_deficient_rays_have_no_weight_vertex():
     R = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
     assert efficiency._weight_vertices(R, 1e-3).shape == (0, 3)

@@ -121,6 +121,20 @@ def test_warm_report_shares_one_scope(calls, name, sweeps, duals):
     assert calls["_dual_feasibility"] == duals
 
 
+def test_strict_dual_report_reads_the_checks_sweep(calls):
+    # the strict sign check takes each grid minimum from the worst case the
+    # other checks share, so --strict-dual adds no sweep
+    P = load_problem("ex3_2")
+    z = ANCHORS["ex3_2"]
+    build_report(P, "report", z, strict_dual=True)  # fills the memos
+    for strict_dual in (False, True):
+        calls.clear()
+        report = build_report(P, "report", z, strict_dual=strict_dual)
+        assert report["duality"]["feasibility"]["mode"] == \
+            ("strict" if strict_dual else "default")
+        assert calls["grid_sweep"] == 4
+
+
 def test_checks_build_one_stationarity_union_per_report(calls):
     P = load_problem("ex3_2")
     report = build_report(P, "report", ANCHORS["ex3_2"])
