@@ -133,7 +133,7 @@ def _validate_lattices(args, P: Problem) -> None:
     rows = {}
     if args.command in ("efficiency", "dual", "report"):
         rows["grid"] = box_lattice_rows(P.box_lower, P.box_upper, args.grid)
-    # the certificate search builds the --ygrid lattice; a --triple skips it
+    # the certificate search scans the --ygrid lattice; a --triple skips it
     if args.command in ("kkt", "report") or (args.command == "dual"
                                              and not args.triple):
         rows["ygrid"] = simplex_rows(P.n_objectives, args.ygrid - 1)

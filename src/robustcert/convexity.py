@@ -68,11 +68,14 @@ DEFAULT_SAMPLES = 2000
 # the dual weight grid's steps per simplex edge (a verdict's ``resolution``)
 DEFAULT_Y_EDGE = 24
 CHUNK = 1000
-# multiply-adds in one weighted product (sample rows x weight grid): OpenBLAS
-# keeps a product of at most 2**18 on the calling thread, and a worker
-# thread it wakes spins for a while after each product, taking CPU from the
-# caller whenever the host is busy
-PRODUCT_MACS = 2**18
+# elements (sample rows x weights) of one weighted product, 128 KiB: blocks
+# this small are reused from the heap, where blocks of about 700 KB (three
+# objectives) were mapped afresh, 240k-360k page faults over a loop of 688
+# reports; and with m <= 16 objectives a product takes at most 2**18
+# multiply-adds, which OpenBLAS keeps on the calling thread (a worker thread
+# it wakes spins for a while after each product, taking CPU from the caller
+# on a busy host)
+PRODUCT_ELEMENTS = 2**14
 # per-process memos, the least recently used entry dropped first: sample
 # chunks per (problem content, seed, ugrid, first index, length), each about
 # 57 kB at d = 2 with three objectives and two constraints, and weight grids
@@ -309,7 +312,7 @@ def _scan(P: Problem, z, kinds: Sequence[str], samples: int, seed: int,
     Y = dual_weight_grid(P)
     Yp = np.maximum(Y, 0.0)
     Ym = np.minimum(Y, 0.0)
-    block = max(1, PRODUCT_MACS // Y.size)
+    block = max(1, PRODUCT_ELEMENTS // len(Y))
 
     found: Dict[str, Optional[ConvexityWitness]] = {k: None for k in kinds}
     used: Dict[str, int] = {k: samples for k in kinds}

@@ -29,10 +29,12 @@ first strictly smallest coarse residual in scan order.
 The direction scan prefilters the lattice in chunks of ``SCAN_CHUNK`` rows.
 Its interval test is linear in the direction, and each chunk lies in a slab
 of the simplex bounded by the range of its first scan key, so the test's
-bounds at the slab's corners (memoized per lattice) decide which chunks can
-hold a survivor.  Only those chunks are prefiltered row by row, with the
-per-selection terms computed once per scan; the survivors, and so every LP
-solved, are the same as when every chunk is prefiltered.
+bounds at the slab's corners decide which chunks can hold a survivor.  Only
+those chunks are built, each from its row indices, and prefiltered row by
+row, with the per-selection terms computed once per scan; the survivors, and
+so every LP solved, are the same as when every chunk is prefiltered.  No
+lattice is kept between calls: at the default ``y_grid`` with three
+objectives the whole lattice would be 260,281 rows (6 MiB).
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from .constraints import (
     worst_case_subdiff,
 )
 from .expr import Point, evaluate
-from .memo import LruMemo, shared
+from .memo import shared
 from .polytope import Polytope, PolytopeUnion, convex_hull_of
 from .subdiff import UnsupportedComposition, limiting_subdiff, scalarized_subdiff
 
@@ -85,8 +87,6 @@ PRUNE_MARGIN = 1e-6
 CUT_TOL = 1e-9
 # lattice rows per prefilter chunk of the direction scan
 SCAN_CHUNK = 4096
-# scaled direction lattices kept per process, one per (m, edge)
-DIRECTION_GRID_ENTRIES = 8
 # points per simplex edge of the certificate search's direction grid
 DEFAULT_Y_GRID = 721
 
@@ -196,64 +196,84 @@ def simplex_rows(m: int, edge: int) -> int:
     return math.comb(int(edge) + m - 1, m - 1)
 
 
-def _simplex_indices(m: int, edge: int) -> np.ndarray:
-    """Integer simplex directions in scan order.
+def _simplex_indices(m: int, edge: int,
+                     ranks: Optional[np.ndarray] = None) -> np.ndarray:
+    """Integer simplex directions in scan order: the rows at ``ranks``
+    (ascending), or every row when ``ranks`` is None.
 
     Scan order is ascending lexicographic on (i_2, ..., i_{m-1}, i_1); the
-    last index is determined by the total.
+    last index is determined by the total.  A row is found from its index
+    one key at a time: with remaining total T and L key positions after the
+    current one, C(T - v + L + 1, L + 1) rows of the block that shares the
+    earlier keys have a current key of at least v.
     """
-    check_lattice_rows(simplex_rows(m, edge))
-    N = edge
+    rows = simplex_rows(m, edge)
+    check_lattice_rows(rows)
+    N = int(edge)
+    r = (np.arange(rows, dtype=np.int64) if ranks is None
+         else np.asarray(ranks, dtype=np.int64))
+    out = np.empty((len(r), m), dtype=np.int64)
     if m == 1:
-        return np.array([[N]])
-    # append the key indices one at a time: each prefix with total s is
-    # followed by 0..N-s in turn, so the rows stay in key order
-    keys = np.zeros((1, 0), dtype=np.int64)
-    total = np.zeros(1, dtype=np.int64)
-    for _ in range(m - 1):
-        counts = N - total + 1
-        nxt = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
-                                                  counts)
-        keys = np.column_stack([np.repeat(keys, counts, axis=0), nxt])
-        total = np.repeat(total, counts) + nxt
-    # key columns (i_2, ..., i_{m-1}, i_1) back to index order
-    return np.column_stack([keys[:, -1], keys[:, :-1], N - total])
+        out[:] = N
+        return out
+    # counts[L][s] = C(s + L + 1, L + 1), the rows of a block with total at
+    # most s over L + 1 key positions (hockey stick: each a running sum)
+    counts = [np.arange(1, N + 2, dtype=np.int64)]
+    for _ in range(m - 2):
+        counts.append(np.cumsum(counts[-1]))
+    total = N  # what the keys so far left, per row after the first key
+    for col in range(1, m - 1):  # keys i_2, ..., i_{m-1}
+        count = counts[m - 1 - col]
+        # rows from r to the end of r's block; the key leaves the smallest
+        # total whose rows reach that far
+        reach = count[total] - r
+        if col == 1:
+            # one total and r ascending: count the rows that each total
+            # reaches, instead of a binary search per row
+            reached = np.searchsorted(reach[::-1], count, side="right")
+            left = np.repeat(np.arange(N + 1),
+                             np.diff(reached, prepend=0))[::-1]
+        else:
+            left = np.searchsorted(count, reach)
+        out[:, col] = total - left
+        r = r - (count[total] - count[left])
+        total = left
+    out[:, 0] = r  # the last key, i_1, with one row per value
+    out[:, m - 1] = total - r
+    return out
 
 
-def _build_lattice(m: int, edge: int) -> Tuple[np.ndarray, np.ndarray]:
-    Y = _simplex_indices(m, edge).astype(float) / edge
-    if m == 1:  # one direction, one chunk
-        corners = Y.reshape(1, 1, 1)
-    else:
-        key = 1 if m >= 3 else 0  # the first scan key: y_2, or y_1 when m = 2
-        starts = np.arange(0, len(Y), SCAN_CHUNK)
-        ends = np.minimum(starts + SCAN_CHUNK, len(Y)) - 1
-        t = np.column_stack([Y[starts, key], Y[ends, key]])[:, :, None]
-        others = [j for j in range(m) if j != key]
-        corners = np.zeros((len(starts), 2, m - 1, m))
-        corners[:, :, :, key] = t
-        corners[:, :, range(m - 1), others] = 1.0 - t
-        corners = corners.reshape(len(starts), 2 * (m - 1), m)
-    Y.setflags(write=False)
-    corners.setflags(write=False)
-    return Y, corners
+def _chunk(m: int, edge: int, chunk_no: int) -> np.ndarray:
+    """Chunk ``chunk_no`` of the scan: its ``SCAN_CHUNK`` rows of
+    ``_simplex_indices(m, edge) / edge``, built from their indices."""
+    start = chunk_no * SCAN_CHUNK
+    stop = min(start + SCAN_CHUNK, simplex_rows(m, edge))
+    return _simplex_indices(m, edge, np.arange(start, stop)) / edge
 
 
-_lattices = LruMemo(DIRECTION_GRID_ENTRIES)
+def _chunk_corners(m: int, edge: int) -> np.ndarray:
+    """The corners of each scan chunk's slab, (chunks, 2(m-1), m).
 
-
-def _lattice(m: int, edge: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The scan's directions and the corners of its chunks' slabs.
-
-    ``Y`` is ``_simplex_indices(m, edge) / edge``, the directions in scan
-    order.  ``corners`` (chunks, 2(m-1), m) holds, for each ``SCAN_CHUNK``
-    chunk of ``Y``, the corners of its slab: the chunk's rows share the
-    range [a, b] of the first scan key y_k, so they lie in the slab
-    {y in the simplex : a <= y_k <= b}, whose corners are t e_k + (1 - t) e_j
-    for t in {a, b} and j != k.  Memoized per process on ``(m, edge)``; both
-    arrays are read-only.
+    The rows of a ``SCAN_CHUNK`` chunk share the range [a, b] of the first
+    scan key y_k, so they lie in the slab {y in the simplex : a <= y_k <= b},
+    whose corners are t e_k + (1 - t) e_j for t in {a, b} and j != k.  The
+    lattice's size is checked before anything is allocated.
     """
-    return _lattices.get((m, edge), lambda: _build_lattice(m, edge))
+    rows = simplex_rows(m, edge)
+    check_lattice_rows(rows)
+    starts = np.arange(0, rows, SCAN_CHUNK)
+    ends = np.minimum(starts + SCAN_CHUNK, rows) - 1
+    bounds = np.column_stack([starts, ends]).ravel()  # ascending
+    Y = _simplex_indices(m, edge, bounds) / edge
+    if m == 1:  # one direction, one chunk
+        return Y[:1].reshape(1, 1, 1)
+    key = 1 if m >= 3 else 0  # the first scan key: y_2, or y_1 when m = 2
+    t = Y[:, key].reshape(len(starts), 2)
+    others = [j for j in range(m) if j != key]
+    corners = np.zeros((len(starts), 2, m - 1, m))
+    corners[:, :, :, key] = t[:, :, None]
+    corners[:, :, range(m - 1), others] = 1.0 - t[:, :, None]
+    return corners.reshape(len(starts), 2 * (m - 1), m)
 
 
 class _Filter(NamedTuple):
@@ -527,12 +547,12 @@ def _lifted_lps(a: PointAnalysis) -> Tuple[float, List[np.ndarray]]:
 
 def _scan(a: PointAnalysis, y_grid: int, mode: str):
     """First lattice direction that passes, in scan order: (y, mu, mode)."""
-    Y, corners = _lattice(a.problem.n_objectives, y_grid - 1)
+    m, edge = a.problem.n_objectives, y_grid - 1
+    corners = _chunk_corners(m, edge)
     terms = _filter_terms(a)
     lp_budget = MAX_LP
     for chunk_no in np.flatnonzero(_chunk_may_pass(corners, terms)):
-        start = chunk_no * SCAN_CHUNK
-        chunk = Y[start:start + SCAN_CHUNK]
+        chunk = _chunk(m, edge, chunk_no)
         for y in chunk[_prefilter(chunk, terms)]:
             found = _try_direction(a, y, mode)
             if found is not None:
@@ -649,7 +669,7 @@ def _coarse_residual_scan(a: PointAnalysis, duals: List[np.ndarray]
     solving stops once every unsolved bound exceeds the best residual by
     ``PRUNE_MARGIN``.
     """
-    Y, _ = _lattice(a.problem.n_objectives, COARSE_EDGE)
+    Y = _simplex_indices(a.problem.n_objectives, COARSE_EDGE) / COARSE_EDGE
     bound = np.zeros(len(Y))
     resid = np.full(len(Y), np.inf)
     unsolved = np.ones(len(Y), dtype=bool)

@@ -9,13 +9,17 @@ conversion and the bound marginals that no caller reads.  The LP goes to
 ``_Highs.passModel`` as arrays, not copied into a ``HighsLp`` attribute by
 attribute.
 
-Each thread keeps one solver, given linprog's five options once, for every
-LP of at most ``KEEP_ROWS`` rows: nearly all of them, as the KKT,
-subdifferential and cone LPs have a few rows each.  A larger LP (the full
-proper-efficiency LP has thousands of grid rows) runs on a fresh solver,
-because a solver keeps the memory of the largest model it held: one solver
-for every LP raised the peak RSS of a loop of reports from 141 to 151 MB.
-A solver whose ``passModel`` or ``run`` fails is dropped.
+Each thread keeps two solvers, each given linprog's five options once: one
+for every LP of at most ``KEEP_ROWS`` rows (nearly all of them, as the KKT,
+subdifferential and cone LPs have a few rows each), and one for the larger
+LPs (the full proper-efficiency LP has thousands of grid rows).  A solver
+keeps the memory of the largest model it held, so a small LP never runs on
+the large solver: the small one stays small, and the large one holds what
+its largest LP needed, about 6.5 MB after the full proper LP of a 101-point
+decision grid and about 25 MB after a 201-point one.  A fresh solver per
+large LP gave that memory back, but took 850-1,500 page faults per full
+proper LP at grid 101 and about 3,250 at grid 201, where the kept one
+takes under 100.  A solver whose ``passModel`` or ``run`` fails is dropped.
 
 Results are bit-identical to ``linprog(..., method="highs")``, which makes a
 fresh solver per LP: the same bounds, CSC matrix and options, and
@@ -61,11 +65,11 @@ except ImportError:  # pragma: no cover - private names moved
 
 TOL = 1e-9  # linprog's default ``tol``, used by its result check
 CHECK_TOL = np.sqrt(TOL) * 10  # the tolerance ``_check_result`` applies
-# rows of the largest LP run on its thread's kept solver; a larger LP gets a
-# fresh solver, so the kept one never holds a large model's memory
+# rows of the largest LP run on its thread's small solver; a larger LP runs
+# on the large one, so the small one never holds a large model's memory
 KEEP_ROWS = 256
 
-_kept = threading.local()  # .highs: the thread's solver for small LPs
+_kept = threading.local()  # .small and .large: the thread's two solvers
 _statuses = {}
 
 
@@ -172,8 +176,8 @@ def _direct(c, A_ub, b_ub, A_eq, b_eq, bounds) -> OptimizeResult:
     indptr, indices, data = _csc(np.vstack((A_ub, A_eq)))
 
     error = _h.HighsStatus.kError
-    small = m <= KEEP_ROWS
-    highs = getattr(_kept, "highs", None) if small else None
+    size = "small" if m <= KEEP_ROWS else "large"
+    highs = getattr(_kept, size, None)
     ready = highs is not None
     if not ready:
         highs, ready = _new_solver()
@@ -188,10 +192,9 @@ def _direct(c, A_ub, b_ub, A_eq, b_eq, bounds) -> OptimizeResult:
     else:
         solved = highs.run() != error
         model_status = highs.getModelStatus()
-    if small:
-        # passModel clears the last model, basis and solution; a solver
-        # that failed is not trusted with the next LP
-        _kept.highs = highs if solved else None
+    # passModel clears the last model, basis and solution; a solver that
+    # failed is not trusted with the next LP
+    setattr(_kept, size, highs if solved else None)
     status, message = _status(highs, model_status)
     if not solved or model_status != _h.HighsModelStatus.kOptimal:
         return _result(None, None, status, message, None, None)

@@ -1,8 +1,8 @@
 """Per-process memos of values that depend only on a problem's content.
 
-The feasible decision grid, the convexity scan's sample chunks, the dual
-weight grid and the certificate search's direction lattice are functions of
-the problem and the options alone, not of the point being checked.  Each is
+The feasible decision grid, the convexity scan's sample chunks and the dual
+weight grid are functions of the problem and the options alone, not of the
+point being checked.  Each is
 kept in an ``LruMemo`` keyed by the parts of the problem it depends on, so
 repeated calls in one process share one copy.  Shared arrays are made
 read-only by the functions that build them.

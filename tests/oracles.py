@@ -274,6 +274,31 @@ def loop_simplex_indices(m, edge):
     return np.array(rows, dtype=np.int64)
 
 
+def loop_chunk_corners(m, edge):
+    """Corners of the slab of each ``kkt.SCAN_CHUNK`` chunk of the plain
+    lattice, (chunks, 2(m-1), m): t e_k + (1 - t) e_j for j != k, with t
+    the first and the last row's first scan key y_k."""
+    from robustcert import kkt
+
+    Y = loop_simplex_indices(m, edge).astype(float) / edge
+    if m == 1:
+        return Y.reshape(1, 1, 1)
+    key = 1 if m >= 3 else 0
+    chunks = []
+    for start in range(0, len(Y), kkt.SCAN_CHUNK):
+        end = min(start + kkt.SCAN_CHUNK, len(Y)) - 1
+        corners = []
+        for t in (Y[start, key], Y[end, key]):
+            for j in range(m):
+                if j != key:
+                    corner = np.zeros(m)
+                    corner[key] = t
+                    corner[j] = 1.0 - t
+                    corners.append(corner)
+        chunks.append(corners)
+    return np.array(chunks)
+
+
 def unpruned_kkt_search(P, z, y_grid, mode):
     """The certificate search by its definition, without any pruning.
 

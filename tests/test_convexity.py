@@ -343,8 +343,8 @@ def test_row_blocks_find_the_same_first_violation(ex2_2, ex2_3, ex3_3,
     cases = [(ex2_2, Z22), (ex2_3, Z22), (ex3_3, np.array([-0.967, 2.295])),
              (ex3_3, np.array([-3.795, -4.835]))]
     default = [classify_type(P, z).to_jsonable() for P, z in cases]
-    monkeypatch.setattr(convexity, "PRODUCT_MACS",
-                        rows * dual_weight_grid(ex2_2).size)
+    monkeypatch.setattr(convexity, "PRODUCT_ELEMENTS",
+                        rows * len(dual_weight_grid(ex2_2)))
     blocked = [classify_type(P, z).to_jsonable() for P, z in cases]
     # the same violations; their values may differ in the last bit, since
     # a product of other shape may take another BLAS kernel
@@ -359,6 +359,28 @@ def test_row_blocks_find_the_same_first_violation(ex2_2, ex2_3, ex3_3,
             for key in ("delta", "support"):
                 assert gw.pop(key) == pytest.approx(ww.pop(key), rel=1e-12)
             assert gw == ww
+
+
+def test_weighted_products_stay_within_the_element_bound(ex2_3,
+                                                          monkeypatch):
+    # every block's value changes and supports (rows x weights) hold at
+    # most PRODUCT_ELEMENTS elements, and a full block comes close to it;
+    # the scan at this point finds no violation, so it reaches every block
+    shapes = []
+    first_hit = convexity._first_hit
+
+    def recording(mask):
+        shapes.append(mask.shape)
+        return first_hit(mask)
+
+    monkeypatch.setattr(convexity, "_first_hit", recording)
+    n_y = len(dual_weight_grid(ex2_3))
+    cls = classify_type(ex2_3, Z22)
+    assert not cls.type_i.refuted and not cls.type_ii.refuted
+    rows = [r for r, c in shapes if c == n_y]
+    assert len(rows) > 1
+    assert max(rows) * n_y <= convexity.PRODUCT_ELEMENTS
+    assert max(rows) == convexity.PRODUCT_ELEMENTS // n_y
 
 
 def test_shared_arrays_are_read_only(ex2_2, empty_memo):

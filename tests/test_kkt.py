@@ -2,13 +2,14 @@
 
 import itertools
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult, linprog
 
-from robustcert import kkt, lp
+from robustcert import constraints, kkt, lp
 from robustcert.constraints import LatticeTooLarge, analyze_point
 from robustcert.efficiency import check_proper_necessary
 from robustcert.kkt import (
@@ -21,10 +22,16 @@ from robustcert.kkt import (
     find_kkt_certificate,
     verify_certificate,
 )
+from robustcert.memo import LruMemo
 from robustcert.polytope import Polytope, PolytopeUnion
 from robustcert.problem_io import load_problem, problem_from_dict
 
-from oracles import loop_simplex_indices, min_norm_in_sum, unpruned_kkt_search
+from oracles import (
+    loop_chunk_corners,
+    loop_simplex_indices,
+    min_norm_in_sum,
+    unpruned_kkt_search,
+)
 
 SQRT2 = np.sqrt(2.0)
 Z_REF = np.array([0.0, 1.0])
@@ -125,23 +132,27 @@ class TestDirectionGrid:
         with pytest.raises(LatticeTooLarge):
             _simplex_indices(3, 200000)
 
-    def test_scan_lattice_is_built_once_per_size(self, ex3_2, monkeypatch):
-        kkt._lattices.clear()
+    def test_scan_builds_only_the_chunks_it_visits(self, ex3_2,
+                                                    monkeypatch):
+        # the chunks that _chunk_may_pass keeps, in scan order, until a
+        # direction passes; the next call builds them again
         built = []
-        orig = kkt._simplex_indices
+        orig = kkt._chunk
 
-        def counted(m, edge):
-            built.append((m, edge))
-            return orig(m, edge)
+        def counted(m, edge, chunk_no):
+            built.append((m, edge, int(chunk_no)))
+            return orig(m, edge, chunk_no)
 
-        monkeypatch.setattr(kkt, "_simplex_indices", counted)
-        first = find_kkt_certificate(ex3_2, Z_REF, y_grid=41).to_jsonable()
-        assert find_kkt_certificate(ex3_2, Z_REF,
-                                    y_grid=41).to_jsonable() == first
-        assert built == [(3, 40)]
-        Y, corners = kkt._lattice(3, 40)
-        assert not Y.flags.writeable and not corners.flags.writeable
-        np.testing.assert_array_equal(Y, loop_simplex_indices(3, 40) / 40)
+        monkeypatch.setattr(kkt, "_chunk", counted)
+        first = find_kkt_certificate(ex3_2, Z_REF).to_jsonable()
+        visited = list(built)
+        assert find_kkt_certificate(ex3_2, Z_REF).to_jsonable() == first
+        assert built == visited * 2
+        corners = kkt._chunk_corners(3, 720)
+        may = np.flatnonzero(kkt._chunk_may_pass(
+            corners, kkt._filter_terms(analyze_point(ex3_2, Z_REF))))
+        assert visited == [(3, 720, int(c)) for c in may[:len(visited)]]
+        assert 0 < len(visited) < len(corners)
 
     def test_prefilter_blocks_small_first_weight(self, ex3_2):
         # with no weight on the second objective, the second coordinate of the
@@ -391,19 +402,21 @@ SKIP_POINTS = [
 
 
 def _survivors_both_ways(terms, m, edge):
-    """Prefilter survivors of the whole lattice: chunk by chunk, and only in
-    the chunks that ``_chunk_may_pass`` keeps."""
-    Y, corners = kkt._lattice(m, edge)
+    """Prefilter survivors of the whole lattice: chunk by chunk over every
+    row, and only in the chunks that ``_chunk_may_pass`` keeps, each built
+    as the scan builds it."""
+    Y = _simplex_indices(m, edge) / edge
     every = np.zeros(len(Y), dtype=bool)
     skipping = np.zeros(len(Y), dtype=bool)
-    may = kkt._chunk_may_pass(corners, terms)
+    may = kkt._chunk_may_pass(kkt._chunk_corners(m, edge), terms)
     assert len(may) == -(-len(Y) // kkt.SCAN_CHUNK)
     for chunk_no, keep in enumerate(may):
         rows = slice(chunk_no * kkt.SCAN_CHUNK,
                      (chunk_no + 1) * kkt.SCAN_CHUNK)
         every[rows] = kkt._prefilter(Y[rows], terms)
         if keep:
-            skipping[rows] = kkt._prefilter(Y[rows], terms)
+            skipping[rows] = kkt._prefilter(kkt._chunk(m, edge, chunk_no),
+                                            terms)
     return every, skipping, may
 
 
@@ -450,6 +463,66 @@ def test_chunk_skipping_keeps_a_survivor_at_a_chunk_edge(row):
     assert np.flatnonzero(every).tolist() == [row]
     np.testing.assert_array_equal(skipping, every)
     assert may.sum() == 1
+
+
+SIZES = [(m, edge) for m in (1, 2, 3, 4, 5)
+         for edge in (1, 2, 23, 40, 720, 2 * kkt.SCAN_CHUNK)]
+# the sizes of at most 300,000 rows, the plain loop's reach: one chunk,
+# several, and a last chunk of one row (m = 2, edge 8192: 8,193 rows); the
+# others have over MAX_LATTICE_ROWS
+STREAMED = [s for s in SIZES if kkt.simplex_rows(*s) <= 300_000]
+
+
+@pytest.mark.parametrize("m,edge", STREAMED)
+def test_streamed_chunks_match_the_lattice(m, edge):
+    # each chunk is rows start:stop of the plain lattice, scaled, down to
+    # the last bit, and the chunk corners are those of the whole lattice
+    ref = loop_simplex_indices(m, edge)
+    Y = ref.astype(float) / edge
+    corners = kkt._chunk_corners(m, edge)
+    np.testing.assert_array_equal(corners, loop_chunk_corners(m, edge))
+    assert len(corners) == -(-len(ref) // kkt.SCAN_CHUNK)
+    for chunk_no in range(len(corners)):
+        start = chunk_no * kkt.SCAN_CHUNK
+        stop = min(start + kkt.SCAN_CHUNK, len(ref))
+        chunk = kkt._chunk(m, edge, chunk_no)
+        assert chunk.tobytes() == Y[start:stop].tobytes()
+        ends = _simplex_indices(m, edge, [start, stop - 1])
+        np.testing.assert_array_equal(ends, ref[[start, stop - 1]])
+
+
+@pytest.mark.parametrize("m,edge", [s for s in SIZES if s not in STREAMED])
+def test_scan_refuses_an_oversized_lattice_first(m, edge):
+    # refused before the chunk corners are allocated
+    with pytest.raises(LatticeTooLarge):
+        kkt._chunk_corners(m, edge)
+
+
+def test_cold_search_peaks_below_2_mib(ex3_2):
+    # the whole 260,281-row lattice was built per process: a 16 MiB peak
+    constraints._lattices.clear()
+    tracemalloc.start()
+    try:
+        find_kkt_certificate(ex3_2, Z_REF, y_grid=DEFAULT_Y_GRID)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_search_keeps_no_lattice_between_calls(ex3_2):
+    # what the search allocated is gone when it returns: kkt has no memo,
+    # and no array allocated in kkt.py outlives the call
+    tracemalloc.start()
+    try:
+        find_kkt_certificate(ex3_2, Z_REF, y_grid=DEFAULT_Y_GRID)
+        held = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, kkt.__file__)])
+    finally:
+        tracemalloc.stop()
+    assert sum(stat.size for stat in held.statistics("filename")) < 2**16
+    assert not [name for name, value in vars(kkt).items()
+                if isinstance(value, (np.ndarray, LruMemo))]
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ Every LP that ``constraints``, ``efficiency``, ``kkt`` and ``subdiff`` solve
 over a set of full reports is recorded and replayed twice, through
 ``lp.solve`` with SciPy's own ``linprog`` (the direct path) and through
 ``linprog(..., method="highs")``; ``x``, ``fun``, ``status`` and both
-marginal arrays must agree bit for bit, also when one thread's kept solver
-runs them in another order among infeasible and unbounded LPs, and when two
-threads run them at once.  Instrumentation installed on a
-module's ``linprog`` binding must still see that module's LPs, and the
-fallback path must render the same report bytes as the direct one.  The
+marginal arrays must agree bit for bit, also when one thread's two kept
+solvers (one for small LPs, one for large) run them in another order among
+infeasible and unbounded LPs, and when two threads run them at once.
+Instrumentation installed on a module's ``linprog`` binding must still see
+that module's LPs, and the fallback path must render the same report bytes
+as the direct one.  The
 direct path's own input check refuses what ``linprog`` refuses, and any
 RuntimeWarning (a ``0 * inf`` in the bounds, say) fails the module.
 """
@@ -23,7 +24,7 @@ import pytest
 import scipy
 from scipy.optimize import linprog
 
-from robustcert import constraints, lp, subdiff
+from robustcert import constraints, efficiency, lp, subdiff
 from robustcert.problem_io import load_problem, problem_from_dict
 from robustcert.report import build_report, render_json
 
@@ -193,12 +194,14 @@ def test_kept_solver_replays_bit_identically_in_any_order(recorded, order):
     elif order == "shuffled":
         np.random.default_rng(18).shuffle(lps)
     lps = _interleaved(lps)
-    assert any(_rows(a) > lp.KEEP_ROWS for a in lps)
+    large = [a for a in lps if _rows(a) > lp.KEEP_ROWS]
+    assert large
     lp.solve(linprog, *INFEASIBLE)
-    kept = lp._kept.highs
+    lp.solve(linprog, *large[-1])
+    small, large = lp._kept.small, lp._kept.large
     for args, want in zip(lps, _linprog_results(lps)):
         _assert_identical(lp.solve(linprog, *args), want)
-        assert lp._kept.highs is kept
+        assert lp._kept.small is small and lp._kept.large is large
 
 
 def _counting_new_solver(monkeypatch):
@@ -213,25 +216,78 @@ def _counting_new_solver(monkeypatch):
     return made
 
 
-@pytest.mark.skipif(not lp.DIRECT, reason="direct HiGHS path unavailable")
-@pytest.mark.parametrize("extra,fresh", [(0, 0), (1, 1)])
-def test_only_lps_above_keep_rows_get_a_fresh_solver(monkeypatch, extra,
-                                                     fresh):
-    m = lp.KEEP_ROWS + extra
+def _rows_lp(m):
+    """min x1 + x2 over m random rows D x <= |D| 1, x free: bounded, with
+    the optimum on the rows."""
     D = np.random.default_rng(m).normal(size=(m, 2))
-    args = (np.array([1.0, 1.0]), D, np.abs(D).sum(axis=1), None, None,
+    return (np.array([1.0, 1.0]), D, np.abs(D).sum(axis=1), None, None,
             [(None, None)] * 2)
-    lp.solve(linprog, *INFEASIBLE)
-    kept = lp._kept.highs
+
+
+@pytest.mark.skipif(not lp.DIRECT, reason="direct HiGHS path unavailable")
+@pytest.mark.parametrize("extra", [0, 1])
+def test_each_size_class_keeps_its_own_solver(monkeypatch, extra):
+    # an LP of KEEP_ROWS rows runs on the small solver, one of KEEP_ROWS + 1
+    # on the large one; each class makes its solver once, and a small LP
+    # never runs on the large solver
+    runs = []
+
+    class Spy(lp._h._Highs):
+        def passModel(self, *args):
+            if len(args) == 15:  # lp's array overload, not linprog's
+                runs.append((self, args[1]))  # the solver and the LP's rows
+            return super().passModel(*args)
+
+    monkeypatch.setattr(lp._h, "_Highs", Spy)
+    for size in ("small", "large"):
+        monkeypatch.setattr(lp._kept, size, None, raising=False)
     made = _counting_new_solver(monkeypatch)
-    assert _replay(args) == 0
-    assert len(made) == fresh
-    assert lp._kept.highs is kept
+    first, other = lp.KEEP_ROWS + extra, lp.KEEP_ROWS + 1 - extra
+    for args in (_rows_lp(first), SMALL + ((0, None),), _rows_lp(other),
+                 _rows_lp(first), SMALL + ((0, None),)):
+        assert _replay(args) == 0
+    assert len(made) == 2
+    small, large = lp._kept.small, lp._kept.large
+    assert {solver for solver, _ in runs} == {small, large}
+    for solver, rows in runs:
+        assert (solver is large) == (rows > lp.KEEP_ROWS)
+
+
+def _largest_proper_lp(name, z):
+    """The arguments of the largest LP ``certify_proper`` solves at z."""
+    calls = []
+    solve = lp.solve
+
+    def recording(linprog, c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
+                  bounds=(0, None)):
+        calls.append((c, A_ub, b_ub, A_eq, b_eq, bounds))
+        return solve(linprog, *calls[-1])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "solve", recording)
+        efficiency.certify_proper(load_problem(name),
+                                  np.asarray(z, dtype=float))
+    return max(calls, key=_rows)
+
+
+@pytest.mark.skipif(not lp.DIRECT, reason="direct HiGHS path unavailable")
+def test_full_proper_lp_replays_bit_identically_on_the_large_solver():
+    # ex3_2's full proper LP at its anchor (7,231 grid rows), twice, then
+    # after ex3_3's, on one kept large solver
+    full = _largest_proper_lp("ex3_2", (0.0, 1.0))
+    other = _largest_proper_lp("ex3_3", (0.0, 1.0))
+    assert _rows(full) == 7231 + 3 + 1 and _rows(other) > lp.KEEP_ROWS
+    assert _replay(full) == 0
+    kept = lp._kept.large
+    for args in (full, other, full):
+        assert _replay(args) == 0
+        assert lp._kept.large is kept
 
 
 @pytest.mark.skipif(not lp.DIRECT, reason="direct HiGHS path unavailable")
 def test_threads_keep_their_own_solvers(recorded):
     lps = _interleaved([args for _, args in recorded])
+    assert any(_rows(a) > lp.KEEP_ROWS for a in lps)
     want = _linprog_results(lps)
     lp.solve(linprog, *INFEASIBLE)
     results, solvers, errors = {}, {}, []
@@ -239,7 +295,7 @@ def test_threads_keep_their_own_solvers(recorded):
     def replay(name):
         try:
             results[name] = [lp.solve(linprog, *args) for args in lps]
-            solvers[name] = lp._kept.highs
+            solvers[name] = (lp._kept.small, lp._kept.large)
         except Exception as exc:  # reraised below, in the test's thread
             errors.append(exc)
 
@@ -259,8 +315,10 @@ def test_threads_keep_their_own_solvers(recorded):
     for name in ("a", "b"):
         for got, expected in zip(results[name], want, strict=True):
             _assert_identical(got, expected)
-    assert solvers["a"] is not solvers["b"]
-    assert lp._kept.highs not in (solvers["a"], solvers["b"])
+    mine = (lp._kept.small, getattr(lp._kept, "large", None))
+    for k in range(2):  # the small solvers, then the large ones
+        assert solvers["a"][k] is not solvers["b"][k]
+        assert mine[k] not in (solvers["a"][k], solvers["b"][k])
 
 
 @pytest.mark.skipif(not lp.DIRECT, reason="direct HiGHS path unavailable")
@@ -272,14 +330,14 @@ def test_solver_is_replaced_after_a_failed_pass_model(monkeypatch):
             return failures.pop() if failures else super().passModel(*args)
 
     monkeypatch.setattr(lp._h, "_Highs", FailingOnce)
-    monkeypatch.setattr(lp._kept, "highs", None)
+    monkeypatch.setattr(lp._kept, "small", None)
     made = _counting_new_solver(monkeypatch)
     failed = lp.solve(linprog, *SMALL)
     assert (failed.status, failed.x) == (2, None)
-    assert lp._kept.highs is None
+    assert lp._kept.small is None
     assert _replay(SMALL + ((0, None),)) == 0
     assert len(made) == 2 and made[1][0] is not made[0][0]
-    assert lp._kept.highs is made[1][0]
+    assert lp._kept.small is made[1][0]
 
 
 # min -x1 - x2 subject to x1 + x2 <= 1, x1 - 2 x2 = 0.5: bounded below
@@ -389,10 +447,10 @@ def test_direct_path_available_on_pinned_scipy(monkeypatch):
             return super().passModel(*args)
 
     monkeypatch.setattr(lp._h, "_Highs", Spy)
-    monkeypatch.setattr(lp._kept, "highs", None)
+    monkeypatch.setattr(lp._kept, "small", None)
     assert lp.solve(linprog, *SMALL).status == 0
     assert [len(args) for args in passed] == [15]
-    assert isinstance(lp._kept.highs, Spy)
+    assert isinstance(lp._kept.small, Spy)
 
 
 @pytest.mark.skipif(lp._h is None, reason="private HiGHS names unavailable")
