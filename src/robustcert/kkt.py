@@ -198,8 +198,8 @@ def simplex_rows(m: int, edge: int) -> int:
 
 def _simplex_indices(m: int, edge: int,
                      ranks: Optional[np.ndarray] = None) -> np.ndarray:
-    """Integer simplex directions in scan order: the rows at ``ranks``
-    (ascending), or every row when ``ranks`` is None.
+    """Integer simplex directions in scan order: the rows at ``ranks``, or
+    every row when ``ranks`` is None.
 
     Scan order is ascending lexicographic on (i_2, ..., i_{m-1}, i_1); the
     last index is determined by the total.  A row is found from its index
@@ -227,14 +227,7 @@ def _simplex_indices(m: int, edge: int,
         # rows from r to the end of r's block; the key leaves the smallest
         # total whose rows reach that far
         reach = count[total] - r
-        if col == 1:
-            # one total and r ascending: count the rows that each total
-            # reaches, instead of a binary search per row
-            reached = np.searchsorted(reach[::-1], count, side="right")
-            left = np.repeat(np.arange(N + 1),
-                             np.diff(reached, prepend=0))[::-1]
-        else:
-            left = np.searchsorted(count, reach)
+        left = np.searchsorted(count, reach)
         out[:, col] = total - left
         r = r - (count[total] - count[left])
         total = left
@@ -263,7 +256,7 @@ def _chunk_corners(m: int, edge: int) -> np.ndarray:
     check_lattice_rows(rows)
     starts = np.arange(0, rows, SCAN_CHUNK)
     ends = np.minimum(starts + SCAN_CHUNK, rows) - 1
-    bounds = np.column_stack([starts, ends]).ravel()  # ascending
+    bounds = np.column_stack([starts, ends]).ravel()
     Y = _simplex_indices(m, edge, bounds) / edge
     if m == 1:  # one direction, one chunk
         return Y[:1].reshape(1, 1, 1)

@@ -13,13 +13,12 @@ Each thread keeps two solvers, each given linprog's five options once: one
 for every LP of at most ``KEEP_ROWS`` rows (nearly all of them, as the KKT,
 subdifferential and cone LPs have a few rows each), and one for the larger
 LPs (the full proper-efficiency LP has thousands of grid rows).  A solver
-keeps the memory of the largest model it held, so a small LP never runs on
-the large solver: the small one stays small, and the large one holds what
-its largest LP needed, about 6.5 MB after the full proper LP of a 101-point
-decision grid and about 25 MB after a 201-point one.  A fresh solver per
-large LP gave that memory back, but took 850-1,500 page faults per full
-proper LP at grid 101 and about 3,250 at grid 201, where the kept one
-takes under 100.  A solver whose ``passModel`` or ``run`` fails is dropped.
+keeps the memory of the largest model it held: the large one holds about
+6.5 MB after the full proper LP of a 101-point decision grid and about
+25 MB after a 201-point one.  That memory saves page faults.  Over a warm
+loop of 688 in-process reports, the two kept solvers took about 200 minor
+faults, one kept solver for every LP 20k-40k, and a fresh solver per large
+LP 74k-160k.  A solver whose ``passModel`` or ``run`` fails is dropped.
 
 Results are bit-identical to ``linprog(..., method="highs")``, which makes a
 fresh solver per LP: the same bounds, CSC matrix and options, and
@@ -66,7 +65,7 @@ except ImportError:  # pragma: no cover - private names moved
 TOL = 1e-9  # linprog's default ``tol``, used by its result check
 CHECK_TOL = np.sqrt(TOL) * 10  # the tolerance ``_check_result`` applies
 # rows of the largest LP run on its thread's small solver; a larger LP runs
-# on the large one, so the small one never holds a large model's memory
+# on the large one, as one solver for both sizes page-faults far more often
 KEEP_ROWS = 256
 
 _kept = threading.local()  # .small and .large: the thread's two solvers
