@@ -17,7 +17,7 @@ import numpy as np
 
 from .constraints import (GRID_DEFAULT, MAX_LATTICE_ROWS, LatticeTooLarge,
                           Problem, ProblemFormatError, box_lattice_rows)
-from .convexity import DEFAULT_SAMPLES
+from .convexity import DEFAULT_SAMPLES, DEFAULT_SEED
 from .duality import DualTriple
 from .efficiency import EFFICIENCY_GRID
 from .kkt import DEFAULT_Y_GRID, RESIDUAL_TOL, simplex_rows
@@ -60,7 +60,7 @@ def _build_parser() -> _Parser:
                    help="uncertainty-grid points per axis")
     p.add_argument("--ygrid", type=int, default=DEFAULT_Y_GRID,
                    help="weight-simplex grid points per axis")
-    p.add_argument("--seed", type=int, default=42,
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="seed for sampling-based checks")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                    help="sample budget for convexity checks")

@@ -174,24 +174,9 @@ class UncertaintySet:
         if self.kind == "box":
             return bool(np.all(u >= self.lower - MEMBER_TOL)
                         and np.all(u <= self.upper + MEMBER_TOL))
-        return bool(
-            np.min(np.max(np.abs(self.points - u), axis=1)) <= MEMBER_TOL)
-
-    def clip(self, u) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if self.kind == "box":
-            return np.clip(u, self.lower, self.upper)
-        idx = int(np.argmin(np.max(np.abs(self.points - u), axis=1)))
-        return self.points[idx]
-
-    def to_jsonable(self) -> dict:
-        if self.kind == "box":
-            return {
-                "type": "box",
-                "lower": [float(v) for v in self.lower],
-                "upper": [float(v) for v in self.upper],
-            }
-        return {"type": "finite", "points": [[float(v) for v in p] for p in self.points]}
+        # initial: with no uncertain parameter each point has no coordinates
+        return bool(np.min(np.max(np.abs(self.points - u), axis=1,
+                                  initial=0.0)) <= MEMBER_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +268,6 @@ class ConeSpec:
         span, rest = basis[:rank], basis[rank:]
         return _dedup_unit([v @ span for v in _spanning_dual_rays(R @ span.T)]
                            + [*rest, *-rest])
-
-    def to_jsonable(self) -> dict:
-        if self.kind == "orthant":
-            return {"type": "orthant"}
-        return {"type": "generators", "rays": [[float(v) for v in r] for r in self.rays]}
 
 
 def _spanning_dual_rays(R: np.ndarray) -> List[np.ndarray]:

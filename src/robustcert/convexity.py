@@ -65,6 +65,8 @@ QUASI_SUPPORT_TOL = 1e-9
 SAME_POINT_TOL = 1e-12
 
 DEFAULT_SAMPLES = 2000
+# the sample stream's seed when none is given, in the library and the CLI
+DEFAULT_SEED = 42
 # the dual weight grid's steps per simplex edge (a verdict's ``resolution``)
 DEFAULT_Y_EDGE = 24
 CHUNK = 1000
@@ -433,14 +435,15 @@ def _verdict(found: Optional[ConvexityWitness], used: int) -> Verdict:
 
 
 def check_pseudo_convex(P: Problem, z, samples: int = DEFAULT_SAMPLES,
-                        seed: int = 0, grid: int = GRID_DEFAULT) -> Verdict:
+                        seed: int = DEFAULT_SEED,
+                        grid: int = GRID_DEFAULT) -> Verdict:
     """Search for a weighted value drop with non-negative subgradient support."""
     found, used = _scan(P, z, [PSEUDO], samples, seed, grid)
     return _verdict(found[PSEUDO], used[PSEUDO])
 
 
 def check_strictly_pseudo_convex(P: Problem, z, samples: int = DEFAULT_SAMPLES,
-                                 seed: int = 0,
+                                 seed: int = DEFAULT_SEED,
                                  grid: int = GRID_DEFAULT) -> Verdict:
     """Like the pseudo check, but a weighted tie at a distinct point also counts."""
     found, used = _scan(P, z, [STRICT], samples, seed, grid)
@@ -449,7 +452,7 @@ def check_strictly_pseudo_convex(P: Problem, z, samples: int = DEFAULT_SAMPLES,
 
 def check_generalized_quasi_convex(P: Problem, z,
                                    samples: int = DEFAULT_SAMPLES,
-                                   seed: int = 0,
+                                   seed: int = DEFAULT_SEED,
                                    grid: int = GRID_DEFAULT) -> Verdict:
     """Search binding constraints for non-increasing samples with positive support."""
     found, used = _scan(P, z, [QUASI], samples, seed, grid)
@@ -457,7 +460,7 @@ def check_generalized_quasi_convex(P: Problem, z,
 
 
 def classify_type(P: Problem, z, samples: int = DEFAULT_SAMPLES,
-                  seed: int = 0,
+                  seed: int = DEFAULT_SEED,
                   grid: int = GRID_DEFAULT) -> TypeClassification:
     """Joint classification consumed by the sufficiency rules.
 

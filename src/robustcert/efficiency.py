@@ -167,13 +167,6 @@ def _dominating_rows(P: Problem, D: np.ndarray, strict: bool
             yield r
 
 
-def _dominators(P: Problem, D: np.ndarray, strict: bool) -> np.ndarray:
-    """The mask of every row ``_dominating_rows`` yields."""
-    out = np.zeros(len(D), dtype=bool)
-    out[list(_dominating_rows(P, D, strict))] = True
-    return out
-
-
 def first_dominator(P: Problem, values: np.ndarray, strict: bool,
                     grid: int, ugrid: int
                     ) -> Tuple[EfficiencyContext, Optional[int]]:

@@ -213,9 +213,6 @@ def _simplex_indices(m: int, edge: int,
     r = (np.arange(rows, dtype=np.int64) if ranks is None
          else np.asarray(ranks, dtype=np.int64))
     out = np.empty((len(r), m), dtype=np.int64)
-    if m == 1:
-        out[:] = N
-        return out
     # counts[L][s] = C(s + L + 1, L + 1), the rows of a block with total at
     # most s over L + 1 key positions (hockey stick: each a running sum)
     counts = [np.arange(1, N + 2, dtype=np.int64)]

@@ -9,16 +9,11 @@ conversion and the bound marginals that no caller reads.  The LP goes to
 ``_Highs.passModel`` as arrays, not copied into a ``HighsLp`` attribute by
 attribute.
 
-Each thread keeps two solvers, each given linprog's five options once: one
-for every LP of at most ``KEEP_ROWS`` rows (nearly all of them, as the KKT,
-subdifferential and cone LPs have a few rows each), and one for the larger
-LPs (the full proper-efficiency LP has thousands of grid rows).  A solver
-keeps the memory of the largest model it held: the large one holds about
-6.5 MB after the full proper LP of a 101-point decision grid and about
-25 MB after a 201-point one.  That memory saves page faults.  Over a warm
-loop of 688 in-process reports, the two kept solvers took about 200 minor
-faults, one kept solver for every LP 20k-40k, and a fresh solver per large
-LP 74k-160k.  A solver whose ``passModel`` or ``run`` fails is dropped.
+Each thread keeps one solver, given linprog's five options once, for every
+LP.  It keeps the memory of the largest model it held: about 6.5 MB after
+the full proper-efficiency LP of a 101-point decision grid and about 25 MB
+after a 201-point one.  A solver whose ``passModel`` or ``run`` fails is
+dropped.
 
 Results are bit-identical to ``linprog(..., method="highs")``, which makes a
 fresh solver per LP: the same bounds, CSC matrix and options, and
@@ -64,11 +59,8 @@ except ImportError:  # pragma: no cover - private names moved
 
 TOL = 1e-9  # linprog's default ``tol``, used by its result check
 CHECK_TOL = np.sqrt(TOL) * 10  # the tolerance ``_check_result`` applies
-# rows of the largest LP run on its thread's small solver; a larger LP runs
-# on the large one, as one solver for both sizes page-faults far more often
-KEEP_ROWS = 256
 
-_kept = threading.local()  # .small and .large: the thread's two solvers
+_kept = threading.local()  # .solver: the thread's solver
 _statuses = {}
 
 
@@ -175,8 +167,7 @@ def _direct(c, A_ub, b_ub, A_eq, b_eq, bounds) -> OptimizeResult:
     indptr, indices, data = _csc(np.vstack((A_ub, A_eq)))
 
     error = _h.HighsStatus.kError
-    size = "small" if m <= KEEP_ROWS else "large"
-    highs = getattr(_kept, size, None)
+    highs = getattr(_kept, "solver", None)
     ready = highs is not None
     if not ready:
         highs, ready = _new_solver()
@@ -193,7 +184,7 @@ def _direct(c, A_ub, b_ub, A_eq, b_eq, bounds) -> OptimizeResult:
         model_status = highs.getModelStatus()
     # passModel clears the last model, basis and solution; a solver that
     # failed is not trusted with the next LP
-    setattr(_kept, size, highs if solved else None)
+    _kept.solver = highs if solved else None
     status, message = _status(highs, model_status)
     if not solved or model_status != _h.HighsModelStatus.kOptimal:
         return _result(None, None, status, message, None, None)

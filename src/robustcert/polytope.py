@@ -170,9 +170,6 @@ class Polytope:
         """Pointwise image c * P (for c < 0 this reflects the hull)."""
         return Polytope(self.vertices * float(c))
 
-    def translate(self, v) -> "Polytope":
-        return Polytope(self.vertices + np.asarray(v, dtype=float))
-
     def minkowski_sum(self, other: "Polytope") -> "Polytope":
         sums = (self.vertices[:, None, :] + other.vertices[None, :, :]).reshape(
             -1, self.dim

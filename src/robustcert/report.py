@@ -15,7 +15,8 @@ from typing import Optional, Tuple
 from . import __version__
 from .constraints import (ACTIVE_TOL, FEAS_TOL, GRID_DEFAULT, Problem,
                           analyze_point)
-from .convexity import DEFAULT_SAMPLES, DEFAULT_Y_EDGE, classify_type
+from .convexity import (DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_Y_EDGE,
+                        classify_type)
 from .duality import (DualTriple, converse_duality_check, is_dual_feasible,
                       strong_duality_construct, weak_duality_test)
 from .efficiency import (EFFICIENCY_GRID, certify_efficient, certify_proper,
@@ -100,7 +101,8 @@ def kkt_section(P: Problem, z, y_grid: int = DEFAULT_Y_GRID,
 
 
 def convexity_section(P: Problem, z, samples: int = DEFAULT_SAMPLES,
-                      seed: int = 0, ugrid: int = GRID_DEFAULT) -> dict:
+                      seed: int = DEFAULT_SEED,
+                      ugrid: int = GRID_DEFAULT) -> dict:
     cls = classify_type(P, z, samples, seed, ugrid)
     out = cls.to_jsonable()
     out["samples"] = int(samples)
@@ -161,7 +163,7 @@ def duality_section(P: Problem, z=None, triple: Optional[DualTriple] = None,
 
 def build_report(P: Problem, command: str, z, *, tol: float = RESIDUAL_TOL,
                  grid: int = EFFICIENCY_GRID, ugrid: int = GRID_DEFAULT,
-                 ygrid: int = DEFAULT_Y_GRID, seed: int = 42,
+                 ygrid: int = DEFAULT_Y_GRID, seed: int = DEFAULT_SEED,
                  samples: int = DEFAULT_SAMPLES,
                  triple: Optional[DualTriple] = None, strict_dual: bool = False,
                  exact_scalarization: bool = False, problem_path: str = "",

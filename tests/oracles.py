@@ -380,6 +380,15 @@ def proper_lp_reference(P, z, grid=101, ugrid=1001):
     )
 
 
+def dominator_mask(P, D, strict):
+    """The mask of every row ``efficiency._dominating_rows`` yields."""
+    from robustcert.efficiency import _dominating_rows
+
+    out = np.zeros(len(D), dtype=bool)
+    out[list(_dominating_rows(P, D, strict))] = True
+    return out
+
+
 def dominators_reference(cone, D, strict):
     """Rows of ``D`` whose drop ``-d`` lies in the cone (its interior when
     ``strict``), by the tests the dual-ray margin test replaced.

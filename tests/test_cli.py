@@ -38,6 +38,17 @@ LINE_PROBLEM = {
     "box": {"lower": [-1], "upper": [1]},
 }
 
+# no uncertain parameter: U is one point with no coordinates
+NO_U_PROBLEM = {
+    "decision_dim": 2,
+    "uncertainty_dim": 0,
+    "objectives": ["z1", "abs(z2) - z1"],
+    "constraints": ["abs(z1) + z2 - 1", "max(z1, -z2)"],
+    "uncertainty": {"type": "finite", "points": [[]]},
+    "cone": {"type": "orthant"},
+    "box": {"lower": [-2, -2], "upper": [2, 2]},
+}
+
 
 def run_json(capsys, argv):
     code = main(argv + ["--json"])
@@ -142,6 +153,19 @@ class TestCommands:
                                 "--triple", inline])
         assert rep["duality"]["feasibility"]["feasible"] is True
 
+    @pytest.mark.parametrize("command", ["kkt", "dual", "report"])
+    def test_certificate_without_uncertain_parameter(self, capsys, tmp_path,
+                                                     command):
+        # each witness of the certificate is a point with no coordinates,
+        # which lies in U
+        path = tmp_path / "no-u.json"
+        path.write_text(json.dumps(NO_U_PROBLEM))
+        out = run_json(capsys, [command, "--problem", str(path),
+                                "--point", "0,0"])
+        assert out["kkt"]["found"]
+        assert out["kkt"]["verification"]["ok"]
+        assert out["kkt"]["certificate"]["witnesses"] == [[], [[]]]
+
     def test_report_command_has_all_sections(self, capsys):
         rep = run_json(capsys, ["report", "--problem", "ex3_2",
                                 "--point", "0,1", "--samples", "60"])
@@ -200,6 +224,16 @@ class TestExitCodes:
         (["dual", "--triple",
           '{"y": [0, true], "y_star": [0.35, 0, 0.35], "mu": [0.5, 0]}'],
          "--triple"),
+        (["check", "--point", "0,x"], "could not parse point '0,x'"),
+        (["efficiency", "--point", "0,1", "--grid", "1"], "--grid"),
+        (["convexity", "--point", "0,1", "--samples", "0"], "--samples"),
+        # a triple of one objective and one constraint too few
+        (["dual", "--triple", '{"y": [0, 1], "y_star": [0.5, 0.5], "mu": [1]}'],
+         "--triple dimensions do not match"),
+        (["dual", "--triple", "@no/such/triple.json"],
+         "could not read triple file"),
+        (["check", "--point", "0,1", "--out", "no/such/report.txt"],
+         "No such file or directory"),
     ])
     def test_bad_number_is_usage_error(self, capsys, argv, name):
         assert main(argv[:1] + ["--problem", "ex3_2"] + argv[1:]) == 1

@@ -90,16 +90,16 @@ def test_box_grid_below_two_points_is_refused(grid):
             call()
 
 
-def test_box_contains_and_clip():
+def test_box_contains():
     assert UBOX.contains([0.3]) and not UBOX.contains([1.2])
-    assert UBOX.clip([1.7])[0] == 1.0
 
 
 def test_finite_set():
     U = UncertaintySet.finite([[-1.0], [0.0], [1.0]])
     assert U.dim == 1
     assert U.contains([0.0]) and not U.contains([0.5])
-    assert np.allclose(U.clip([0.4]), [0.0])
+    # the one point of a set with no uncertain parameter contains itself
+    assert UncertaintySet.finite([[]]).contains([])
     # a finite set has no grid, so any grid size gives its points
     for n in (0, 1, 1001):
         np.testing.assert_array_equal(U.grid_points(n), U.points)

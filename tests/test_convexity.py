@@ -1,6 +1,7 @@
 """Tests for the generalized-convexity sampling classifiers."""
 
 import dataclasses
+import inspect
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -8,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from robustcert import convexity
+from robustcert import cli, convexity, report
 from robustcert.constraints import ConeSpec, worst_case_matrix
 from robustcert.convexity import (
     PSEUDO,
@@ -423,3 +424,13 @@ def test_concurrent_callers_get_correct_classifications(ex3_2, empty_memo,
     for k, cls in enumerate(results):
         assert _text(cls) == expected[k % 4]
     assert len(convexity._chunks) <= 2
+
+
+def test_library_and_cli_share_one_default_seed():
+    # a library call scans the same sample stream as `robustcert convexity`
+    for f in (check_pseudo_convex, check_strictly_pseudo_convex,
+              check_generalized_quasi_convex, classify_type,
+              report.convexity_section, report.build_report):
+        default = inspect.signature(f).parameters["seed"].default
+        assert default == convexity.DEFAULT_SEED, f.__name__
+    assert cli._build_parser().get_default("seed") == convexity.DEFAULT_SEED

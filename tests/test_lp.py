@@ -4,9 +4,9 @@ Every LP that ``constraints``, ``efficiency``, ``kkt`` and ``subdiff`` solve
 over a set of full reports is recorded and replayed twice, through
 ``lp.solve`` with SciPy's own ``linprog`` (the direct path) and through
 ``linprog(..., method="highs")``; ``x``, ``fun``, ``status`` and both
-marginal arrays must agree bit for bit, also when one thread's two kept
-solvers (one for small LPs, one for large) run them in another order among
-infeasible and unbounded LPs, and when two threads run them at once.
+marginal arrays must agree bit for bit, also when one thread's kept solver
+runs them in another order among infeasible and unbounded LPs, and when two
+threads run them at once.
 Instrumentation installed on a module's ``linprog`` binding must still see
 that module's LPs, and the fallback path must render the same report bytes
 as the direct one.  The
@@ -183,25 +183,29 @@ def _rows(args):
     return sum(0 if a is None else len(a) for a in (args[2], args[4]))
 
 
+# more rows than any KKT, subdifferential or cone LP has: the full
+# proper-efficiency LP has one per feasible grid row
+MANY_ROWS = 1000
+
+
 @pytest.mark.skipif(not lp.DIRECT, reason="direct HiGHS path unavailable")
 @pytest.mark.parametrize("order", ["recorded", "reversed", "shuffled"])
 def test_kept_solver_replays_bit_identically_in_any_order(recorded, order):
-    # the thread's one solver runs every small LP, so each must leave nothing
-    # behind that the next could read
+    # the thread's one solver runs every LP, of a few rows or of thousands,
+    # so each must leave nothing behind that the next could read
     lps = [args for _, args in recorded]
     if order == "reversed":
         lps.reverse()
     elif order == "shuffled":
         np.random.default_rng(18).shuffle(lps)
     lps = _interleaved(lps)
-    large = [a for a in lps if _rows(a) > lp.KEEP_ROWS]
-    assert large
+    assert min(map(_rows, lps)) < 10 and max(map(_rows, lps)) > MANY_ROWS
     lp.solve(linprog, *INFEASIBLE)
-    lp.solve(linprog, *large[-1])
-    small, large = lp._kept.small, lp._kept.large
+    lp.solve(linprog, *max(lps, key=_rows))
+    solver = lp._kept.solver
     for args, want in zip(lps, _linprog_results(lps)):
         _assert_identical(lp.solve(linprog, *args), want)
-        assert lp._kept.small is small and lp._kept.large is large
+        assert lp._kept.solver is solver
 
 
 def _counting_new_solver(monkeypatch):
@@ -225,11 +229,11 @@ def _rows_lp(m):
 
 
 @pytest.mark.skipif(not lp.DIRECT, reason="direct HiGHS path unavailable")
-@pytest.mark.parametrize("extra", [0, 1])
-def test_each_size_class_keeps_its_own_solver(monkeypatch, extra):
-    # an LP of KEEP_ROWS rows runs on the small solver, one of KEEP_ROWS + 1
-    # on the large one; each class makes its solver once, and a small LP
-    # never runs on the large solver
+@pytest.mark.parametrize("first", ["large", "small"])
+def test_one_solver_runs_every_lp(monkeypatch, first):
+    # LPs of a few rows and of thousands, in alternation, all run on the
+    # thread's one solver, which is made once, whether the first LP it
+    # runs is large or small
     runs = []
 
     class Spy(lp._h._Highs):
@@ -239,18 +243,17 @@ def test_each_size_class_keeps_its_own_solver(monkeypatch, extra):
             return super().passModel(*args)
 
     monkeypatch.setattr(lp._h, "_Highs", Spy)
-    for size in ("small", "large"):
-        monkeypatch.setattr(lp._kept, size, None, raising=False)
+    monkeypatch.setattr(lp._kept, "solver", None, raising=False)
     made = _counting_new_solver(monkeypatch)
-    first, other = lp.KEEP_ROWS + extra, lp.KEEP_ROWS + 1 - extra
-    for args in (_rows_lp(first), SMALL + ((0, None),), _rows_lp(other),
-                 _rows_lp(first), SMALL + ((0, None),)):
+    small = SMALL + ((0, None),)
+    lps = [_rows_lp(2000), small, _rows_lp(300), small, _rows_lp(2000)]
+    if first == "small":
+        lps = lps[1:] + lps[:1]
+    for args in lps:
         assert _replay(args) == 0
-    assert len(made) == 2
-    small, large = lp._kept.small, lp._kept.large
-    assert {solver for solver, _ in runs} == {small, large}
-    for solver, rows in runs:
-        assert (solver is large) == (rows > lp.KEEP_ROWS)
+    assert len(made) == 1
+    assert {solver for solver, _ in runs} == {lp._kept.solver}
+    assert [rows for _, rows in runs] == [_rows(args) for args in lps]
 
 
 def _largest_proper_lp(name, z):
@@ -271,23 +274,23 @@ def _largest_proper_lp(name, z):
 
 
 @pytest.mark.skipif(not lp.DIRECT, reason="direct HiGHS path unavailable")
-def test_full_proper_lp_replays_bit_identically_on_the_large_solver():
+def test_full_proper_lp_replays_bit_identically_on_the_kept_solver():
     # ex3_2's full proper LP at its anchor (7,231 grid rows), twice, then
-    # after ex3_3's, on one kept large solver
+    # after a small LP and ex3_3's full proper LP, on the one kept solver
     full = _largest_proper_lp("ex3_2", (0.0, 1.0))
     other = _largest_proper_lp("ex3_3", (0.0, 1.0))
-    assert _rows(full) == 7231 + 3 + 1 and _rows(other) > lp.KEEP_ROWS
+    assert _rows(full) == 7231 + 3 + 1 and _rows(other) > MANY_ROWS
     assert _replay(full) == 0
-    kept = lp._kept.large
-    for args in (full, other, full):
+    kept = lp._kept.solver
+    for args in (full, SMALL + ((0, None),), other, full):
         assert _replay(args) == 0
-        assert lp._kept.large is kept
+        assert lp._kept.solver is kept
 
 
 @pytest.mark.skipif(not lp.DIRECT, reason="direct HiGHS path unavailable")
 def test_threads_keep_their_own_solvers(recorded):
     lps = _interleaved([args for _, args in recorded])
-    assert any(_rows(a) > lp.KEEP_ROWS for a in lps)
+    assert max(map(_rows, lps)) > MANY_ROWS
     want = _linprog_results(lps)
     lp.solve(linprog, *INFEASIBLE)
     results, solvers, errors = {}, {}, []
@@ -295,7 +298,7 @@ def test_threads_keep_their_own_solvers(recorded):
     def replay(name):
         try:
             results[name] = [lp.solve(linprog, *args) for args in lps]
-            solvers[name] = (lp._kept.small, lp._kept.large)
+            solvers[name] = lp._kept.solver
         except Exception as exc:  # reraised below, in the test's thread
             errors.append(exc)
 
@@ -315,10 +318,8 @@ def test_threads_keep_their_own_solvers(recorded):
     for name in ("a", "b"):
         for got, expected in zip(results[name], want, strict=True):
             _assert_identical(got, expected)
-    mine = (lp._kept.small, getattr(lp._kept, "large", None))
-    for k in range(2):  # the small solvers, then the large ones
-        assert solvers["a"][k] is not solvers["b"][k]
-        assert mine[k] not in (solvers["a"][k], solvers["b"][k])
+    assert solvers["a"] is not solvers["b"]
+    assert lp._kept.solver not in (solvers["a"], solvers["b"])
 
 
 @pytest.mark.skipif(not lp.DIRECT, reason="direct HiGHS path unavailable")
@@ -330,14 +331,14 @@ def test_solver_is_replaced_after_a_failed_pass_model(monkeypatch):
             return failures.pop() if failures else super().passModel(*args)
 
     monkeypatch.setattr(lp._h, "_Highs", FailingOnce)
-    monkeypatch.setattr(lp._kept, "small", None)
+    monkeypatch.setattr(lp._kept, "solver", None, raising=False)
     made = _counting_new_solver(monkeypatch)
     failed = lp.solve(linprog, *SMALL)
     assert (failed.status, failed.x) == (2, None)
-    assert lp._kept.small is None
+    assert lp._kept.solver is None
     assert _replay(SMALL + ((0, None),)) == 0
     assert len(made) == 2 and made[1][0] is not made[0][0]
-    assert lp._kept.small is made[1][0]
+    assert lp._kept.solver is made[1][0]
 
 
 # min -x1 - x2 subject to x1 + x2 <= 1, x1 - 2 x2 = 0.5: bounded below
@@ -447,10 +448,10 @@ def test_direct_path_available_on_pinned_scipy(monkeypatch):
             return super().passModel(*args)
 
     monkeypatch.setattr(lp._h, "_Highs", Spy)
-    monkeypatch.setattr(lp._kept, "small", None)
+    monkeypatch.setattr(lp._kept, "solver", None, raising=False)
     assert lp.solve(linprog, *SMALL).status == 0
     assert [len(args) for args in passed] == [15]
-    assert isinstance(lp._kept.small, Spy)
+    assert isinstance(lp._kept.solver, Spy)
 
 
 @pytest.mark.skipif(lp._h is None, reason="private HiGHS names unavailable")
