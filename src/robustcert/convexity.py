@@ -103,31 +103,13 @@ class ConvexityWitness:
 @dataclass
 class Verdict:
     status: str              # 'refuted' | 'not-refuted'
-    witness: Optional[ConvexityWitness]
     samples_used: int
     resolution: int          # weight-grid edge count
+    witness: Optional[ConvexityWitness] = None
 
     @property
     def refuted(self) -> bool:
         return self.status == "refuted"
-
-    def to_jsonable(self) -> dict:
-        out = {
-            "status": self.status,
-            "samples_used": self.samples_used,
-            "resolution": self.resolution,
-        }
-        if self.witness is not None:
-            out["witness"] = {
-                "z": [float(v) for v in self.witness.z],
-                "y": None if self.witness.y is None
-                else [float(v) for v in self.witness.y],
-                "part": self.witness.part,
-                "delta": float(self.witness.delta),
-                "support": float(self.witness.support),
-                "sample_index": self.witness.sample_index,
-            }
-        return out
 
 
 @dataclass
@@ -135,23 +117,33 @@ class TypeClassification:
     type_i: Verdict
     type_ii: Verdict
 
-    def to_jsonable(self) -> dict:
-        return {
-            "type_i": self.type_i.to_jsonable(),
-            "type_ii": self.type_ii.to_jsonable(),
-        }
-
 
 # ---------------------------------------------------------------------------
 # sample stream
 # ---------------------------------------------------------------------------
 
 
+def _row_major(axes: Sequence[Sequence]) -> Iterator[tuple]:
+    """The product of ``axes``, first axis slowest, one tuple at a time.
+
+    Unlike ``itertools.product`` it never copies an axis, so a ``range`` of
+    any length takes no memory.
+    """
+    if not axes:
+        yield ()
+        return
+    for k in axes[0]:
+        for rest in _row_major(axes[1:]):
+            yield (k,) + rest
+
+
 def dyadic_lattice(lower, upper) -> Iterator[np.ndarray]:
     """Deterministic sweep: integer points, then odd multiples of 1/2, 1/4, ...
 
-    Row-major within each refinement level (first coordinate slowest).  Axes
-    with zero width stay pinned and do not participate in the novelty test.
+    Row-major within each refinement level (first coordinate slowest), each
+    level enumerated lazily, so the memory taken does not grow with the
+    width of the box.  Axes with zero width stay pinned and do not
+    participate in the novelty test.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -164,14 +156,14 @@ def dyadic_lattice(lower, upper) -> Iterator[np.ndarray]:
         axis_ks = []
         for j in range(len(lower)):
             if j not in free:
-                axis_ks.append([None])
+                axis_ks.append((None,))
                 continue
             k_lo = math.ceil(lower[j] / step - 1e-12)
             k_hi = math.floor(upper[j] / step + 1e-12)
-            axis_ks.append(list(range(k_lo, k_hi + 1)))
-        if any(len(ks) == 0 for ks in axis_ks):
+            axis_ks.append(range(k_lo, k_hi + 1))
+        if not all(axis_ks):
             continue
-        for combo in itertools.product(*axis_ks):
+        for combo in _row_major(axis_ks):
             if level > 0 and not any(
                 k is not None and k % 2 != 0 for k in combo
             ):
@@ -425,8 +417,8 @@ def revalidate_witness(P: Problem, z, witness: ConvexityWitness, kind: str,
 
 def _verdict(found: Optional[ConvexityWitness], used: int) -> Verdict:
     if found is None:
-        return Verdict("not-refuted", None, used, DEFAULT_Y_EDGE)
-    return Verdict("refuted", found, used, DEFAULT_Y_EDGE)
+        return Verdict("not-refuted", used, DEFAULT_Y_EDGE)
+    return Verdict("refuted", used, DEFAULT_Y_EDGE, found)
 
 
 # ---------------------------------------------------------------------------

@@ -82,15 +82,6 @@ class DualFeasibilityReport:
     stationarity_distance: float
     sign_values: List[float]
 
-    def to_jsonable(self) -> dict:
-        return {
-            "feasible": bool(self.feasible),
-            "mode": self.mode,
-            "checks": {k: bool(v) for k, v in self.checks.items()},
-            "stationarity_distance": float(self.stationarity_distance),
-            "sign_values": [float(v) for v in self.sign_values],
-        }
-
 
 def is_dual_feasible(P: Problem, triple: DualTriple, mode: str = "default",
                      tol: float = RESIDUAL_TOL,
@@ -157,18 +148,6 @@ class WeakDualityReport:
     first_violation: Optional[np.ndarray] = None
     violation_values: Optional[np.ndarray] = None
 
-    def to_jsonable(self) -> dict:
-        out = {
-            "holds": bool(self.holds),
-            "kind": self.kind,
-            "grid": self.grid,
-            "checked_points": self.checked_points,
-        }
-        if self.first_violation is not None:
-            out["first_violation"] = [float(v) for v in self.first_violation]
-            out["violation_values"] = [float(v) for v in self.violation_values]
-        return out
-
 
 def weak_duality_test(P: Problem, triple: DualTriple, kind: str = "typeI",
                       grid: int = EFFICIENCY_GRID, ugrid: int = GRID_DEFAULT
@@ -218,14 +197,6 @@ class ConverseDualityReport:
     weakly_efficient: bool    # brute-force grid verdict at the triple's point
     consistent: bool          # applicable implies weakly efficient
     feasibility: DualFeasibilityReport
-
-    def to_jsonable(self) -> dict:
-        return {
-            "applicable": bool(self.applicable),
-            "weakly_efficient": bool(self.weakly_efficient),
-            "consistent": bool(self.consistent),
-            "feasibility": self.feasibility.to_jsonable(),
-        }
 
 
 def converse_duality_check(P: Problem, triple: DualTriple,

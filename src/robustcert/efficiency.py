@@ -110,24 +110,6 @@ class EfficiencyReport:
     witness_y: Optional[np.ndarray] = None
     notes: Tuple[str, ...] = ()
 
-    def to_jsonable(self) -> dict:
-        out = {
-            "concept": self.concept,
-            "certified": bool(self.certified),
-            "grid": self.grid,
-            "feasible_points": self.feasible_points,
-        }
-        if self.counterexample is not None:
-            out["counterexample"] = [float(v) for v in self.counterexample]
-            out["counterexample_values"] = [
-                float(v) for v in self.counterexample_values
-            ]
-        if self.witness_y is not None:
-            out["witness_y"] = [float(v) for v in self.witness_y]
-        if self.notes:
-            out["notes"] = list(self.notes)
-        return out
-
 
 def _feasibility_guard(P: Problem, z, concept: str, grid: int,
                        ugrid: int) -> Optional[EfficiencyReport]:
@@ -312,15 +294,6 @@ class ProperNecessaryReport:
     argmin: np.ndarray
     feasible_points: int
 
-    def to_jsonable(self) -> dict:
-        return {
-            "ok": bool(self.ok),
-            "interior_margin": float(self.interior_margin),
-            "min_value": float(self.min_value),
-            "argmin": [float(v) for v in np.atleast_1d(self.argmin)],
-            "feasible_points": int(self.feasible_points),
-        }
-
 
 def check_proper_necessary(P: Problem, z, y_star, grid: int = EFFICIENCY_GRID,
                            ugrid: int = GRID_DEFAULT) -> ProperNecessaryReport:
@@ -359,14 +332,6 @@ class SufficiencyReport:
     efficient: bool
     proper: bool
     reasons: List[str] = field(default_factory=list)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "weak": self.weak,
-            "efficient": self.efficient,
-            "proper": self.proper,
-            "reasons": list(self.reasons),
-        }
 
 
 def sufficient_conditions(P: Problem, cert: KktCertificate,

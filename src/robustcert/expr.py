@@ -26,6 +26,12 @@ KINK_ACTIVITY_TOL = 1e-9
 # they differ by less than this.
 GRADIENT_TIE_TOL = 1e-12
 
+# The deepest expression tree parse_expr accepts.  The evaluators, the
+# printer and a node's repr recurse through the tree, the repr about three
+# frames per level, so a tree this deep stays well inside Python's default
+# recursion limit of 1000 frames.
+MAX_DEPTH = 100
+
 
 # ---------------------------------------------------------------------------
 # Errors
@@ -326,8 +332,21 @@ class _Parser:
 
 
 def parse_expr(text: str, d: int, p: int) -> Expr:
-    """Parse source text over z1..z<d> and u1..u<p>."""
-    return _Parser(_tokenize(text), d, p).parse()
+    """Parse source text over z1..z<d> and u1..u<p>.
+
+    Raises ExprSyntaxError for text nested too deeply for the parser and for
+    a tree deeper than ``MAX_DEPTH``.
+    """
+    parser = _Parser(_tokenize(text), d, p)
+    try:
+        e = parser.parse()
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply",
+                              parser.peek().offset) from None
+    if depth(e) > MAX_DEPTH:
+        raise ExprSyntaxError(
+            f"expression nested deeper than {MAX_DEPTH} levels", 0)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +424,17 @@ def children(e: Expr) -> tuple:
     if isinstance(e, (MaxOp, MinOp)):
         return e.args
     return ()
+
+
+def depth(e: Expr) -> int:
+    """Levels of the tree ``e``, a variable or literal being one, counted
+    without recursion."""
+    deepest, stack = 0, [(e, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        stack.extend((child, level + 1) for child in children(node))
+    return deepest
 
 
 def free_var_indices(e: Expr, kind: str) -> frozenset:

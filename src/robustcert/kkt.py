@@ -101,20 +101,6 @@ class KktCertificate:
     fritz_john: bool = False
     fritz_john_also: bool = False
 
-    def to_jsonable(self) -> dict:
-        return {
-            "y_star": [float(v) for v in self.y_star],
-            "mu": [float(v) for v in self.mu],
-            "witnesses": [
-                [[float(c) for c in u] for u in per_constraint]
-                for per_constraint in self.witnesses
-            ],
-            "residual": float(self.residual),
-            "mode": self.mode,
-            "fritz_john": bool(self.fritz_john),
-            "fritz_john_also": bool(self.fritz_john_also),
-        }
-
     @staticmethod
     def from_jsonable(data: dict) -> "KktCertificate":
         return KktCertificate(
@@ -158,14 +144,6 @@ class CqReport:
     distance: float
     active_indices: List[int]
     trivial: bool  # no binding constraint, qualification holds vacuously
-
-    def to_jsonable(self) -> dict:
-        return {
-            "satisfied": bool(self.satisfied),
-            "distance": float(self.distance),
-            "active_indices": [int(i) for i in self.active_indices],
-            "trivial": bool(self.trivial),
-        }
 
 
 def check_cq(P: Problem, z, grid: int = GRID_DEFAULT) -> CqReport:
@@ -698,14 +676,6 @@ class VerificationReport:
     checks: Dict[str, bool]
     stationarity_distance: float
     details: Dict[str, str] = field(default_factory=dict)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "ok": bool(self.ok),
-            "checks": {k: bool(v) for k, v in self.checks.items()},
-            "stationarity_distance": float(self.stationarity_distance),
-            "details": dict(self.details),
-        }
 
 
 def verify_certificate(P: Problem, z, cert: KktCertificate,

@@ -1,16 +1,22 @@
 """Report assembly for the command-line interface.
 
 Each section builder returns a plain JSON-able dict; ``build_report`` wraps
-one or more sections with a config echo and a provenance block.  Rendering is
-deterministic: identical inputs produce byte-identical JSON except for the
-``generated_at`` timestamp.
+one or more sections with a config echo and a provenance block.  The result
+classes of ``kkt``, ``efficiency``, ``convexity`` and ``duality`` are
+dataclasses that carry no serializer of their own: ``jsonable`` turns any of
+them into plain dicts, lists and Python scalars, leaving out an optional
+field that is unset.  Rendering is deterministic: identical inputs produce
+byte-identical JSON except for the ``generated_at`` timestamp.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from datetime import datetime, timezone
 from typing import Optional, Tuple
+
+import numpy as np
 
 from . import __version__
 from .constraints import (ACTIVE_TOL, FEAS_TOL, GRID_DEFAULT, Problem,
@@ -27,6 +33,37 @@ from .kkt import (DEFAULT_Y_GRID, RESIDUAL_TOL, KktCertificate,
 from .memo import shared_points
 
 SCHEMA_VERSION = 1
+
+
+def _unset(value) -> bool:
+    return value is None or (isinstance(value, tuple) and not value)
+
+
+def jsonable(obj):
+    """``obj`` as plain dicts, lists, ``str``, ``int``, ``float``, ``bool``
+    and ``None``.
+
+    Arrays and tuples become lists and numpy scalars Python ones.  An
+    object with its own ``to_jsonable`` (``Polytope``, ``PolytopeUnion``,
+    ``DualTriple``) is written by it; any other object must be a dataclass,
+    and becomes a dict of its fields, without a field whose value and
+    default are both ``None`` or ``()``.
+    """
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if obj is None or isinstance(obj, (str, int, float)):
+        return obj
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, dict):
+        return {key: jsonable(value) for key, value in obj.items()}
+    if hasattr(obj, "to_jsonable"):
+        return obj.to_jsonable()
+    return {f.name: jsonable(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+            if not (_unset(f.default) and _unset(getattr(obj, f.name)))}
 
 
 # ---------------------------------------------------------------------------
@@ -65,14 +102,14 @@ def feasibility_section(P: Problem, z, tol: float = FEAS_TOL,
 def subdiff_section(P: Problem, z, ugrid: int = GRID_DEFAULT) -> dict:
     a = analyze_point(P, z, ugrid)
     return {
-        "objectives": [s.to_jsonable() for s in a.objective_subdiffs],
-        "worst_case_constraints": [w.subdiff.to_jsonable()
+        "objectives": jsonable(a.objective_subdiffs),
+        "worst_case_constraints": [jsonable(w.subdiff)
                                    for w in a.worst_cases],
     }
 
 
 def cq_section(P: Problem, z, ugrid: int = GRID_DEFAULT) -> dict:
-    out = check_cq(P, z, ugrid).to_jsonable()
+    out = jsonable(check_cq(P, z, ugrid))
     out["tol"] = float(ACTIVE_TOL)
     return out
 
@@ -94,17 +131,15 @@ def kkt_section(P: Problem, z, y_grid: int = DEFAULT_Y_GRID,
                                  else [float(v) for v in exc.best_direction])
         return out, None
     out["found"] = True
-    out["certificate"] = cert.to_jsonable()
-    out["verification"] = verify_certificate(P, z, cert, tol,
-                                             ugrid).to_jsonable()
+    out["certificate"] = jsonable(cert)
+    out["verification"] = jsonable(verify_certificate(P, z, cert, tol, ugrid))
     return out, cert
 
 
 def convexity_section(P: Problem, z, samples: int = DEFAULT_SAMPLES,
                       seed: int = DEFAULT_SEED,
                       ugrid: int = GRID_DEFAULT) -> dict:
-    cls = classify_type(P, z, samples, seed, ugrid)
-    out = cls.to_jsonable()
+    out = jsonable(classify_type(P, z, samples, seed, ugrid))
     out["samples"] = int(samples)
     out["seed"] = int(seed)
     out["y_edge"] = DEFAULT_Y_EDGE
@@ -113,16 +148,16 @@ def convexity_section(P: Problem, z, samples: int = DEFAULT_SAMPLES,
 
 def efficiency_section(P: Problem, z, grid: int = EFFICIENCY_GRID,
                        ugrid: int = GRID_DEFAULT) -> dict:
-    return {
+    return jsonable({
         "grid": int(grid),
         "box": {
             "lower": [float(v) for v in P.box_lower],
             "upper": [float(v) for v in P.box_upper],
         },
-        "weak": certify_weak(P, z, grid, ugrid).to_jsonable(),
-        "efficient": certify_efficient(P, z, grid, ugrid).to_jsonable(),
-        "proper": certify_proper(P, z, grid, ugrid).to_jsonable(),
-    }
+        "weak": certify_weak(P, z, grid, ugrid),
+        "efficient": certify_efficient(P, z, grid, ugrid),
+        "proper": certify_proper(P, z, grid, ugrid),
+    })
 
 
 def duality_section(P: Problem, z=None, triple: Optional[DualTriple] = None,
@@ -141,19 +176,15 @@ def duality_section(P: Problem, z=None, triple: Optional[DualTriple] = None,
                                "(no certificate found at this point)"}
         triple = strong_duality_construct(P, z, cert)
     mode = "strict" if strict else "default"
-    return {
-        "triple": triple.to_jsonable(),
+    return jsonable({
+        "triple": triple,
         "mode": mode,
         "tol": float(tol),
-        "feasibility": is_dual_feasible(P, triple, mode, tol,
-                                        ugrid).to_jsonable(),
-        "weak_typeI": weak_duality_test(P, triple, "typeI", grid,
-                                        ugrid).to_jsonable(),
-        "weak_typeII": weak_duality_test(P, triple, "typeII", grid,
-                                         ugrid).to_jsonable(),
-        "converse": converse_duality_check(P, triple, grid, ugrid,
-                                           tol).to_jsonable(),
-    }
+        "feasibility": is_dual_feasible(P, triple, mode, tol, ugrid),
+        "weak_typeI": weak_duality_test(P, triple, "typeI", grid, ugrid),
+        "weak_typeII": weak_duality_test(P, triple, "typeII", grid, ugrid),
+        "converse": converse_duality_check(P, triple, grid, ugrid, tol),
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,28 @@ def loop_simplex_indices(m, edge):
     return np.array(rows, dtype=np.int64)
 
 
+def listed_dyadic_lattice(lower, upper, n):
+    """The first n points of ``convexity.dyadic_lattice``, each level's axes
+    listed and multiplied out by ``itertools.product`` (memory grows with
+    the width of the box)."""
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    points = []
+    for level in itertools.count():
+        step = 1.0 if level == 0 else 2.0 ** (-level)
+        axes = [[None] if upper[j] <= lower[j] else
+                list(range(int(np.ceil(lower[j] / step - 1e-12)),
+                           int(np.floor(upper[j] / step + 1e-12)) + 1))
+                for j in range(len(lower))]
+        for combo in itertools.product(*axes):
+            if level > 0 and all(k is None or k % 2 == 0 for k in combo):
+                continue
+            points.append([lower[j] if k is None else k * step
+                           for j, k in enumerate(combo)])
+            if len(points) == n:
+                return np.array(points)
+
+
 def loop_chunk_corners(m, edge):
     """Corners of the slab of each ``kkt.SCAN_CHUNK`` chunk of the plain
     lattice, (chunks, 2(m-1), m): t e_k + (1 - t) e_j for j != k, with t

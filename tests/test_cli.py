@@ -338,10 +338,15 @@ class TestExitCodes:
         {"box": {"lower": [-1], "upper": [True]}},
         {"cone": {"type": "generators", "rays": [[True]]}},
         {"objectives": ["z1 + u1"]},
+        # deeper than the parser can recurse, and deeper than MAX_DEPTH
+        {"objectives": ["(" * 300 + "z1" + ")" * 300]},
+        {"objectives": ["-" * 2000 + "z1"]},
+        {"objectives": [" + ".join(["z1"] * 3000)]},
     ], ids=["box-bounds-not-flat", "finite-points-not-2d", "bool-dimension",
             "bool-uncertainty-lower", "bool-uncertainty-upper",
             "bool-finite-point", "bool-box-lower", "bool-box-upper",
-            "bool-cone-ray", "objective-references-u"])
+            "bool-cone-ray", "objective-references-u", "nested-parentheses",
+            "nested-minus-signs", "long-sum"])
     def test_malformed_problem_is_usage_error(self, capsys, tmp_path, change):
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(dict(LINE_PROBLEM, **change)))

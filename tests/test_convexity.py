@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import json
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -27,8 +28,11 @@ from robustcert.convexity import (
 )
 from robustcert.expr import Point, parse_expr
 from robustcert.memo import LruMemo, content_key
-from robustcert.problem_io import load_problem, problem_from_dict
+from robustcert.problem_io import (BUNDLED_FIXTURES, load_problem,
+                                   problem_from_dict)
 from robustcert.subdiff import limiting_subdiff
+
+from oracles import listed_dyadic_lattice
 
 Z22 = np.array([0.0, -2.0])
 Z32 = np.array([0.0, 1.0])
@@ -86,6 +90,28 @@ class TestDyadicLattice:
         pts = [next(lat) for _ in range(5)]
         assert all(p[0] == 0.0 for p in pts)
         assert len({tuple(p) for p in pts}) == 5
+
+    def test_wide_box_streams_in_bounded_memory(self):
+        # each level is enumerated lazily: listing the 2e9 + 1 integers of
+        # an axis would take tens of gigabytes
+        tracemalloc.start()
+        try:
+            lat = dyadic_lattice([-1e9, -1e9], [1e9, 1e9])
+            pts = [next(lat) for _ in range(500)]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        np.testing.assert_array_equal(pts[0], [-1e9, -1e9])
+        np.testing.assert_array_equal(pts[499], [-1e9, -1e9 + 499])
+
+    @pytest.mark.parametrize("name", BUNDLED_FIXTURES)
+    def test_point_order_on_bundled_boxes(self, name):
+        P = load_problem(name)
+        lat = dyadic_lattice(P.box_lower, P.box_upper)
+        np.testing.assert_array_equal(
+            [next(lat) for _ in range(1000)],
+            listed_dyadic_lattice(P.box_lower, P.box_upper, 1000))
 
     def test_stream_interleaves_lattice_every_fourth(self, ex2_2):
         stream = _candidate_stream(ex2_2, seed=0)
@@ -217,7 +243,7 @@ def test_supplied_witness_revalidation(ex2_2):
 
 
 def test_verdict_serialization_round_trip(cls22):
-    blob = json.dumps(cls22.to_jsonable())
+    blob = json.dumps(report.jsonable(cls22))
     back = json.loads(blob)
     assert back["type_i"]["status"] == "not-refuted"
     assert "witness" not in back["type_i"]
@@ -254,7 +280,7 @@ def empty_memo():
 
 
 def _text(cls):
-    return json.dumps(cls.to_jsonable())
+    return json.dumps(report.jsonable(cls))
 
 
 def _with_constraint(P, i, source):
@@ -343,10 +369,10 @@ def test_row_blocks_find_the_same_first_violation(ex2_2, ex2_3, ex3_3,
     # blocks of a few rows every block is reached in the same row order
     cases = [(ex2_2, Z22), (ex2_3, Z22), (ex3_3, np.array([-0.967, 2.295])),
              (ex3_3, np.array([-3.795, -4.835]))]
-    default = [classify_type(P, z).to_jsonable() for P, z in cases]
+    default = [report.jsonable(classify_type(P, z)) for P, z in cases]
     monkeypatch.setattr(convexity, "PRODUCT_ELEMENTS",
                         rows * len(dual_weight_grid(ex2_2)))
-    blocked = [classify_type(P, z).to_jsonable() for P, z in cases]
+    blocked = [report.jsonable(classify_type(P, z)) for P, z in cases]
     # the same violations; their values may differ in the last bit, since
     # a product of other shape may take another BLAS kernel
     for got, want in zip(blocked, default):

@@ -15,7 +15,7 @@ from robustcert.duality import (
 )
 from robustcert.kkt import find_kkt_certificate
 from robustcert.problem_io import load_problem
-from robustcert.report import build_report
+from robustcert.report import build_report, jsonable
 
 Z32 = np.array([0.0, 1.0])
 Z22 = np.array([0.0, -2.0])
@@ -124,7 +124,7 @@ class TestWeakDuality:
     def test_serialization(self, ex2_2):
         triple = DualTriple(Z22, np.array([0.3, 0.3, 0.4]), np.zeros(2))
         rep = weak_duality_test(ex2_2, triple, "typeI")
-        blob = json.loads(json.dumps(rep.to_jsonable()))
+        blob = json.loads(json.dumps(jsonable(rep)))
         assert blob["holds"] is False
         assert blob["kind"] == "typeI"
         assert blob["first_violation"] == pytest.approx([-0.2, -5.0],

@@ -33,7 +33,8 @@ from robustcert.problem_io import (
     load_problem,
     problem_from_dict,
 )
-from robustcert.report import build_report, efficiency_section, render_json
+from robustcert.report import (build_report, efficiency_section, jsonable,
+                               render_json)
 
 from oracles import (dominator_mask, dominators_reference,
                      proper_lp_reference, proper_weights_reference)
@@ -324,8 +325,8 @@ def _half_integer_points(P):
 
 
 def _assert_matches_full_lp(P, z, **kw):
-    assert certify_proper(P, z, **kw).to_jsonable() == \
-        proper_lp_reference(P, z, **kw).to_jsonable(), z
+    assert jsonable(certify_proper(P, z, **kw)) == \
+        jsonable(proper_lp_reference(P, z, **kw)), z
 
 
 @pytest.mark.parametrize("name", BUNDLED_FIXTURES)
@@ -375,8 +376,8 @@ def test_two_stage_lp_matches_without_feasible_grid_rows():
     assert len(grid_context(P, 11).Z) == 0
     rep = certify_proper(P, [0.123], grid=11)
     assert rep.certified
-    assert rep.to_jsonable() == \
-        proper_lp_reference(P, [0.123], grid=11).to_jsonable()
+    assert jsonable(rep) == \
+        jsonable(proper_lp_reference(P, [0.123], grid=11))
 
 
 def _count_lps(monkeypatch):
@@ -414,7 +415,7 @@ def test_certified_point_solves_the_full_lp_second(ex3_2, ctx32, monkeypatch):
 def test_efficiency_section_guards_each_point_once(name, z, monkeypatch):
     P = load_problem(name)
     grid_context(P)  # the grid's own sweeps are not guards
-    apart = {concept: certify(P, z).to_jsonable() for concept, certify in (
+    apart = {concept: jsonable(certify(P, z)) for concept, certify in (
         ("weak", certify_weak), ("efficient", certify_efficient),
         ("proper", certify_proper))}
     sweeps = []
@@ -561,11 +562,11 @@ class TestSufficiencyRules:
 
 def test_report_serialization(ex2_2, ex3_2):
     w = certify_weak(ex2_2, Z22)
-    blob = json.loads(json.dumps(w.to_jsonable()))
+    blob = json.loads(json.dumps(jsonable(w)))
     assert blob["certified"] is False
     assert blob["counterexample"] == pytest.approx([-0.2, -5.0], abs=1e-12)
     p = certify_proper(ex3_2, Z32)
-    blob = json.loads(json.dumps(p.to_jsonable()))
+    blob = json.loads(json.dumps(jsonable(p)))
     assert blob["certified"] is True
     assert len(blob["witness_y"]) == 3
 

@@ -14,6 +14,7 @@ from robustcert.expr import (
     DomainError,
     ExprSyntaxError,
     KINK_ACTIVITY_TOL,
+    MAX_DEPTH,
     Lit,
     MaxOp,
     MinOp,
@@ -25,6 +26,7 @@ from robustcert.expr import (
     Var,
     combine_weighted,
     decompose_sum,
+    depth,
     eval_broadcast,
     evaluate,
     grad_smooth,
@@ -115,6 +117,32 @@ def test_parse_syntax_error_offset():
         parse_expr("(z1 + z2", 2, 0)
     with pytest.raises(ExprSyntaxError):
         parse_expr("z1 $ z2", 2, 0)
+
+
+@pytest.mark.parametrize("source", [
+    " + ".join(["z1"] * MAX_DEPTH),
+    "-" * (MAX_DEPTH - 1) + "z1",
+    "abs(" * (MAX_DEPTH - 1) + "z1" + ")" * (MAX_DEPTH - 1),
+    "max(" * (MAX_DEPTH - 1) + "z1" + ", z2)" * (MAX_DEPTH - 1),
+], ids=["sum", "minus", "abs", "max"])
+def test_deepest_tree_is_accepted_and_one_deeper_refused(source):
+    e = parse_expr(source, 2, 0)
+    assert depth(e) == MAX_DEPTH
+    # everything that recurses through the tree gets through it
+    pt = Point.of([0.5, 0.25])
+    value = evaluate(e, pt)
+    assert float(eval_broadcast(e, [np.array(0.5), np.array(0.25)])) == value
+    grad_smooth(e, pt)
+    kink_atoms(e, pt)
+    repr(e), hash(e)
+    assert parse_expr(to_source(e), 2, 0) == e
+    with pytest.raises(ExprSyntaxError, match="deeper than"):
+        parse_expr(f"-({source})", 2, 0)
+
+
+def test_parser_recursion_is_a_syntax_error():
+    with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+        parse_expr("(" * 2000 + "z1" + ")" * 2000, 1, 0)
 
 
 def test_round_trip_fixture_sources():

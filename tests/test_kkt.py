@@ -25,6 +25,7 @@ from robustcert.kkt import (
 from robustcert.memo import LruMemo
 from robustcert.polytope import Polytope, PolytopeUnion
 from robustcert.problem_io import load_problem, problem_from_dict
+from robustcert.report import jsonable
 
 from oracles import (
     loop_chunk_corners,
@@ -144,9 +145,9 @@ class TestDirectionGrid:
             return orig(m, edge, chunk_no)
 
         monkeypatch.setattr(kkt, "_chunk", counted)
-        first = find_kkt_certificate(ex3_2, Z_REF).to_jsonable()
+        first = jsonable(find_kkt_certificate(ex3_2, Z_REF))
         visited = list(built)
-        assert find_kkt_certificate(ex3_2, Z_REF).to_jsonable() == first
+        assert jsonable(find_kkt_certificate(ex3_2, Z_REF)) == first
         assert built == visited * 2
         corners = kkt._chunk_corners(3, 720)
         may = np.flatnonzero(kkt._chunk_may_pass(
@@ -331,7 +332,7 @@ def test_pruned_search_matches_unpruned_scan(name, z, y_grid, mode):
                                       exc.best_direction)
         return
     cert = find_kkt_certificate(P, z, y_grid, mode)
-    assert json.dumps(cert.to_jsonable()) == json.dumps(ref.to_jsonable())
+    assert json.dumps(jsonable(cert)) == json.dumps(jsonable(ref))
 
 
 def test_exact_certificates_pass_the_lifted_gate():
@@ -685,7 +686,7 @@ def test_convexified_and_union_readings_differ():
 
 
 def test_certificate_json_round_trip(ref_cert):
-    blob = json.dumps(ref_cert.to_jsonable())
+    blob = json.dumps(jsonable(ref_cert))
     back = KktCertificate.from_jsonable(json.loads(blob))
     np.testing.assert_allclose(back.y_star, ref_cert.y_star, atol=0)
     np.testing.assert_allclose(back.mu, ref_cert.mu, atol=0)

@@ -36,7 +36,7 @@ from robustcert.kkt import check_cq, find_kkt_certificate
 from robustcert.memo import shared_points
 from robustcert.problem_io import (BUNDLED_FIXTURES, load_problem,
                                    problem_from_dict)
-from robustcert.report import build_report
+from robustcert.report import build_report, jsonable
 from test_polish import BOX_P2
 
 SQ2_4 = float(np.sqrt(2) / 4)
@@ -196,10 +196,10 @@ def test_every_call_outside_a_block_computes_afresh(calls):
                         np.array([0.5, 0.0]))
 
     def call_twice():
-        first = (analyze_point(P, z), certify_weak(P, z).to_jsonable(),
-                 is_dual_feasible(P, triple).to_jsonable())
-        second = (analyze_point(P, z), certify_weak(P, z).to_jsonable(),
-                  is_dual_feasible(P, triple).to_jsonable())
+        first = (analyze_point(P, z), jsonable(certify_weak(P, z)),
+                 jsonable(is_dual_feasible(P, triple)))
+        second = (analyze_point(P, z), jsonable(certify_weak(P, z)),
+                  jsonable(is_dual_feasible(P, triple)))
         assert first[1:] == second[1:]
         return first[0] is second[0]
 
@@ -338,10 +338,10 @@ def test_shared_analysis_gives_the_same_answers(calls):
     z = ANCHORS["ex3_2"]
 
     def answers():
-        return [check_cq(P, z).to_jsonable(),
-                *(find_kkt_certificate(P, z, mode=mode)
-                  .to_jsonable() for mode in ("outer", "exact")),
-                classify_type(P, z, samples=300).to_jsonable()]
+        return [jsonable(check_cq(P, z)),
+                *(jsonable(find_kkt_certificate(P, z, mode=mode))
+                  for mode in ("outer", "exact")),
+                jsonable(classify_type(P, z, samples=300))]
 
     apart = answers()
     assert calls["PointAnalysis"] == 4
